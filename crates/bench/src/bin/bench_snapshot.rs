@@ -23,7 +23,7 @@ use std::time::{Instant, SystemTime, UNIX_EPOCH};
 use std::time::Duration;
 
 use aoft_faults::{FaultyTransport, LinkFault};
-use aoft_hypercube::NodeId;
+use aoft_hypercube::{NodeId, Subcube};
 use aoft_net::frame::{decode_frame_body, encode_frame, frame_header, FrameKind};
 use aoft_net::wire::from_bytes;
 use aoft_net::{
@@ -31,7 +31,7 @@ use aoft_net::{
     Transport, Wire,
 };
 use aoft_sort::predicates::{bit_compare_stage, bit_compare_stage_with, PredicateScratch};
-use aoft_sort::{Block, LbsBuffer, LbsWire, MergeScratch, Msg};
+use aoft_sort::{subcube_ascending, Block, LbsBuffer, LbsWire, MergeScratch, Msg};
 use aoft_svc::{FleetConfig, FleetRouter, JobSpec, SortService, SvcConfig};
 use serde::{Deserialize, Serialize};
 
@@ -144,9 +144,8 @@ fn take_snapshot(quick: bool) -> Snapshot {
     metrics.insert(
         "predicate_bit_compare".to_string(),
         measure(samples, batch, || {
-            std::hint::black_box(
-                bit_compare_stage(&lbs, &llbs, NodeId::new(0), 5).expect("honest buffers"),
-            );
+            std::hint::black_box(bit_compare_stage(&lbs, &llbs, NodeId::new(0), 5))
+                .expect("honest buffers");
         }),
     );
 
@@ -158,21 +157,63 @@ fn take_snapshot(quick: bool) -> Snapshot {
     metrics.insert(
         "predicate_bit_compare_large".to_string(),
         measure(samples, 10, || {
-            std::hint::black_box(
-                bit_compare_stage_with(&big_lbs, &big_llbs, NodeId::new(0), 5, &mut scratch)
-                    .expect("honest buffers"),
-            );
+            std::hint::black_box(bit_compare_stage_with(
+                &big_lbs,
+                &big_llbs,
+                NodeId::new(0),
+                5,
+                &mut scratch,
+            ))
+            .expect("honest buffers");
+        }),
+    );
+
+    // The two above are the *presorted* case: `honest_buffers` builds every
+    // block from a disjoint consecutive range, so Φ_F's reference runs never
+    // overlap and the check is one bulk prefix scan plus a verbatim tail.
+    // Real stage data does not look like that. Same shape (64 nodes,
+    // stage 5, m = 1024), uniformly random keys: the two runs interleave at
+    // key granularity and the merge walk itself is what is timed.
+    let (mixed_lbs, mixed_llbs) = interleaved_buffers(64, 5, 1024);
+    metrics.insert(
+        "predicate_bit_compare_interleaved".to_string(),
+        measure(samples, 10, || {
+            std::hint::black_box(bit_compare_stage_with(
+                &mixed_lbs,
+                &mixed_llbs,
+                NodeId::new(0),
+                5,
+                &mut scratch,
+            ))
+            .expect("honest buffers");
         }),
     );
 
     // The data-path merge behind every compare-exchange: merge-split two
-    // m = 1024 blocks in place through the reusable scratch.
+    // m = 1024 blocks in place through the reusable scratch. These two key
+    // sets do not overlap, so this is the presorted case (the ordered-pair
+    // early return).
     let mut lo = Block::from_unsorted((0..1024i32).map(|x| x.wrapping_mul(-37) % 4096).collect());
     let mut hi = Block::from_unsorted((0..1024i32).map(|x| x.wrapping_mul(53) % 4096).collect());
     let mut merge = MergeScratch::for_block_len(1024);
     metrics.insert(
         "lbs_merge".to_string(),
         measure(samples, batch, || {
+            lo.merge_split_reuse(&mut hi, &mut merge);
+            std::hint::black_box((lo.max(), hi.min()));
+        }),
+    );
+    // The merge itself needs operands drawn from one range, put back before
+    // every call (two 4 KiB copies into existing storage, a few percent of
+    // the merge).
+    let mixed = aoft_bench::random_keys(2048, 14);
+    let lo_keys = Block::from_unsorted(mixed[..1024].to_vec());
+    let hi_keys = Block::from_unsorted(mixed[1024..].to_vec());
+    metrics.insert(
+        "lbs_merge_interleaved".to_string(),
+        measure(samples, batch, || {
+            lo.clone_from(&lo_keys);
+            hi.clone_from(&hi_keys);
             lo.merge_split_reuse(&mut hi, &mut merge);
             std::hint::black_box((lo.max(), hi.min()));
         }),
@@ -646,6 +687,36 @@ fn honest_buffers(nodes: usize, stage: u32, m: usize) -> (LbsBuffer, LbsBuffer) 
         }
     }
     (lbs, llbs)
+}
+
+/// Honest (LBS, LLBS) buffers at the end of `stage` for uniformly random
+/// keys: LLBS is the input with every `SC_{stage-1}` sorted in its
+/// direction, LBS the same keys with every `SC_stage` sorted — what an
+/// honest run holds at that check, with the reference runs of Φ_F
+/// interleaving at key granularity.
+fn interleaved_buffers(nodes: usize, stage: u32, m: usize) -> (LbsBuffer, LbsBuffer) {
+    let keys = aoft_bench::random_keys(nodes * m, 14);
+    let sorted_over = |dim: u32| {
+        let mut buf = LbsBuffer::new(nodes, m as u32);
+        let span = 1usize << dim;
+        for start in (0..nodes).step_by(span) {
+            let mut flat = keys[start * m..(start + span) * m].to_vec();
+            flat.sort_unstable();
+            let sub = Subcube::home(dim, NodeId::new(start as u32));
+            for (off, chunk) in flat.chunks(m).enumerate() {
+                // Descending regions are descending at block granularity;
+                // every block stays internally ascending.
+                let node = if subcube_ascending(sub) {
+                    start + off
+                } else {
+                    start + span - 1 - off
+                };
+                buf.set(NodeId::new(node as u32), Block::new(chunk.to_vec()));
+            }
+        }
+        buf
+    };
+    (sorted_over(stage), sorted_over(stage - 1))
 }
 
 fn git_sha() -> String {

@@ -142,8 +142,22 @@ impl Block {
 
     /// [`merge_split`](Block::merge_split) without the allocations: after
     /// the call `self` holds the `m` smallest and `other` the `m` largest
-    /// keys, merged through `scratch`. With a scratch sized once from `m`,
-    /// the steady-state compare-exchange performs zero heap allocations.
+    /// keys. The halves are built in `scratch` and swapped with the
+    /// operands, so with a scratch sized once from `m` the steady-state
+    /// compare-exchange performs zero heap allocations and no copy-back.
+    ///
+    /// The low half is written by a front cursor (ties take from `self`),
+    /// the high half by a back cursor (ties take from `other`). Both trace
+    /// the one stable merge of two ascending operands — its first `m`
+    /// outputs from the front, its last `m` from the back — so neither
+    /// needs the other's position, and a cursor that has taken `k < m` keys
+    /// has left at least one key in each operand: the loop carries no
+    /// exhaustion test and no data-dependent branch. Operands already in
+    /// order (or exactly reversed) across the pair return without merging.
+    ///
+    /// Unsorted operands — only a faulty peer produces them — still yield
+    /// `m` keys each and no panic, but which keys is unspecified; judging
+    /// the result is the predicates' job.
     ///
     /// # Panics
     ///
@@ -154,26 +168,27 @@ impl Block {
             other.len(),
             "merge-split requires equal block sizes"
         );
-        let m = self.len();
-        scratch.merged.clear();
-        scratch.merged.reserve(2 * m);
-        let (a, b) = (&self.keys, &other.keys);
-        let (mut i, mut j) = (0, 0);
-        while i < m && j < m {
-            if a[i] <= b[j] {
-                scratch.merged.push(a[i]);
-                i += 1;
-            } else {
-                scratch.merged.push(b[j]);
-                j += 1;
-            }
+        if self.keys.last() <= other.keys.first() {
+            return;
         }
-        scratch.merged.extend_from_slice(&a[i..]);
-        scratch.merged.extend_from_slice(&b[j..]);
-        self.keys.clear();
-        self.keys.extend_from_slice(&scratch.merged[..m]);
-        other.keys.clear();
-        other.keys.extend_from_slice(&scratch.merged[m..]);
+        if other.keys.last() <= self.keys.first() {
+            std::mem::swap(&mut self.keys, &mut other.keys);
+            return;
+        }
+        let m = self.len();
+        let (a, b) = (self.keys.as_slice(), other.keys.as_slice());
+        // Every slot is overwritten below, so stale contents need no clear;
+        // in steady state both buffers already hold `m` keys.
+        scratch.low.resize(m, 0);
+        scratch.high.resize(m, 0);
+        let (mut i, mut j) = (0, 0);
+        let (mut i_end, mut j_end) = (m, m);
+        for (low, high) in scratch.low.iter_mut().zip(scratch.high.iter_mut().rev()) {
+            *low = take_front(a, b, &mut i, &mut j);
+            *high = take_back(a, b, &mut i_end, &mut j_end);
+        }
+        std::mem::swap(&mut self.keys, &mut scratch.low);
+        std::mem::swap(&mut other.keys, &mut scratch.high);
     }
 
     /// Comparison and move counts charged for one merge-split of blocks of
@@ -183,14 +198,49 @@ impl Block {
     }
 }
 
-/// Reusable merge buffer for [`Block::merge_split_reuse`].
+/// One step of the front cursor of the stable merge of `a` and `b`: yields
+/// the smaller of the two heads `a[*i]`, `b[*j]` — `a`'s on a tie — and
+/// advances past it. Compiles to compare, select, two adds: no branch on
+/// key data. Both heads must exist.
+#[inline(always)]
+pub(crate) fn take_front(a: &[Key], b: &[Key], i: &mut usize, j: &mut usize) -> Key {
+    let (x, y) = (a[*i], b[*j]);
+    let take_a = x <= y;
+    *i += usize::from(take_a);
+    *j += usize::from(!take_a);
+    if take_a {
+        x
+    } else {
+        y
+    }
+}
+
+/// One step of the back cursor of the same merge: yields the larger of the
+/// two tails `a[*i_end - 1]`, `b[*j_end - 1]` — `b`'s on a tie, since `a`'s
+/// equal keys come first — and retreats past it. Both tails must exist.
+#[inline(always)]
+pub(crate) fn take_back(a: &[Key], b: &[Key], i_end: &mut usize, j_end: &mut usize) -> Key {
+    let (x, y) = (a[*i_end - 1], b[*j_end - 1]);
+    let take_b = y >= x;
+    *j_end -= usize::from(take_b);
+    *i_end -= usize::from(!take_b);
+    if take_b {
+        y
+    } else {
+        x
+    }
+}
+
+/// Reusable output buffers for [`Block::merge_split_reuse`].
 ///
-/// Sized once from `m`, it keeps every subsequent compare-exchange
-/// allocation-free: the merge runs through this buffer and the halves are
-/// copied back into the operand blocks' existing storage.
+/// Sized once from `m`, they keep every subsequent compare-exchange
+/// allocation-free: the two halves are merged into these buffers, which then
+/// trade places with the operand blocks' storage — the operands' old
+/// vectors become the next call's buffers.
 #[derive(Debug, Default)]
 pub struct MergeScratch {
-    merged: Vec<Key>,
+    low: Vec<Key>,
+    high: Vec<Key>,
 }
 
 impl MergeScratch {
@@ -202,7 +252,8 @@ impl MergeScratch {
     /// A scratch pre-sized for merging two blocks of `m` keys.
     pub fn for_block_len(m: usize) -> Self {
         Self {
-            merged: Vec::with_capacity(2 * m),
+            low: Vec::with_capacity(m),
+            high: Vec::with_capacity(m),
         }
     }
 }
@@ -350,15 +401,62 @@ mod tests {
         let mut low = Block::new(vec![1, 4, 8]);
         let mut high = Block::new(vec![2, 3, 9]);
         let mut scratch = MergeScratch::for_block_len(3);
-        let (low_ptr, high_ptr) = (low.keys.as_ptr(), high.keys.as_ptr());
+        // The operands and the scratch trade vectors on every merge, so the
+        // steady state is the same four allocations changing hands.
+        let storage = |low: &Block, high: &Block, scratch: &MergeScratch| {
+            let mut ptrs = [
+                low.keys.as_ptr(),
+                high.keys.as_ptr(),
+                scratch.low.as_ptr(),
+                scratch.high.as_ptr(),
+            ];
+            ptrs.sort_unstable();
+            ptrs
+        };
+        let before = storage(&low, &high, &scratch);
         for _ in 0..4 {
+            low.keys.copy_from_slice(&[1, 4, 8]);
+            high.keys.copy_from_slice(&[2, 3, 9]);
             low.merge_split_reuse(&mut high, &mut scratch);
+            assert_eq!(low.keys(), &[1, 2, 3]);
+            assert_eq!(high.keys(), &[4, 8, 9]);
+            assert_eq!(storage(&low, &high, &scratch), before);
         }
-        assert_eq!(low.keys(), &[1, 2, 3]);
-        assert_eq!(high.keys(), &[4, 8, 9]);
-        // Steady state reuses the same storage — no fresh allocations.
-        assert_eq!(low.keys.as_ptr(), low_ptr);
-        assert_eq!(high.keys.as_ptr(), high_ptr);
+    }
+
+    #[test]
+    fn merge_split_reuse_ordered_pairs_skip_the_merge() {
+        let mut scratch = MergeScratch::new();
+        // Already split (ties across the boundary included): untouched.
+        let (mut low, mut high) = (Block::new(vec![1, 2, 2]), Block::new(vec![2, 5, 6]));
+        low.merge_split_reuse(&mut high, &mut scratch);
+        assert_eq!((low.keys(), high.keys()), (&[1, 2, 2][..], &[2, 5, 6][..]));
+        // Exactly reversed: the blocks trade places.
+        let (mut low, mut high) = (Block::new(vec![7, 8, 9]), Block::new(vec![1, 2, 3]));
+        low.merge_split_reuse(&mut high, &mut scratch);
+        assert_eq!((low.keys(), high.keys()), (&[1, 2, 3][..], &[7, 8, 9][..]));
+        // Neither path touched the scratch.
+        assert!(scratch.low.is_empty() && scratch.high.is_empty());
+        // Empty blocks are trivially ordered.
+        let (mut low, mut high) = (Block::default(), Block::default());
+        low.merge_split_reuse(&mut high, &mut scratch);
+        assert!(low.is_empty() && high.is_empty());
+    }
+
+    #[test]
+    fn merge_split_reuse_unsorted_operands_keep_their_shape() {
+        // What a faulty peer can put on the wire: no order to rely on. The
+        // halves are garbage, but there are still `m` keys in each.
+        let mut scratch = MergeScratch::new();
+        for (a, b) in [
+            (vec![5, 1, 9], vec![2, 8, 3]),
+            (vec![9, 9, 0], vec![0, 9, 9]),
+            (vec![3, 2, 1], vec![6, 5, 4]),
+        ] {
+            let (mut low, mut high) = (Block::from_wire(a), Block::from_wire(b));
+            low.merge_split_reuse(&mut high, &mut scratch);
+            assert_eq!((low.len(), high.len()), (3, 3));
+        }
     }
 
     #[test]

@@ -12,15 +12,36 @@
 use aoft_hypercube::Subcube;
 
 use super::PredicateScratch;
+use crate::block::{take_back, take_front};
 use crate::{Key, LbsBuffer, Violation};
 
-/// `true` if `target` is exactly an interleaving of the ascending runs `a`
-/// and `b` — i.e. `merge(a, b) == target` element-wise, which for a sorted
+/// `true` if `target` is exactly the merge of the ascending runs `a` and
+/// `b` — `merge(a, b) == target` element-wise, which for an ascending
 /// `target` is multiset equality.
 ///
-/// This is Figure 4b's walk: each target element must match the next
-/// unconsumed element of one of the runs; on ties either run may supply it
-/// (the values are equal, so greedy consumption is safe).
+/// This is Figure 4b's walk, run from both ends at once. Two ascending runs
+/// have one *stable* merge (equal keys: all of `a`'s before `b`'s). A front
+/// cursor that takes from `a` on ties reproduces it first key first; a back
+/// cursor that takes from `b` on ties reproduces it last key first. Both
+/// walks are a function of `a` and `b` alone — `target` is only compared
+/// against what they produce — so after `k` steps each they have consumed
+/// the two ends of one and the same merge and can never contradict each
+/// other. Each cursor is an independent dependency chain of compare-select
+/// steps with no data-dependent branch: real stage data interleaves at key
+/// granularity, where a branching walk mispredicts on every other key.
+///
+/// A round advances both cursors by half of what the shorter remaining run
+/// holds, so neither cursor can exhaust a run or cross the other inside the
+/// round; the few keys left once a run is (nearly) spent are finished by
+/// the plain one-cursor walk. Before any of that, the common prefix of
+/// `target` and `a` is stripped in bulk: on presorted data (`a` wholly
+/// below `b`) that consumes all of `a` and leaves a verbatim comparison of
+/// the tail with `b`.
+///
+/// Whatever the inputs, every key of `a` and `b` is matched against its own
+/// position of `target`, so `true` implies `target` is a permutation of
+/// `a ++ b`; for an ascending `target` (Φ_P has run) it is returned exactly
+/// when `a` and `b` are ascending and hold `target`'s multiset.
 ///
 /// # Examples
 ///
@@ -35,29 +56,51 @@ pub fn is_merge_of(target: &[Key], a: &[Key], b: &[Key]) -> bool {
     if target.len() != a.len() + b.len() {
         return false;
     }
-    let (mut i, mut l, mut u) = (0, 0, 0);
+    let prefix = common_prefix(target, a);
+    let (target, a) = (&target[prefix..], &a[prefix..]);
+    if a.is_empty() {
+        return target == b;
+    }
+
+    // Front cursor: `a[..a_lo]` and `b[..b_lo]` are matched. Back cursor:
+    // `a[a_hi..]` and `b[b_hi..]` are matched.
+    let (mut a_lo, mut b_lo) = (0, 0);
+    let (mut a_hi, mut b_hi) = (a.len(), b.len());
     loop {
-        // The walk consumes from `a` exactly along the common prefix of the
-        // remaining target and the remaining run, so the prefix scan below
-        // (chunked, branch-free) is the greedy loop in bulk.
-        let j = common_prefix(&target[i..], &a[l..]);
-        i += j;
-        l += j;
-        if i == target.len() {
-            return true; // lengths matched up front, so both runs are spent
+        let steps = (a_hi - a_lo).min(b_hi - b_lo) / 2;
+        if steps == 0 {
+            break;
         }
-        if l == a.len() {
-            // Only `b` can supply the rest: it must match verbatim.
-            return target[i..] == b[u..];
+        let (lo, hi) = (a_lo + b_lo, a_hi + b_hi);
+        let front = &target[lo..lo + steps];
+        let back = &target[hi - steps..hi];
+        let mut ok = true;
+        for (&want_front, &want_back) in front.iter().zip(back.iter().rev()) {
+            ok &= want_front == take_front(a, b, &mut a_lo, &mut b_lo);
+            ok &= want_back == take_back(a, b, &mut a_hi, &mut b_hi);
         }
-        // `a` cannot supply `target[i]`; it must come from `b`.
-        if u < b.len() && b[u] == target[i] {
-            u += 1;
-            i += 1;
-        } else {
+        if !ok {
             return false;
         }
     }
+
+    // The middle the cursors left: one run holds at most one key.
+    let mut target = &target[a_lo + b_lo..a_hi + b_hi];
+    let (mut a, mut b) = (&a[a_lo..a_hi], &b[b_lo..b_hi]);
+    while let (Some(&x), Some(&y)) = (a.first(), b.first()) {
+        let next = if x <= y {
+            a = &a[1..];
+            x
+        } else {
+            b = &b[1..];
+            y
+        };
+        if target[0] != next {
+            return false;
+        }
+        target = &target[1..];
+    }
+    target == if a.is_empty() { b } else { a }
 }
 
 /// Length of the longest common prefix of `x` and `y`, scanned in

@@ -5,8 +5,10 @@
 //! simulator.
 
 use aoft_hypercube::{NodeId, Subcube};
-use aoft_sort::predicates::{bit_compare_final, bit_compare_stage};
-use aoft_sort::{block, subcube_ascending, Block, LbsBuffer};
+use aoft_sort::predicates::{
+    bit_compare_final, bit_compare_final_with, bit_compare_stage, PredicateScratch,
+};
+use aoft_sort::{block, subcube_ascending, Block, LbsBuffer, Violation};
 use proptest::prelude::*;
 
 /// Runs the bitonic schedule in memory, maintaining per-stage value
@@ -154,4 +156,59 @@ fn pipeline_catches_a_planted_corruption() {
     let tripped =
         (0..nodes as u32).any(|node| bit_compare_stage(&lbs, &llbs, NodeId::new(node), 2).is_err());
     assert!(tripped, "somebody must notice the planted 999");
+}
+
+#[test]
+fn block_scale_final_check_rejects_one_corrupted_key() {
+    // d = 3, m = 4096: the final check of a `large_*` job. The output is
+    // the even numbers 0, 2, 4, …; entering the last stage the low half of
+    // the cube held the keys at positions ≡ 0, 3 (mod 4) and the high half
+    // the rest, so the two runs Φ_F walks interleave at key granularity.
+    // Adding 1 to any one key keeps the output sorted (Φ_P passes) and
+    // changes the multiset by one key, which only Φ_F can see.
+    const NODES: usize = 8;
+    const M: usize = 4096;
+    const N: usize = NODES * M;
+    let output: Vec<i32> = (0..N as i32).map(|k| 2 * k).collect();
+    let (low, high): (Vec<i32>, Vec<i32>) =
+        output.iter().partition(|&&k| matches!(k / 2 % 4, 0 | 3));
+    assert_eq!(low.len(), N / 2);
+
+    let mut llbs = LbsBuffer::new(NODES, M as u32);
+    for (node, chunk) in low.chunks(M).enumerate() {
+        llbs.set(NodeId::new(node as u32), Block::new(chunk.to_vec()));
+    }
+    for (from_top, chunk) in high.chunks(M).enumerate() {
+        // The high half is descending at block granularity.
+        let node = NODES - 1 - from_top;
+        llbs.set(NodeId::new(node as u32), Block::new(chunk.to_vec()));
+    }
+    let to_lbs = |keys: &[i32]| {
+        let mut lbs = LbsBuffer::new(NODES, M as u32);
+        for (node, chunk) in keys.chunks(M).enumerate() {
+            lbs.set(NodeId::new(node as u32), Block::new(chunk.to_vec()));
+        }
+        lbs
+    };
+
+    let me = NodeId::new(5);
+    let mut scratch = PredicateScratch::for_machine(NODES, M as u32);
+    assert_eq!(
+        bit_compare_final_with(&to_lbs(&output), &llbs, me, 3, &mut scratch),
+        Ok(())
+    );
+
+    // The ends, the two cursors' meeting point, and a sweep that lands on
+    // both sides of every round boundary of the walk.
+    let mut positions = vec![0, N - 1, N / 2 - 1, N / 2, N / 2 + 1];
+    positions.extend((0..N).step_by(509));
+    for pos in positions {
+        let mut corrupted = output.clone();
+        corrupted[pos] += 1;
+        assert_eq!(
+            bit_compare_final_with(&to_lbs(&corrupted), &llbs, me, 3, &mut scratch),
+            Err(Violation::NotPermutation { stage: 3 }),
+            "key {pos} of {N}"
+        );
+    }
 }

@@ -3,7 +3,7 @@
 
 use aoft::hypercube::{NodeId, Subcube};
 use aoft::sort::predicates::{is_merge_of, vect_mask, vect_mask_before, vect_mask_recursive};
-use aoft::sort::{bitonic, Block};
+use aoft::sort::{bitonic, Block, MergeScratch};
 use proptest::prelude::*;
 
 proptest! {
@@ -158,6 +158,170 @@ proptest! {
         let mut all: Vec<i32> = a.into_iter().chain(b).collect();
         all.sort_unstable();
         prop_assert_eq!(merged, all);
+    }
+}
+
+/// Maps raw draws into one of the key domains the kernels must be exact
+/// on, ascending: heavy ties (0..8), two disjoint ranges (`high` picks the
+/// upper), the extremes of `Key`, or a wide range.
+fn sorted_run(shape: u8, high: bool, raw: &[u32]) -> Vec<i32> {
+    const EXTREMES: [i32; 7] = [i32::MIN, i32::MIN + 1, -1, 0, 1, i32::MAX - 1, i32::MAX];
+    let mut run: Vec<i32> = raw
+        .iter()
+        .map(|&r| match shape {
+            0 => (r % 8) as i32,
+            1 => (r % 100) as i32 + if high { 1000 } else { 0 },
+            2 => EXTREMES[r as usize % EXTREMES.len()],
+            _ => (r % 2001) as i32 - 1000,
+        })
+        .collect();
+    run.sort_unstable();
+    run
+}
+
+/// The definition `is_merge_of` must agree with on ascending runs.
+fn sorted_concat(a: &[i32], b: &[i32]) -> Vec<i32> {
+    let mut all = [a, b].concat();
+    all.sort_unstable();
+    all
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// `is_merge_of(t, a, b)` ≡ `sorted(a ++ b) == t` — ties, empty and
+    /// one-sided runs, disjoint ranges, odd and even lengths, `Key::MIN` /
+    /// `Key::MAX`, long enough for several two-cursor rounds.
+    #[test]
+    fn merge_of_equals_sort_reference(
+        shape in 0u8..4,
+        sides in 0u8..6,
+        raw_a in prop::collection::vec(any::<u32>(), 0..90),
+        raw_b in prop::collection::vec(any::<u32>(), 0..90),
+        raw_t in prop::collection::vec(any::<u32>(), 0..180),
+    ) {
+        let a = sorted_run(shape, false, if sides == 0 { &[] } else { &raw_a });
+        let b = sorted_run(shape, true, if sides == 1 { &[] } else { &raw_b });
+        let merged = sorted_concat(&a, &b);
+        prop_assert!(is_merge_of(&merged, &a, &b));
+        prop_assert!(is_merge_of(&merged, &b, &a));
+
+        // An unrelated ascending candidate of the right length, from the
+        // same key domain: accepted exactly when it happens to be the merge.
+        let mut other = raw_t;
+        other.resize(merged.len(), 3);
+        let other = sorted_run(shape, sides % 2 == 0, &other);
+        prop_assert_eq!(is_merge_of(&other, &a, &b), other == merged);
+    }
+
+    /// Every single mutation of an accepted target is judged as the
+    /// reference judges it — and each one that changes the multiset or a
+    /// length is rejected, wherever in the walk it lands.
+    #[test]
+    fn merge_of_rejects_every_single_mutation(
+        shape in 0u8..4,
+        raw_a in prop::collection::vec(any::<u32>(), 1..40),
+        raw_b in prop::collection::vec(any::<u32>(), 1..40),
+    ) {
+        let a = sorted_run(shape, false, &raw_a);
+        let b = sorted_run(shape, true, &raw_b);
+        let merged = sorted_concat(&a, &b);
+        let n = merged.len();
+
+        for i in 0..n {
+            // One key bumped up or down, the target still ascending.
+            let next = merged.get(i + 1).copied().unwrap_or(i32::MAX);
+            if merged[i] < next {
+                let mut bad = merged.clone();
+                bad[i] += 1;
+                prop_assert!(!is_merge_of(&bad, &a, &b), "bump up at {i}");
+            }
+            let prev = if i == 0 { i32::MIN } else { merged[i - 1] };
+            if merged[i] > prev {
+                let mut bad = merged.clone();
+                bad[i] -= 1;
+                prop_assert!(!is_merge_of(&bad, &a, &b), "bump down at {i}");
+            }
+            // One key duplicated over its neighbour.
+            if i + 1 < n && merged[i] != merged[i + 1] {
+                let mut bad = merged.clone();
+                bad[i] = merged[i + 1];
+                prop_assert!(!is_merge_of(&bad, &a, &b), "right neighbour over {i}");
+                bad[i] = merged[i];
+                bad[i + 1] = merged[i];
+                prop_assert!(!is_merge_of(&bad, &a, &b), "{i} over right neighbour");
+            }
+        }
+
+        // One element moved between the runs. Re-inserted in order the
+        // union is intact, so the target is still their merge; left at the
+        // far end it (usually) breaks the run's order, which an ascending
+        // target cannot be a merge of.
+        for i in 0..a.len() {
+            let mut fewer = a.clone();
+            let moved = fewer.remove(i);
+            let mut more = b.clone();
+            more.insert(more.partition_point(|&k| k < moved), moved);
+            prop_assert!(is_merge_of(&merged, &fewer, &more), "a[{i}] into b");
+            prop_assert!(is_merge_of(&merged, &more, &fewer), "a[{i}] into b, swapped");
+
+            let mut appended = b.clone();
+            appended.push(moved);
+            let still_sorted = appended.windows(2).all(|w| w[0] <= w[1]);
+            prop_assert_eq!(is_merge_of(&merged, &fewer, &appended), still_sorted);
+            prop_assert_eq!(is_merge_of(&merged, &appended, &fewer), still_sorted);
+        }
+
+        // A length off by one, on any of the three sequences.
+        let mut longer = merged.clone();
+        longer.push(*merged.last().unwrap());
+        prop_assert!(!is_merge_of(&longer, &a, &b));
+        prop_assert!(!is_merge_of(&merged[1..], &a, &b));
+        prop_assert!(!is_merge_of(&merged[..n - 1], &a, &b));
+        prop_assert!(!is_merge_of(&merged, &a[1..], &b));
+        prop_assert!(!is_merge_of(&merged, &a, &b[..b.len() - 1]));
+    }
+
+    /// `merge_split_reuse` ≡ sort the concatenation and cut it in half,
+    /// through a scratch that has seen other block sizes — including
+    /// all-equal blocks (shape 0 at small `m`) and `m = 1`.
+    #[test]
+    fn merge_split_reuse_equals_sort_concat_split(
+        shape in 0u8..4,
+        high_first in any::<bool>(),
+        raw in prop::collection::vec((any::<u32>(), any::<u32>()), 1..48),
+        all_equal in 0u8..8,
+    ) {
+        let (raw_a, raw_b): (Vec<u32>, Vec<u32>) = if all_equal == 0 {
+            raw.iter().map(|_| (raw[0].0, raw[0].0)).unzip()
+        } else {
+            raw.iter().copied().unzip()
+        };
+        let m = raw_a.len();
+        let a = sorted_run(shape, high_first, &raw_a);
+        let b = sorted_run(shape, !high_first, &raw_b);
+        let expected = sorted_concat(&a, &b);
+
+        let mut scratch = MergeScratch::new();
+        // Leave differently-sized buffers behind first.
+        let (mut warm_lo, mut warm_hi) = (
+            Block::new(vec![1, 3, 5, 7, 9][..(m % 5) + 1].to_vec()),
+            Block::new(vec![0, 2, 4, 6, 8][..(m % 5) + 1].to_vec()),
+        );
+        warm_lo.merge_split_reuse(&mut warm_hi, &mut scratch);
+
+        let (mut low, mut high) = (Block::new(a.clone()), Block::new(b.clone()));
+        low.merge_split_reuse(&mut high, &mut scratch);
+        prop_assert_eq!(low.keys(), &expected[..m]);
+        prop_assert_eq!(high.keys(), &expected[m..]);
+
+        // Idempotent on its own output, and the allocating form agrees.
+        low.merge_split_reuse(&mut high, &mut scratch);
+        prop_assert_eq!(low.keys(), &expected[..m]);
+        prop_assert_eq!(high.keys(), &expected[m..]);
+        let (low, high) = Block::new(b).merge_split(&Block::new(a));
+        prop_assert_eq!(low.keys(), &expected[..m]);
+        prop_assert_eq!(high.keys(), &expected[m..]);
     }
 }
 
