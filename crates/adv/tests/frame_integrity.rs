@@ -45,12 +45,11 @@ fn kind_strategy() -> impl Strategy<Value = FaultKind> {
 /// One spec of each kind, firing on every send so the mutation path (not
 /// the passthrough) is what's exercised.
 fn spec(kind: FaultKind, seed: u64) -> FaultSpec {
-    FaultPlan::new()
+    *FaultPlan::new()
         .with_fault(NodeId::new(0), kind, Trigger::always(), seed)
         .specs()
         .last()
         .expect("plan holds the spec just added")
-        .clone()
 }
 
 proptest! {

@@ -31,7 +31,9 @@ use aoft_net::{
     Transport, Wire,
 };
 use aoft_sort::predicates::{bit_compare_stage, bit_compare_stage_with, PredicateScratch};
-use aoft_sort::{subcube_ascending, Block, LbsBuffer, LbsWire, MergeScratch, Msg};
+use aoft_sort::{
+    subcube_ascending, Algorithm, Block, LbsBuffer, LbsWire, MergeScratch, Msg, SortBuilder,
+};
 use aoft_svc::{FleetConfig, FleetRouter, JobSpec, SortService, SvcConfig};
 use serde::{Deserialize, Serialize};
 
@@ -203,19 +205,49 @@ fn take_snapshot(quick: bool) -> Snapshot {
             std::hint::black_box((lo.max(), hi.min()));
         }),
     );
-    // The merge itself needs operands drawn from one range, put back before
-    // every call (two 4 KiB copies into existing storage, a few percent of
-    // the merge).
+    // The merge itself needs operands drawn from one range, taken afresh
+    // before every call as handles to two published blocks — the first step
+    // of an S_FT stage, where both operands are LBS entries: the halves go
+    // to new storage (one 4 KiB allocation each) and the published blocks
+    // stay as they are.
     let mixed = aoft_bench::random_keys(2048, 14);
     let lo_keys = Block::from_unsorted(mixed[..1024].to_vec());
     let hi_keys = Block::from_unsorted(mixed[1024..].to_vec());
     metrics.insert(
         "lbs_merge_interleaved".to_string(),
         measure(samples, batch, || {
-            lo.clone_from(&lo_keys);
-            hi.clone_from(&hi_keys);
+            lo = lo_keys.clone();
+            hi = hi_keys.clone();
             lo.merge_split_reuse(&mut hi, &mut merge);
             std::hint::black_box((lo.max(), hi.min()));
+        }),
+    );
+
+    // Building the piggybacked array of the largest message of a d = 3,
+    // m = 4096 job: all eight entries held. One handle per slot — what is
+    // timed is eight reference counts and one 8-slot vector, not 128 KiB
+    // of keys.
+    let (full_lbs, _) = interleaved_buffers(8, 2, 4096);
+    let cube = Subcube::home(3, NodeId::new(0));
+    metrics.insert(
+        "lbs_to_wire_span8".to_string(),
+        measure(samples, batch, || {
+            std::hint::black_box(full_lbs.to_wire(cube));
+        }),
+    );
+
+    // One whole S_FT sort as the service runs it, minus the service: d = 3,
+    // m = 4096, in-process links, eight node threads spawned and joined.
+    let job_keys = aoft_bench::random_keys(8 * 4096, 15);
+    metrics.insert(
+        "sft_d3_m4096_inproc_run".to_string(),
+        measure(if quick { 30 } else { 100 }, 1, || {
+            let report = SortBuilder::new(Algorithm::FaultTolerant)
+                .keys(job_keys.clone())
+                .nodes(8)
+                .run()
+                .expect("clean run");
+            std::hint::black_box(report.output().len());
         }),
     );
 

@@ -8,12 +8,22 @@
 //! ascending.
 
 use std::fmt;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
 use crate::Key;
 
 /// The sorted keys held by one node.
+///
+/// The keys are written once, by whoever builds the block, and never change
+/// afterwards: the storage is immutable and shared, so `clone` is a
+/// reference-count bump and every holder of a block — the node's own
+/// variable, its `LBS` slot, a message in flight, a peer's `LBS` — reads the
+/// same allocation. The last holder to let go frees it. Equality of two
+/// handles to the same storage is decided without reading the keys
+/// (`Arc<T: Eq>` compares pointers first); the verdict is the same as the
+/// key-by-key comparison on every input.
 ///
 /// # Examples
 ///
@@ -25,24 +35,9 @@ use crate::Key;
 /// assert_eq!(block.keys(), &[1, 3, 5]);
 /// assert_eq!(block.len(), 3);
 /// ```
-#[derive(Debug, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub struct Block {
-    keys: Vec<Key>,
-}
-
-impl Clone for Block {
-    fn clone(&self) -> Self {
-        Self {
-            keys: self.keys.clone(),
-        }
-    }
-
-    // `clone_from` keeps the destination's allocation alive — the hot-path
-    // buffers (LBS slots, scratch blocks) rely on this to stay
-    // allocation-free in steady state.
-    fn clone_from(&mut self, source: &Self) {
-        self.keys.clone_from(&source.keys);
-    }
+    keys: Arc<Vec<Key>>,
 }
 
 impl Block {
@@ -57,13 +52,17 @@ impl Block {
             keys.windows(2).all(|w| w[0] <= w[1]),
             "Block::new requires sorted keys"
         );
-        Self { keys }
+        Self {
+            keys: Arc::new(keys),
+        }
     }
 
     /// Sorts `keys` and wraps them.
     pub fn from_unsorted(mut keys: Vec<Key>) -> Self {
         keys.sort_unstable();
-        Self { keys }
+        Self {
+            keys: Arc::new(keys),
+        }
     }
 
     /// Wraps keys *without* checking sortedness.
@@ -72,7 +71,9 @@ impl Block {
     /// construction should go through [`new`](Block::new) or
     /// [`from_unsorted`](Block::from_unsorted).
     pub fn from_wire(keys: Vec<Key>) -> Self {
-        Self { keys }
+        Self {
+            keys: Arc::new(keys),
+        }
     }
 
     /// The keys, in stored order.
@@ -114,9 +115,10 @@ impl Block {
         *self.keys.last().expect("non-empty block")
     }
 
-    /// Consumes the block, yielding its keys.
+    /// Consumes the block, yielding its keys: the storage itself for the
+    /// last holder, a copy while anyone else still reads it.
     pub fn into_keys(self) -> Vec<Key> {
-        self.keys
+        Arc::try_unwrap(self.keys).unwrap_or_else(|shared| Vec::clone(&shared))
     }
 
     /// The compare-exchange of the block bitonic sort (merge-split).
@@ -133,18 +135,22 @@ impl Block {
     ///
     /// Panics if the blocks differ in size.
     pub fn merge_split(&self, other: &Block) -> (Block, Block) {
-        let mut low = self.clone();
-        let mut high = other.clone();
-        let mut scratch = MergeScratch::for_block_len(self.len());
-        low.merge_split_reuse(&mut high, &mut scratch);
+        let (mut low, mut high) = (self.clone(), other.clone());
+        low.merge_split_reuse(&mut high, &mut MergeScratch::new());
         (low, high)
     }
 
-    /// [`merge_split`](Block::merge_split) without the allocations: after
+    /// [`merge_split`](Block::merge_split) on the handles themselves: after
     /// the call `self` holds the `m` smallest and `other` the `m` largest
-    /// keys. The halves are built in `scratch` and swapped with the
-    /// operands, so with a scratch sized once from `m` the steady-state
-    /// compare-exchange performs zero heap allocations and no copy-back.
+    /// keys. The halves are built in `scratch` and installed as *new*
+    /// blocks; nobody else's view of the old ones changes. An operand that
+    /// was the last holder of its storage trades it for the scratch buffer
+    /// (no copy-back, and with a scratch sized once from `m` no allocation:
+    /// the `S_NR` steady state, and every `S_FT` step after the first of a
+    /// stage). An operand still referenced elsewhere — a stage-entry block
+    /// sits in every `LBS` that collected it — keeps that storage untouched
+    /// and the handle moves to the scratch buffer's, which the next call
+    /// replaces with one allocation.
     ///
     /// The low half is written by a front cursor (ties take from `self`),
     /// the high half by a back cursor (ties take from `other`). Both trace
@@ -178,7 +184,7 @@ impl Block {
         let m = self.len();
         let (a, b) = (self.keys.as_slice(), other.keys.as_slice());
         // Every slot is overwritten below, so stale contents need no clear;
-        // in steady state both buffers already hold `m` keys.
+        // a buffer handed back by the previous merge already holds `m` keys.
         scratch.low.resize(m, 0);
         scratch.high.resize(m, 0);
         let (mut i, mut j) = (0, 0);
@@ -187,14 +193,24 @@ impl Block {
             *low = take_front(a, b, &mut i, &mut j);
             *high = take_back(a, b, &mut i_end, &mut j_end);
         }
-        std::mem::swap(&mut self.keys, &mut scratch.low);
-        std::mem::swap(&mut other.keys, &mut scratch.high);
+        install(&mut self.keys, &mut scratch.low);
+        install(&mut other.keys, &mut scratch.high);
     }
 
     /// Comparison and move counts charged for one merge-split of blocks of
     /// `m` keys: `(compares, moves)`.
     pub fn merge_split_cost(m: usize) -> (usize, usize) {
         (2 * m, 2 * m)
+    }
+}
+
+/// Makes `half` the keys behind `keys`. The last holder of the old storage
+/// swaps it out (it becomes the next merge's scratch); storage anyone else
+/// still reads is never written — the handle is pointed at `half` instead.
+fn install(keys: &mut Arc<Vec<Key>>, half: &mut Vec<Key>) {
+    match Arc::get_mut(keys) {
+        Some(owned) => std::mem::swap(owned, half),
+        None => *keys = Arc::new(std::mem::take(half)),
     }
 }
 
@@ -233,10 +249,11 @@ pub(crate) fn take_back(a: &[Key], b: &[Key], i_end: &mut usize, j_end: &mut usi
 
 /// Reusable output buffers for [`Block::merge_split_reuse`].
 ///
-/// Sized once from `m`, they keep every subsequent compare-exchange
-/// allocation-free: the two halves are merged into these buffers, which then
-/// trade places with the operand blocks' storage — the operands' old
-/// vectors become the next call's buffers.
+/// The two halves are merged into these buffers, which then become the
+/// result blocks' storage. A uniquely held operand hands its old vector back
+/// as the next call's buffer, so merges of unshared blocks allocate nothing;
+/// a shared operand hands nothing back and the buffer is reallocated on the
+/// next call.
 #[derive(Debug, Default)]
 pub struct MergeScratch {
     low: Vec<Key>,
@@ -277,7 +294,7 @@ impl aoft_net::Wire for Block {
         // keys — but written in one reserved pass.
         aoft_net::Wire::encode(&(self.keys.len() as u32), out);
         out.reserve(self.keys.len() * KEY_WIRE_LEN);
-        for key in &self.keys {
+        for key in self.keys.iter() {
             out.extend_from_slice(&key.to_le_bytes());
         }
     }
@@ -398,11 +415,12 @@ mod tests {
 
     #[test]
     fn merge_split_reuse_keeps_allocations() {
+        // Uniquely held operands (the S_NR case): they and the scratch trade
+        // vectors on every merge, so the steady state is the same four
+        // allocations changing hands.
         let mut low = Block::new(vec![1, 4, 8]);
         let mut high = Block::new(vec![2, 3, 9]);
         let mut scratch = MergeScratch::for_block_len(3);
-        // The operands and the scratch trade vectors on every merge, so the
-        // steady state is the same four allocations changing hands.
         let storage = |low: &Block, high: &Block, scratch: &MergeScratch| {
             let mut ptrs = [
                 low.keys.as_ptr(),
@@ -415,13 +433,52 @@ mod tests {
         };
         let before = storage(&low, &high, &scratch);
         for _ in 0..4 {
-            low.keys.copy_from_slice(&[1, 4, 8]);
-            high.keys.copy_from_slice(&[2, 3, 9]);
+            // The test is the sole holder, so it may refill the operands in
+            // place; no other code path writes to a block's keys.
+            Arc::get_mut(&mut low.keys)
+                .expect("sole holder")
+                .copy_from_slice(&[1, 4, 8]);
+            Arc::get_mut(&mut high.keys)
+                .expect("sole holder")
+                .copy_from_slice(&[2, 3, 9]);
             low.merge_split_reuse(&mut high, &mut scratch);
             assert_eq!(low.keys(), &[1, 2, 3]);
             assert_eq!(high.keys(), &[4, 8, 9]);
             assert_eq!(storage(&low, &high, &scratch), before);
         }
+    }
+
+    #[test]
+    fn merge_split_reuse_never_writes_a_shared_operand() {
+        // `published` stands for an LBS entry some peer still holds.
+        let mut low = Block::new(vec![1, 4, 8]);
+        let mut high = Block::new(vec![2, 3, 9]);
+        let published = low.clone();
+        assert_eq!(published.keys().as_ptr(), low.keys().as_ptr());
+        let high_storage = high.keys().as_ptr();
+        let mut scratch = MergeScratch::for_block_len(3);
+        low.merge_split_reuse(&mut high, &mut scratch);
+        assert_eq!((low.keys(), high.keys()), (&[1, 2, 3][..], &[4, 8, 9][..]));
+        // The other holder reads what it always read, from where it always
+        // read it; the merged half lives in fresh storage.
+        assert_eq!(published.keys(), &[1, 4, 8]);
+        assert_ne!(published.keys().as_ptr(), low.keys().as_ptr());
+        // The unshared operand alone handed its storage back as scratch.
+        assert_eq!(scratch.high.as_ptr(), high_storage);
+        assert!(scratch.low.is_empty());
+    }
+
+    #[test]
+    fn clone_shares_storage_and_into_keys_copies_only_when_shared() {
+        let block = Block::new(vec![1, 2, 3]);
+        let storage = block.keys().as_ptr();
+        let other = block.clone();
+        assert_eq!(other.keys().as_ptr(), storage);
+        assert_eq!(other, block);
+        let copied = other.into_keys();
+        assert_ne!(copied.as_ptr(), storage);
+        let taken = block.into_keys();
+        assert_eq!(taken.as_ptr(), storage);
     }
 
     #[test]
@@ -470,7 +527,7 @@ mod tests {
         });
         // The bulk codec must stay byte-compatible with the generic
         // element-wise `Vec<Key>` encoding.
-        assert_eq!(to_bytes(&block), to_bytes(&block.keys));
+        assert_eq!(to_bytes(&block), to_bytes(&keys));
         let decoded: Block = from_bytes(&to_bytes(&block)).unwrap();
         assert_eq!(decoded, block);
     }

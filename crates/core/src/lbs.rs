@@ -18,32 +18,15 @@ use crate::{subcube_ascending, Block, Key};
 
 /// One node's view of a distributed (bitonic) sequence.
 ///
-/// Entries are gated by the held mask: a slot may retain a stale [`Block`]
-/// (its allocation kept warm for reuse) after
-/// [`reset_to_self_with`](LbsBuffer::reset_to_self_with), but it is
-/// invisible until the mask marks it held again.
-#[derive(Debug, Clone)]
+/// An entry is a handle to the block its owner produced: storing, sending
+/// and snapshotting entries share that one allocation and never copy keys.
+/// A slot is `Some` exactly when the mask marks it held.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LbsBuffer {
     entries: Vec<Option<Block>>,
     held: NodeSet,
     block_len: u32,
 }
-
-// Equality looks through the held mask — stale entry storage kept around
-// for allocation reuse must not distinguish otherwise-identical buffers.
-impl PartialEq for LbsBuffer {
-    fn eq(&self, other: &Self) -> bool {
-        self.block_len == other.block_len
-            && self.entries.len() == other.entries.len()
-            && self.held == other.held
-            && self
-                .held
-                .iter()
-                .all(|node| self.entries[node.index()] == other.entries[node.index()])
-    }
-}
-
-impl Eq for LbsBuffer {}
 
 impl LbsBuffer {
     /// An empty buffer for a machine of `nodes` nodes holding blocks of
@@ -68,9 +51,6 @@ impl LbsBuffer {
 
     /// The entry owned by `node`, if held.
     pub fn get(&self, node: NodeId) -> Option<&Block> {
-        if !self.held.contains(node) {
-            return None;
-        }
         self.entries[node.index()].as_ref()
     }
 
@@ -80,14 +60,9 @@ impl LbsBuffer {
         self.entries[node.index()] = Some(block);
     }
 
-    /// Stores a copy of `block` as `node`'s entry, reusing the slot's
-    /// existing key storage when one is present.
+    /// Stores another handle to `block` as `node`'s entry.
     pub fn set_from(&mut self, node: NodeId, block: &Block) {
-        self.held.insert(node);
-        match &mut self.entries[node.index()] {
-            Some(existing) => existing.clone_from(block),
-            slot => *slot = Some(block.clone()),
-        }
+        self.set(node, block.clone());
     }
 
     /// `true` if `node`'s entry is held.
@@ -105,27 +80,21 @@ impl LbsBuffer {
     }
 
     /// Drops everything and re-seeds with this node's own entry — the
-    /// paper's end-of-stage `LBS[node] := a; lmask := 2^node`.
+    /// paper's end-of-stage `LBS[node] := a; lmask := 2^node`. Letting go
+    /// of an entry frees its keys if this was the last node holding them.
     pub fn reset_to_self(&mut self, me: NodeId, own: Block) {
-        for e in &mut self.entries {
-            *e = None;
+        for node in self.held.iter() {
+            self.entries[node.index()] = None;
         }
         self.held.clear();
         self.set(me, own);
     }
 
-    /// [`reset_to_self`](LbsBuffer::reset_to_self) without surrendering any
-    /// allocation: the held mask is cleared (hiding every stale entry) and
-    /// `own` is copied into this node's slot, reusing its storage. The hot
-    /// loop calls this once per stage, so after warm-up no stage boundary
-    /// allocates.
-    pub fn reset_to_self_with(&mut self, me: NodeId, own: &Block) {
-        self.held.clear();
-        self.set_from(me, own);
-    }
-
-    /// Serializes the entries of `span` for piggybacking — the full-span
-    /// array the paper transmits with every exchange.
+    /// The entries of `span` for piggybacking — the full-span array the
+    /// paper transmits with every exchange. Each filled slot is a handle to
+    /// the held entry's storage: in-process the receiver reads the very
+    /// keys the owner wrote, and a socket transport encodes straight from
+    /// them.
     ///
     /// # Panics
     ///
@@ -139,7 +108,7 @@ impl LbsBuffer {
         LbsWire {
             span_start: span.start().raw(),
             block_len: self.block_len,
-            slots: span.iter().map(|node| self.get(node).cloned()).collect(),
+            slots: self.entries[span.start().index()..=span.end().index()].to_vec(),
         }
     }
 
@@ -185,8 +154,10 @@ impl LbsBuffer {
         }
     }
 
-    /// Promotes this buffer into the `LLBS` role by cloning (the paper's
-    /// end-of-stage `LLBS[m] := LBS[m]` copy loop).
+    /// Promotes this buffer into the `LLBS` role (the paper's end-of-stage
+    /// `LLBS[m] := LBS[m]` copy loop): a second set of handles to the same
+    /// entries. Later writes to either buffer replace handles, never keys,
+    /// so the two stay independent.
     pub fn snapshot(&self) -> LbsBuffer {
         self.clone()
     }
@@ -229,7 +200,31 @@ mod tests {
         buf.reset_to_self(NodeId::new(2), block(&[9]));
         assert_eq!(buf.held().len(), 1);
         assert!(buf.holds(NodeId::new(2)));
+        assert_eq!(buf.get(NodeId::new(2)).unwrap().keys(), &[9]);
         assert!(buf.get(NodeId::new(0)).is_none());
+        assert!(!buf.holds(NodeId::new(0)));
+        let wire = buf.to_wire(Subcube::home(2, NodeId::new(0)));
+        assert_eq!(wire.filled(), 1);
+        assert!(wire.get(NodeId::new(0)).is_none());
+        // A reset buffer is indistinguishable from a freshly seeded one.
+        let mut fresh = LbsBuffer::new(4, 1);
+        fresh.set(NodeId::new(2), block(&[9]));
+        assert_eq!(buf, fresh);
+        fresh.set(NodeId::new(3), block(&[4]));
+        assert_ne!(buf, fresh);
+    }
+
+    #[test]
+    fn reset_to_self_releases_the_dropped_entries() {
+        let mut buf = LbsBuffer::new(4, 1);
+        let entry = block(&[1]);
+        buf.set(NodeId::new(0), entry.clone());
+        buf.reset_to_self(NodeId::new(2), block(&[9]));
+        // The buffer's handle is gone: `entry` is the sole holder again and
+        // takes its storage out without a copy.
+        let storage = entry.keys().as_ptr();
+        let taken = entry.into_keys();
+        assert_eq!(taken.as_ptr(), storage);
     }
 
     #[test]
@@ -284,43 +279,32 @@ mod tests {
     }
 
     #[test]
-    fn reset_to_self_with_hides_stale_entries() {
-        let mut buf = LbsBuffer::new(4, 1);
-        buf.set(NodeId::new(0), block(&[1]));
-        buf.set(NodeId::new(1), block(&[2]));
-        buf.reset_to_self_with(NodeId::new(2), &block(&[9]));
-        assert_eq!(buf.held().len(), 1);
-        assert!(buf.holds(NodeId::new(2)));
-        assert_eq!(buf.get(NodeId::new(2)).unwrap().keys(), &[9]);
-        // Stale storage survives internally but is invisible everywhere.
-        assert!(buf.get(NodeId::new(0)).is_none());
-        assert!(!buf.holds(NodeId::new(0)));
-        let wire = buf.to_wire(Subcube::home(2, NodeId::new(0)));
-        assert_eq!(wire.filled(), 1);
-        assert!(wire.get(NodeId::new(0)).is_none());
-    }
-
-    #[test]
-    fn equality_ignores_stale_entries() {
-        let mut stale = LbsBuffer::new(4, 1);
-        stale.set(NodeId::new(0), block(&[1]));
-        stale.reset_to_self_with(NodeId::new(2), &block(&[9]));
-        let mut fresh = LbsBuffer::new(4, 1);
-        fresh.reset_to_self(NodeId::new(2), block(&[9]));
-        assert_eq!(stale, fresh);
-        fresh.set(NodeId::new(3), block(&[4]));
-        assert_ne!(stale, fresh);
-    }
-
-    #[test]
-    fn set_from_reuses_slot_storage() {
+    fn set_from_shares_the_source_storage() {
         let mut buf = LbsBuffer::new(4, 2);
-        buf.set(NodeId::new(1), block(&[1, 2]));
-        let ptr = buf.entries[1].as_ref().unwrap().keys().as_ptr();
-        buf.reset_to_self_with(NodeId::new(0), &block(&[0, 0]));
-        buf.set_from(NodeId::new(1), &block(&[3, 4]));
-        assert_eq!(buf.get(NodeId::new(1)).unwrap().keys(), &[3, 4]);
-        assert_eq!(buf.entries[1].as_ref().unwrap().keys().as_ptr(), ptr);
+        let source = block(&[3, 4]);
+        buf.set_from(NodeId::new(1), &source);
+        let entry = buf.get(NodeId::new(1)).unwrap();
+        assert_eq!(entry.keys(), &[3, 4]);
+        assert_eq!(entry.keys().as_ptr(), source.keys().as_ptr());
+    }
+
+    #[test]
+    fn to_wire_slots_alias_the_entries() {
+        let mut buf = LbsBuffer::new(8, 2);
+        buf.set(NodeId::new(4), block(&[1, 2]));
+        buf.set(NodeId::new(6), block(&[3, 4]));
+        let wire = buf.to_wire(Subcube::home(2, NodeId::new(5)));
+        for node in [4, 6].map(NodeId::new) {
+            assert_eq!(
+                wire.get(node).unwrap().keys().as_ptr(),
+                buf.get(node).unwrap().keys().as_ptr(),
+                "slot {node} is the entry, not a copy"
+            );
+        }
+        // Emptying a slot of the array is invisible to the buffer.
+        let mut wire = wire;
+        wire.slots[0] = None;
+        assert_eq!(buf.get(NodeId::new(4)).unwrap().keys(), &[1, 2]);
     }
 
     #[test]
@@ -339,11 +323,18 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_is_deep() {
+    fn snapshot_shares_storage_and_stays_independent() {
         let mut buf = LbsBuffer::new(4, 1);
         buf.set(NodeId::new(1), block(&[4]));
         let snap = buf.snapshot();
+        assert_eq!(
+            snap.get(NodeId::new(1)).unwrap().keys().as_ptr(),
+            buf.get(NodeId::new(1)).unwrap().keys().as_ptr()
+        );
+        // Replacing an entry swaps a handle; the snapshot keeps the old one.
         buf.set(NodeId::new(1), block(&[5]));
+        assert_eq!(snap.get(NodeId::new(1)).unwrap().keys(), &[4]);
+        buf.reset_to_self(NodeId::new(0), block(&[0]));
         assert_eq!(snap.get(NodeId::new(1)).unwrap().keys(), &[4]);
     }
 }

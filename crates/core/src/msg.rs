@@ -600,6 +600,47 @@ mod tests {
     }
 
     #[test]
+    fn clone_aliases_and_faults_build_new_blocks() {
+        let data = Block::new(vec![10, 20]);
+        let entry = Block::new(vec![5, 6]);
+        let msg = Msg::Tagged {
+            data: data.clone(),
+            lbs: LbsWire {
+                span_start: 0,
+                block_len: 2,
+                slots: vec![Some(entry.clone())],
+            },
+        };
+        let Msg::Tagged {
+            data: cloned_data,
+            lbs: cloned_lbs,
+        } = msg.clone()
+        else {
+            panic!("variant preserved");
+        };
+        assert_eq!(cloned_data.keys().as_ptr(), data.keys().as_ptr());
+        assert_eq!(
+            cloned_lbs.slots[0].as_ref().unwrap().keys().as_ptr(),
+            entry.keys().as_ptr()
+        );
+        // Every fault builds its lie in storage of its own: the blocks the
+        // message shares with `data` and `entry` still read what they read.
+        let mut r = rng();
+        for _ in 0..8 {
+            for lie in [
+                msg.corrupt(&mut r),
+                msg.skew(&mut r),
+                msg.skew_own(0, &mut r),
+                msg.corrupt_meta(&mut r),
+            ] {
+                assert_ne!(lie, msg);
+            }
+        }
+        assert_eq!(data.keys(), &[10, 20]);
+        assert_eq!(entry.keys(), &[5, 6]);
+    }
+
+    #[test]
     fn corrupt_changes_data_somewhere() {
         let mut r = rng();
         let msg = Msg::Tagged {

@@ -44,9 +44,13 @@ pub struct PhiCOutcome {
 /// computed locally from the schedule, never trusted from the message, so a
 /// faulty sender cannot plant entries it could not legitimately hold.
 ///
-/// Adoption *moves* the block out of `incoming` (which is consumed
-/// bookkeeping, not reused by callers) — no key is copied on the
-/// steady-state merge path.
+/// Adoption *moves* the entry out of `incoming` (which is consumed
+/// bookkeeping, not reused by callers): the local `LBS` ends up holding the
+/// storage the message carried — in-process, the owner's own. An echo of an
+/// entry this node sent out in-process comes back as a handle to the same
+/// storage and compares equal without a key being read; copies decoded off
+/// a socket never alias and are compared key by key. The verdict is the
+/// same either way, and so is the `compared` count the caller charges.
 ///
 /// On success the local held-mask has grown to `lmask ∪ expected`, the
 /// paper's returned `omask`.
@@ -130,18 +134,39 @@ mod tests {
     }
 
     #[test]
-    fn agreeing_overlap_passes() {
+    fn adopted_entry_is_the_wire_slot_itself() {
         let mut lbs = LbsBuffer::new(8, 1);
-        lbs.set(NodeId::new(2), Block::new(vec![9]));
-        let mut incoming = wire(0, vec![None, None, Some(Block::new(vec![9])), None]);
-        let outcome = phi_c(&mut lbs, &mut incoming, &expect(&[2]), 2, 0).unwrap();
+        let sent = Block::new(vec![7]);
+        let mut incoming = wire(0, vec![None, Some(sent.clone()), None, None]);
+        phi_c(&mut lbs, &mut incoming, &expect(&[1]), 1, 1).unwrap();
         assert_eq!(
-            outcome,
-            PhiCOutcome {
-                adopted: 0,
-                compared: 1
-            }
+            lbs.get(NodeId::new(1)).unwrap().keys().as_ptr(),
+            sent.keys().as_ptr(),
+            "adoption moves the handle; no key is copied"
         );
+        assert!(incoming.get(NodeId::new(1)).is_none());
+    }
+
+    #[test]
+    fn agreeing_overlap_passes() {
+        // An echo that is the held entry's own storage (in-process) and an
+        // equal copy in storage of its own (decoded off a socket) get the
+        // same verdict and the same count: the caller's charge cannot tell
+        // them apart.
+        let held = Block::new(vec![9]);
+        for echoed in [held.clone(), Block::new(vec![9])] {
+            let mut lbs = LbsBuffer::new(8, 1);
+            lbs.set(NodeId::new(2), held.clone());
+            let mut incoming = wire(0, vec![None, None, Some(echoed), None]);
+            let outcome = phi_c(&mut lbs, &mut incoming, &expect(&[2]), 2, 0).unwrap();
+            assert_eq!(
+                outcome,
+                PhiCOutcome {
+                    adopted: 0,
+                    compared: 1
+                }
+            );
+        }
     }
 
     #[test]

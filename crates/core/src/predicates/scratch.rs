@@ -4,9 +4,9 @@
 //! and materializes expectation masks. Done naively that is several heap
 //! allocations per exchange step — on the hot path of every node, every
 //! stage. [`PredicateScratch`] owns those buffers once, sized from the
-//! machine, so the steady-state verification work of `S_FT` allocates
-//! nothing: the paper's "no extra messages" property gets a memory-side
-//! sibling, *no extra allocations*.
+//! machine, so evaluating a predicate allocates nothing. (The blocks the
+//! predicates read are another matter: each is allocated once, by the node
+//! that produced it, and shared from then on — see `Block`.)
 
 use aoft_hypercube::NodeSet;
 

@@ -244,8 +244,8 @@ impl SftState {
     /// evaluation.
     ///
     /// The sender's legitimate holdings are computed into the reusable
-    /// scratch mask, and adoption moves blocks out of `wire` — the whole
-    /// merge allocates nothing in steady state.
+    /// scratch mask, and adoption moves entry handles out of `wire` — the
+    /// merge allocates nothing and copies no key.
     #[allow(clippy::too_many_arguments)]
     fn consume_lbs(
         &mut self,
@@ -345,8 +345,11 @@ impl SftState {
             let (compares, moves) = Block::merge_split_cost(self.m);
             ctx.charge_compares(compares);
             ctx.charge_moves(moves);
-            // In-place merge-split: `a` becomes the low half and the
-            // received block the high half, both reusing their storage.
+            // `a` becomes the low half and the received block the high
+            // half. Both are new blocks: at the first step of a stage the
+            // operands are LBS entries other nodes hold, and stay as they
+            // are; afterwards each is its node's alone and its storage is
+            // recycled through the scratch.
             self.a.merge_split_reuse(&mut data, &mut self.merge);
             if !ascending {
                 std::mem::swap(&mut self.a, &mut data);
@@ -474,7 +477,7 @@ impl Program<Msg> for SftProgram {
         }
 
         let mut lbs = LbsBuffer::new(machine, m as u32);
-        lbs.reset_to_self_with(me, &a);
+        lbs.reset_to_self(me, a.clone());
         let llbs = lbs.snapshot();
         let mut state = SftState {
             me,
@@ -516,12 +519,12 @@ impl Program<Msg> for SftProgram {
             }
             aoft_obs::global().stage_time.record(stage_watch.elapsed());
             // LLBS := LBS; LBS := own value (Figure 3's copy loop + reset).
-            // Double-buffered: the old LLBS storage becomes the new LBS (its
-            // entries hidden by the cleared held-mask and reused in place),
-            // so the stage boundary performs no allocation.
+            // The buffers trade roles and the new LBS lets go of the entries
+            // of two stages ago; no key moves. The charge is the paper's
+            // copy loop all the same.
             ctx.charge_moves(span.len() * state.m);
             std::mem::swap(&mut state.lbs, &mut state.llbs);
-            state.lbs.reset_to_self_with(me, &state.a);
+            state.lbs.reset_to_self(me, state.a.clone());
         }
 
         // Final verification: pure exchange of the final LBS (Figure 3's

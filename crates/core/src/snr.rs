@@ -8,6 +8,7 @@
 
 use aoft_sim::{NodeCtx, Program, SimError};
 
+use crate::block::MergeScratch;
 use crate::{subcube_ascending, Block, Msg};
 use aoft_hypercube::Subcube;
 
@@ -90,6 +91,7 @@ impl Program<Msg> for SnrProgram {
         let n = ctx.dim();
         let mut a = self.blocks[me.index()].clone();
         let m = a.len();
+        let mut merge = MergeScratch::for_block_len(m);
         ctx.charge_compares(local_sort_compares(m));
 
         for i in 0..n {
@@ -99,18 +101,21 @@ impl Program<Msg> for SnrProgram {
                 if me.is_low_end(j) {
                     // Active node: receive, compare-exchange, return the
                     // other half (Figure 2's lower branch).
-                    let data = take_data(ctx.recv_from(partner)?);
+                    let mut data = take_data(ctx.recv_from(partner)?);
                     let (compares, moves) = Block::merge_split_cost(m);
                     ctx.charge_compares(compares);
                     ctx.charge_moves(moves);
-                    let (low, high) = a.merge_split(&data);
-                    let (keep, send_back) = if ascending { (low, high) } else { (high, low) };
-                    a = keep;
-                    ctx.send(partner, Msg::Data(send_back))?;
+                    a.merge_split_reuse(&mut data, &mut merge);
+                    if !ascending {
+                        std::mem::swap(&mut a, &mut data);
+                    }
+                    ctx.send(partner, Msg::Data(data))?;
                 } else {
                     // Inactive this iteration: ship our value, take what
-                    // comes back (Figure 2's else branch).
-                    ctx.send(partner, Msg::Data(a.clone()))?;
+                    // comes back (Figure 2's else branch). The block is
+                    // moved, so the partner is its only holder and merges
+                    // through its scratch without allocating.
+                    ctx.send(partner, Msg::Data(std::mem::take(&mut a)))?;
                     a = take_data(ctx.recv_from(partner)?);
                 }
             }

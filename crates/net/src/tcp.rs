@@ -558,10 +558,9 @@ mod tests {
         }
     }
 
-    fn open_pair(
-        transport: &TcpTransport,
-        link: LinkId,
-    ) -> (Box<dyn LinkTx<Vec<u32>>>, Box<dyn LinkRx<Vec<u32>>>) {
+    type LinkPair = (Box<dyn LinkTx<Vec<u32>>>, Box<dyn LinkRx<Vec<u32>>>);
+
+    fn open_pair(transport: &TcpTransport, link: LinkId) -> LinkPair {
         let tx = transport.connect_tx(link, Duration::from_secs(2)).unwrap();
         let rx = transport.connect_rx(link, Duration::from_secs(2)).unwrap();
         (tx, rx)

@@ -321,6 +321,20 @@ impl<T: Deserialize> Deserialize for Box<T> {
     }
 }
 
+// Like upstream serde's `rc` feature: an `Arc<T>` serializes as its `T`, and
+// deserializing allocates a fresh, unshared `T`.
+impl<T: Serialize> Serialize for std::sync::Arc<T> {
+    fn to_value(&self) -> Value {
+        (**self).to_value()
+    }
+}
+
+impl<T: Deserialize> Deserialize for std::sync::Arc<T> {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        T::from_value(v).map(std::sync::Arc::new)
+    }
+}
+
 impl<T: Serialize> Serialize for Option<T> {
     fn to_value(&self) -> Value {
         match self {

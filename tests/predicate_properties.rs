@@ -1,10 +1,19 @@
 //! Property-based tests of the constraint-predicate building blocks: the
 //! invariants the correctness argument (Lemmas 1–6) rests on.
 
+use aoft::adv::FrameInjector;
+use aoft::faults::{Corruptible, FaultKind, FaultPlan, Trigger};
 use aoft::hypercube::{NodeId, Subcube};
-use aoft::sort::predicates::{is_merge_of, vect_mask, vect_mask_before, vect_mask_recursive};
-use aoft::sort::{bitonic, Block, MergeScratch};
+use aoft::net::wire::{from_bytes, to_bytes};
+use aoft::net::LinkId;
+use aoft::sim::Ticks;
+use aoft::sort::predicates::{
+    is_merge_of, phi_c, vect_mask, vect_mask_before, vect_mask_recursive,
+};
+use aoft::sort::{bitonic, Block, LbsBuffer, LbsWire, MergeScratch, Msg};
 use proptest::prelude::*;
+use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -291,6 +300,7 @@ proptest! {
         high_first in any::<bool>(),
         raw in prop::collection::vec((any::<u32>(), any::<u32>()), 1..48),
         all_equal in 0u8..8,
+        published in any::<bool>(),
     ) {
         let (raw_a, raw_b): (Vec<u32>, Vec<u32>) = if all_equal == 0 {
             raw.iter().map(|_| (raw[0].0, raw[0].0)).unzip()
@@ -311,9 +321,17 @@ proptest! {
         warm_lo.merge_split_reuse(&mut warm_hi, &mut scratch);
 
         let (mut low, mut high) = (Block::new(a.clone()), Block::new(b.clone()));
+        // Operands some LBS still holds (the first step of a stage) merge
+        // to the same halves as operands nobody else holds, and the other
+        // holder goes on reading the keys it was given.
+        let held = published.then(|| (low.clone(), high.clone()));
         low.merge_split_reuse(&mut high, &mut scratch);
         prop_assert_eq!(low.keys(), &expected[..m]);
         prop_assert_eq!(high.keys(), &expected[m..]);
+        if let Some((held_low, held_high)) = held {
+            prop_assert_eq!(held_low.keys(), &a[..]);
+            prop_assert_eq!(held_high.keys(), &b[..]);
+        }
 
         // Idempotent on its own output, and the allocating form agrees.
         low.merge_split_reuse(&mut high, &mut scratch);
@@ -323,6 +341,144 @@ proptest! {
         prop_assert_eq!(low.keys(), &expected[..m]);
         prop_assert_eq!(high.keys(), &expected[m..]);
     }
+}
+
+/// The LBS of node 5 late in stage 2 of a d = 3 run — every entry of its
+/// span 4..=7 held — and a stage message built from it the way `S_FT`
+/// builds one: the operand and every slot are handles to the buffer's own
+/// entries.
+fn buffer_and_message(entries: &[Vec<i32>]) -> (LbsBuffer, Msg) {
+    let m = entries[0].len();
+    let mut lbs = LbsBuffer::new(8, m as u32);
+    for (offset, keys) in entries.iter().enumerate() {
+        lbs.set(
+            NodeId::new(4 + offset as u32),
+            Block::from_unsorted(keys.clone()),
+        );
+    }
+    let msg = Msg::Tagged {
+        data: lbs.get(NodeId::new(5)).expect("own entry").clone(),
+        lbs: lbs.to_wire(Subcube::home(2, NodeId::new(5))),
+    };
+    (lbs, msg)
+}
+
+/// The storage address of every block `msg` carries.
+fn storage_of(msg: &Msg) -> Vec<*const i32> {
+    let (data, lbs) = match msg {
+        Msg::Data(data) => (Some(data), None),
+        Msg::Tagged { data, lbs } => (Some(data), Some(lbs)),
+        Msg::Lbs(lbs) => (None, Some(lbs)),
+    };
+    data.into_iter()
+        .chain(lbs.into_iter().flat_map(|lbs| lbs.slots.iter().flatten()))
+        .map(|block| block.keys().as_ptr())
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A faulty sender cannot write through a shared block. Whatever a
+    /// `Corruptible` method or a frame-level adversary makes of a message,
+    /// the message it was handed and the LBS whose storage that message
+    /// shares read bit for bit what they read before, from the same
+    /// addresses; the lie lives in storage of its own.
+    #[test]
+    fn faults_never_write_through_shared_storage(
+        m in 1usize..6,
+        raw in prop::collection::vec(-1000i32..1000, 20..21),
+        seed in 0u64..1024,
+    ) {
+        let entries: Vec<Vec<i32>> = raw.chunks(5).map(|chunk| chunk[..m].to_vec()).collect();
+        let (lbs, msg) = buffer_and_message(&entries);
+        // What both must still read afterwards: an unaliased copy of the
+        // message (through the codec) and the buffer's keys by value.
+        let pristine: Msg = from_bytes(&to_bytes(&msg)).expect("honest message decodes");
+        let span = Subcube::home(2, NodeId::new(5));
+        let keys_before: Vec<Vec<i32>> =
+            span.iter().map(|n| lbs.get(n).expect("held").keys().to_vec()).collect();
+        let storage_before = storage_of(&msg);
+        let buffer_storage: Vec<*const i32> =
+            span.iter().map(|n| lbs.get(n).expect("held").keys().as_ptr()).collect();
+        prop_assert!(storage_before.iter().all(|ptr| buffer_storage.contains(ptr)));
+
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut lies = vec![
+            msg.corrupt(&mut rng),
+            msg.skew(&mut rng),
+            msg.skew_own(5, &mut rng),
+            msg.corrupt_meta(&mut rng),
+        ];
+        for lie in &lies {
+            prop_assert_ne!(lie, &msg);
+        }
+        for kind in FaultKind::ALL {
+            let plan = FaultPlan::new().with_fault(NodeId::new(5), kind, Trigger::always(), seed);
+            let spec = plan.specs().last().expect("plan holds the spec just added");
+            let mut injector = FrameInjector::new(spec, LinkId { from: 5, to: 4, tag: 0 });
+            for _ in 0..2 {
+                let outcome = injector.intercept(&msg, Ticks::ZERO).expect("codec-clean");
+                // Off the wire, nothing aliases the sender's memory.
+                for delivered in &outcome.deliver {
+                    prop_assert!(storage_of(delivered)
+                        .iter()
+                        .all(|ptr| !buffer_storage.contains(ptr)));
+                }
+                lies.extend(outcome.deliver);
+            }
+        }
+
+        prop_assert_eq!(&msg, &pristine);
+        prop_assert_eq!(storage_of(&msg), storage_before);
+        for (offset, node) in span.iter().enumerate() {
+            let entry = lbs.get(node).expect("still held");
+            prop_assert_eq!(entry.keys(), &keys_before[offset][..]);
+            prop_assert_eq!(entry.keys().as_ptr(), buffer_storage[offset]);
+        }
+        drop(lies);
+    }
+}
+
+/// One allocation per entry, from the owner to every holder: the array
+/// `to_wire` builds, a clone of the message carrying it, and the LBS that
+/// adopts from it all read the keys the owner wrote.
+#[test]
+fn entries_travel_by_reference() {
+    let (lbs, msg) = buffer_and_message(&[vec![1, 2], vec![3, 4], vec![5, 6], vec![7, 8]]);
+    let Msg::Tagged { lbs: wire, .. } = &msg else {
+        unreachable!("built as Tagged");
+    };
+    let span = Subcube::home(2, NodeId::new(5));
+    for node in span.iter() {
+        assert_eq!(
+            wire.get(node).unwrap().keys().as_ptr(),
+            lbs.get(node).unwrap().keys().as_ptr(),
+            "to_wire slot {node} is the entry itself"
+        );
+    }
+    assert_eq!(storage_of(&msg.clone()), storage_of(&msg));
+
+    // The receiver already holds entry 4 (as an unrelated, equal copy) and
+    // adopts 5..=7: the adopted entries are the wire's, the held one stays.
+    let mut receiver = LbsBuffer::new(8, 2);
+    receiver.set(NodeId::new(4), Block::new(vec![1, 2]));
+    let mut incoming: LbsWire = wire.clone();
+    let expected = span.to_node_set(8);
+    let outcome = phi_c(&mut receiver, &mut incoming, &expected, 2, 0).expect("consistent");
+    assert_eq!((outcome.adopted, outcome.compared), (3, 1));
+    for node in span.iter().skip(1) {
+        assert_eq!(
+            receiver.get(node).unwrap().keys().as_ptr(),
+            lbs.get(node).unwrap().keys().as_ptr(),
+            "adopted entry {node} is the sender's"
+        );
+        assert!(incoming.get(node).is_none(), "adoption moves the slot out");
+    }
+    assert_ne!(
+        receiver.get(NodeId::new(4)).unwrap().keys().as_ptr(),
+        lbs.get(NodeId::new(4)).unwrap().keys().as_ptr()
+    );
 }
 
 #[test]

@@ -1,26 +1,23 @@
 //! Acceptance tests for the nonblocking reactor transport: the same `S_FT`
-//! schedule and service recovery as the threaded TCP backend, but with
-//! transport threads O(reactors) instead of O(links) — asserted against
-//! `/proc/self/task`, not taken on faith.
+//! schedule and service recovery as the threaded TCP backend. That its
+//! transport threads are O(reactors) instead of O(links) is asserted against
+//! `/proc/self/task` in `reactor_threads.rs`, a test binary of its own.
 
 mod common;
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 
 use aoft::faults::{FaultyTransport, LinkFault};
 use aoft::net::CancelToken;
 use aoft::sim::{Packet, ReactorConfig, ReactorTransport, TcpConfig, TcpTransport, Transport};
+use aoft::sort::diagnosis::diagnose;
 use aoft::sort::{Algorithm, Msg, SortBuilder, SortError};
 use aoft::svc::{JobSpec, SortService, SvcConfig};
 
 fn reactor(nodes: u32) -> ReactorTransport {
-    reactor_with(nodes, ReactorConfig::default())
-}
-
-fn reactor_with(nodes: u32, config: ReactorConfig) -> ReactorTransport {
-    let transport = ReactorTransport::bind(config).expect("bind loopback reactor");
+    let transport =
+        ReactorTransport::bind(ReactorConfig::default()).expect("bind loopback reactor");
     let addr = transport.local_addr();
     for label in 0..nodes {
         transport.set_peer(label, addr);
@@ -35,13 +32,6 @@ fn builder(keys: Vec<i32>, nodes: usize) -> SortBuilder {
         .recv_timeout(Duration::from_millis(800))
 }
 
-/// Live threads in this process, via the kernel's own ledger.
-fn live_threads() -> Option<usize> {
-    std::fs::read_dir("/proc/self/task")
-        .ok()
-        .map(|dir| dir.count())
-}
-
 /// `S_FT` sorts over the reactor backend exactly as over the threaded one.
 #[test]
 fn sft_sorts_d3_cube_over_reactor_tcp() {
@@ -51,70 +41,6 @@ fn sft_sorts_d3_cube_over_reactor_tcp() {
         .expect("clean reactor run");
     assert_eq!(report.output(), common::sorted(&keys).as_slice());
     assert_eq!(report.blocks().len(), 8, "d=3 cube has 8 nodes");
-}
-
-/// The tentpole claim, measured: a d=6 cube has 384 directed links, which
-/// costs the threaded backend 768 dedicated transport threads. The reactor
-/// multiplexes all of them onto its fixed pool, so the process peak stays
-/// around nodes + reactors — an order of magnitude below thread-per-link.
-#[test]
-fn d6_cube_runs_on_a_bounded_thread_pool() {
-    let Some(base) = live_threads() else {
-        eprintln!("no /proc/self/task on this platform; skipping");
-        return;
-    };
-
-    // Generous liveness margins: 64 compute threads on a small CI box can
-    // stall a reactor pass long enough for the default 500 ms silence
-    // window to fire spuriously. The thread-count claim needs an honest
-    // run, not a tight failure detector.
-    let config = ReactorConfig {
-        connect_timeout: Duration::from_secs(10),
-        heartbeat_interval: Duration::from_millis(100),
-        heartbeat_timeout: Duration::from_secs(30),
-        ..ReactorConfig::default()
-    };
-    let reactors = config.reactors;
-    let transport = reactor_with(64, config);
-
-    // Sample the task count while the sort runs; keep the peak.
-    let stop = Arc::new(AtomicBool::new(false));
-    let sampler = {
-        let stop = Arc::clone(&stop);
-        std::thread::spawn(move || {
-            let mut peak = 0usize;
-            while !stop.load(Ordering::Relaxed) {
-                peak = peak.max(live_threads().unwrap_or(0));
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            peak
-        })
-    };
-
-    let keys: Vec<i32> = (0..128i32).map(|x| x.wrapping_mul(-61) % 400).collect();
-    let report = builder(keys.clone(), 64)
-        .recv_timeout(Duration::from_secs(10))
-        .run_on(transport)
-        .expect("clean d=6 reactor run");
-    stop.store(true, Ordering::Relaxed);
-    let peak = sampler.join().expect("sampler joins");
-
-    assert_eq!(report.output(), common::sorted(&keys).as_slice());
-    assert_eq!(report.blocks().len(), 64, "d=6 cube has 64 nodes");
-
-    // Peak extra threads ≈ 64 node threads + the reactor pool + harness
-    // slack. The threaded backend's *transport alone* would add 768.
-    let extra = peak.saturating_sub(base);
-    let budget = 64 + reactors + 32;
-    assert!(
-        extra <= budget,
-        "thread peak {peak} (base {base}, extra {extra}) exceeds {budget}; \
-         transport threads are not O(reactors)"
-    );
-    assert!(
-        extra < 2 * 64 * 6,
-        "extra {extra} is in thread-per-link territory (2·384 = 768)"
-    );
 }
 
 /// A machine-wide cancel interrupts a receive blocked on a reactor link
@@ -181,9 +107,16 @@ fn killed_peer_fail_stops_with_error_report_over_reactor() {
 /// Full recovery parity, both backends side by side: the same node-5 kill
 /// under a resident service recovers on each — quarantine plus degraded
 /// retry — and both deliver the same verified output.
+///
+/// *Which* nodes end up quarantined is not compared. Node 5 is silent from
+/// its first send, every node downstream of it stalls within a stage, and
+/// the starved receive deadlines land microseconds apart: which of them
+/// reports before the fail-stop cancels the rest is the scheduler's choice,
+/// on either medium. What must hold is that the service quarantines where
+/// its own diagnosis pointed, and nowhere else.
 #[test]
 fn service_recovery_parity_between_reactor_and_threaded_backends() {
-    fn recover<T>(transport: T) -> (Vec<i32>, Vec<u32>)
+    fn recover<T>(transport: T) -> Vec<i32>
     where
         T: Transport<Packet<Msg>> + Send + Sync + 'static,
     {
@@ -209,17 +142,31 @@ fn service_recovery_parity_between_reactor_and_threaded_backends() {
             report.recovered(),
             "a dead-from-first-send node must cost at least one retry"
         );
-        let metrics = service.metrics();
-        assert!(
-            !metrics.quarantined.is_empty(),
-            "diagnosis must quarantine into the blast region"
-        );
-        let quarantined = metrics.quarantined.clone();
+        let quarantined: BTreeSet<u32> = service.metrics().quarantined.iter().copied().collect();
         service.shutdown();
-        (report.output, quarantined)
+
+        // The first attempt of a fresh service runs on the whole cube under
+        // the identity plan, so its reports speak physical labels: the blast
+        // region is every node a candidate set of its diagnosis names.
+        let region: BTreeSet<u32> = diagnose(&report.detections[0], 3)
+            .candidates()
+            .iter()
+            .flat_map(|set| set.iter().map(|node| node.raw()))
+            .collect();
+        let inside: BTreeSet<u32> = quarantined.intersection(&region).copied().collect();
+        assert!(
+            !inside.is_empty(),
+            "diagnosis must quarantine into the blast region {region:?}, got {quarantined:?}"
+        );
+        // A later fail-stop (rare: the degraded cube still held node 5)
+        // reports in that cube's labels and may add nodes of its own.
+        if report.detections.len() == 1 {
+            assert_eq!(inside, quarantined, "quarantine left the region {region:?}");
+        }
+        report.output
     }
 
-    let (reactor_out, reactor_quarantine) = recover(reactor(8));
+    let reactor_out = recover(reactor(8));
     let threaded = {
         let transport = TcpTransport::bind(TcpConfig::default()).expect("bind threaded loopback");
         let addr = transport.local_addr();
@@ -228,11 +175,6 @@ fn service_recovery_parity_between_reactor_and_threaded_backends() {
         }
         transport
     };
-    let (tcp_out, tcp_quarantine) = recover(threaded);
-
+    let tcp_out = recover(threaded);
     assert_eq!(reactor_out, tcp_out, "backends must agree on the output");
-    // Node 5 is dead from its very first send, so diagnosis is
-    // deterministic on both media: the quarantined set names it.
-    assert_eq!(reactor_quarantine, tcp_quarantine);
-    assert!(reactor_quarantine.contains(&5));
 }

@@ -1,0 +1,89 @@
+//! The reactor transport's thread claim, in a test binary of its own: the
+//! test counts the threads of the whole process in `/proc/self/task`, so it
+//! must not share a process with tests that spawn cubes of their own.
+
+mod common;
+
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::time::Duration;
+
+use aoft::sim::{ReactorConfig, ReactorTransport};
+use aoft::sort::{Algorithm, SortBuilder};
+
+/// Live threads in this process, via the kernel's own ledger.
+fn live_threads() -> Option<usize> {
+    std::fs::read_dir("/proc/self/task")
+        .ok()
+        .map(|dir| dir.count())
+}
+
+/// The tentpole claim, measured: a d=6 cube has 384 directed links, which
+/// costs the threaded backend 768 dedicated transport threads. The reactor
+/// multiplexes all of them onto its fixed pool, so the process peak stays
+/// around nodes + reactors — an order of magnitude below thread-per-link.
+#[test]
+fn d6_cube_runs_on_a_bounded_thread_pool() {
+    let Some(base) = live_threads() else {
+        eprintln!("no /proc/self/task on this platform; skipping");
+        return;
+    };
+
+    // Generous liveness margins: 64 compute threads on a small CI box can
+    // stall a reactor pass long enough for the default 500 ms silence
+    // window to fire spuriously. The thread-count claim needs an honest
+    // run, not a tight failure detector.
+    let config = ReactorConfig {
+        connect_timeout: Duration::from_secs(10),
+        heartbeat_interval: Duration::from_millis(100),
+        heartbeat_timeout: Duration::from_secs(30),
+        ..ReactorConfig::default()
+    };
+    let reactors = config.reactors;
+    let transport = ReactorTransport::bind(config).expect("bind loopback reactor");
+    let addr = transport.local_addr();
+    for label in 0..64 {
+        transport.set_peer(label, addr);
+    }
+
+    // Sample the task count while the sort runs; keep the peak.
+    let stop = Arc::new(AtomicBool::new(false));
+    let sampler = {
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            let mut peak = 0usize;
+            while !stop.load(Ordering::Relaxed) {
+                peak = peak.max(live_threads().unwrap_or(0));
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            peak
+        })
+    };
+
+    let keys: Vec<i32> = (0..128i32).map(|x| x.wrapping_mul(-61) % 400).collect();
+    let report = SortBuilder::new(Algorithm::FaultTolerant)
+        .keys(keys.clone())
+        .nodes(64)
+        .recv_timeout(Duration::from_secs(10))
+        .run_on(transport)
+        .expect("clean d=6 reactor run");
+    stop.store(true, Ordering::Relaxed);
+    let peak = sampler.join().expect("sampler joins");
+
+    assert_eq!(report.output(), common::sorted(&keys).as_slice());
+    assert_eq!(report.blocks().len(), 64, "d=6 cube has 64 nodes");
+
+    // Peak extra threads ≈ 64 node threads + the reactor pool + harness
+    // slack. The threaded backend's *transport alone* would add 768.
+    let extra = peak.saturating_sub(base);
+    let budget = 64 + reactors + 32;
+    assert!(
+        extra <= budget,
+        "thread peak {peak} (base {base}, extra {extra}) exceeds {budget}; \
+         transport threads are not O(reactors)"
+    );
+    assert!(
+        extra < 2 * 64 * 6,
+        "extra {extra} is in thread-per-link territory (2·384 = 768)"
+    );
+}
