@@ -23,7 +23,7 @@ use std::time::Duration;
 use aoft_adv::ByzantineTransport;
 use aoft_faults::{run_campaign, FaultKind, FaultPlan, TrialOutcome, Trigger};
 use aoft_hypercube::NodeId;
-use aoft_net::{InProc, TcpConfig, TcpTransport};
+use aoft_net::{InProc, MuxTransport};
 use aoft_sort::{Algorithm, Key, SortBuilder, SortError};
 use aoft_svc::{JobSpec, SortService, SvcConfig};
 
@@ -72,7 +72,8 @@ enum Medium {
     Det,
     /// Thread-per-node over in-process channels, adversaries on the wire.
     InProc,
-    /// Thread-per-node over a loopback TCP cluster, adversaries on the wire.
+    /// Thread-per-node over mux sessions on loopback TCP, adversaries on the
+    /// wire.
     Tcp,
 }
 
@@ -181,7 +182,7 @@ fn run_trial(medium: Medium, d: u32, plan: &FaultPlan, seed: u64) -> (TrialOutco
     let result = match medium {
         Medium::Det => builder.fault_plan(plan.clone()).run_deterministic(),
         Medium::InProc => builder.run_on(ByzantineTransport::new(InProc::new(), plan.clone())),
-        Medium::Tcp => match loopback(n as u32) {
+        Medium::Tcp => match MuxTransport::loopback(n as u32) {
             Ok(tcp) => builder.run_on(ByzantineTransport::new(tcp, plan.clone())),
             Err(err) => return (TrialOutcome::Inconclusive(format!("tcp bind: {err}")), 0),
         },
@@ -220,7 +221,7 @@ fn equivocator_live_fire() -> Result<String, String> {
         Trigger::always(),
         0xE0_0D,
     );
-    let tcp = loopback(8).map_err(|err| format!("tcp bind: {err}"))?;
+    let tcp = MuxTransport::loopback(8).map_err(|err| format!("tcp bind: {err}"))?;
     let transport = ByzantineTransport::new(tcp, plan);
     let config = SvcConfig::new(3)
         .workers(1)
@@ -266,15 +267,6 @@ fn equivocator_live_fire() -> Result<String, String> {
          effort {} ticks",
         report.attempts, report.effort
     ))
-}
-
-fn loopback(nodes: u32) -> Result<TcpTransport, Box<dyn std::error::Error>> {
-    let transport = TcpTransport::bind(TcpConfig::default())?;
-    let addr = transport.local_addr();
-    for label in 0..nodes {
-        transport.set_peer(label, addr);
-    }
-    Ok(transport)
 }
 
 /// The stress suite's key scrambler: full coverage of the value range,

@@ -6,14 +6,14 @@
 //!   encode to frame bytes?
 //! * how fast does the receive path validate and decode it (checksum
 //!   included)?
-//! * what does one framed message cost end-to-end over loopback TCP
-//!   (send → socket → checksum → decode → recv)?
+//! * what does one framed message cost end-to-end over a loopback mux
+//!   session (send → socket → checksum → demux → decode → recv)?
 
 use std::time::Duration;
 
 use aoft_net::frame::{decode_frame, encode_frame, FrameKind};
 use aoft_net::wire::{from_bytes, to_bytes};
-use aoft_net::{CancelToken, LinkId, TcpConfig, TcpTransport, Transport};
+use aoft_net::{CancelToken, LinkId, MuxTransport, Transport};
 use aoft_sort::{Block, LbsWire, Msg};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
@@ -60,12 +60,12 @@ fn codec(c: &mut Criterion) {
     group.finish();
 }
 
-fn tcp_rtt(c: &mut Criterion) {
-    let mut group = c.benchmark_group("tcp_loopback");
+fn mux_rtt(c: &mut Criterion) {
+    let mut group = c.benchmark_group("mux_loopback");
     group.warm_up_time(Duration::from_secs_f64(0.3));
     group.measurement_time(Duration::from_secs_f64(1.0));
 
-    let transport = TcpTransport::bind(TcpConfig::default()).expect("bind loopback");
+    let transport = MuxTransport::loopback(2).expect("bind loopback");
     let deadline = Duration::from_secs(2);
     let there = LinkId {
         from: 0,
@@ -100,5 +100,5 @@ fn tcp_rtt(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, codec, tcp_rtt);
+criterion_group!(benches, codec, mux_rtt);
 criterion_main!(benches);

@@ -26,10 +26,7 @@ use aoft_faults::{FaultyTransport, LinkFault};
 use aoft_hypercube::{NodeId, Subcube};
 use aoft_net::frame::{decode_frame_body, encode_frame, frame_header, FrameKind};
 use aoft_net::wire::from_bytes;
-use aoft_net::{
-    pool, CancelToken, InProc, LinkId, MuxConfig, MuxTransport, ReactorConfig, ReactorTransport,
-    Transport, Wire,
-};
+use aoft_net::{pool, CancelToken, InProc, LinkId, MuxTransport, Transport, Wire};
 use aoft_sort::predicates::{bit_compare_stage, bit_compare_stage_with, PredicateScratch};
 use aoft_sort::{
     subcube_ascending, Algorithm, Block, LbsBuffer, LbsWire, MergeScratch, Msg, SortBuilder,
@@ -110,15 +107,15 @@ fn take_snapshot(quick: bool) -> Snapshot {
     // At least 100 samples even in quick mode: nearest-rank p99 over 30
     // samples *is* the max, so a single scheduler stall or page-fault storm
     // became the gated p99 (predicate_bit_compare: 0.67µs median vs 202µs
-    // p99 in BENCH_8). With 100 samples the p99 rank excludes the single
-    // worst sample, and the warm-up in `measure` keeps cold-start noise out
-    // of the population entirely. Sub-microsecond metrics make the extra
-    // samples nearly free.
+    // p99 in PR 8's snapshot). With 100 samples the p99 rank excludes the
+    // single worst sample, and the warm-up in `measure` keeps cold-start
+    // noise out of the population entirely. Sub-microsecond metrics make
+    // the extra samples nearly free.
     let (samples, batch) = if quick { (100, 20) } else { (200, 100) };
 
     // Wire codec: a representative stage message (64-key block plus a
     // half-filled 8-slot LBS), measured as the transport actually runs it.
-    // Encode is the TCP tx path — serialize once into a pooled buffer and
+    // Encode is the mux tx path — serialize once into a pooled buffer and
     // stamp the split frame header for the vectored write; decode is the rx
     // path — borrow the payload out of the frame body, no intermediate copy.
     let msg = tagged_msg(64, 8);
@@ -259,23 +256,15 @@ fn take_snapshot(quick: bool) -> Snapshot {
     metrics.insert("service_job_latency".to_string(), latency);
     metrics.insert("service_job_effort".to_string(), effort);
 
-    // Reactor transport: one-frame round trip over real loopback sockets
-    // multiplexed onto the fixed reactor pool — the per-hop latency cost of
-    // trading thread-per-link for O(reactors) threads.
-    metrics.insert(
-        "reactor_rtt".to_string(),
-        reactor_rtt(if quick { 20 } else { 60 }, 10),
-    );
-
-    // The tentpole claim as a gated number: OS threads the reactor backend
-    // adds to the process for an 8-link transport. Thread-per-link would
-    // put 16 here; a regression to that shape fails the gate loudly.
+    // The fixed-pool claim as a gated number: OS threads the mux transport
+    // adds to the process while carrying 8 links of one peer pair — the
+    // servicer pool and the acceptor, 5. Thread-per-link would put 16
+    // here; a regression to that shape fails the gate loudly.
     metrics.insert("transport_threads".to_string(), transport_threads(8));
 
-    // Mux transport: the same one-frame round trip, but over a peer-pair
-    // session with event-driven tx doorbells — the latency the mux backend
-    // buys back from the reactor's polling sweeps. Both directions of the
-    // ping-pong share one physical session.
+    // Mux transport: one-frame round trip over a real loopback socket — a
+    // peer-pair session with event-driven tx doorbells. Both directions of
+    // the ping-pong share one physical session.
     metrics.insert(
         "mux_rtt".to_string(),
         mux_rtt(if quick { 20 } else { 60 }, 10),
@@ -381,62 +370,12 @@ fn service_latencies(jobs: usize) -> (Metric, Metric) {
     (summarize(&mut timings), effort_metric)
 }
 
-/// Median/p99 of a one-frame ping-pong over a loopback reactor transport:
-/// tx queue → reactor write → socket → reactor read → echo, and back.
-fn reactor_rtt(samples: usize, batch: usize) -> Metric {
-    let transport = ReactorTransport::bind(ReactorConfig::default()).expect("bind reactor");
-    let addr = transport.local_addr();
-    transport.set_peer(0, addr);
-    transport.set_peer(1, addr);
-    let ping = LinkId {
-        from: 0,
-        to: 1,
-        tag: 0,
-    };
-    let pong = LinkId {
-        from: 1,
-        to: 0,
-        tag: 0,
-    };
-    let deadline = Duration::from_secs(5);
-    let tx = Transport::<Vec<i64>>::connect_tx(&transport, ping, deadline).expect("dial ping");
-    let echo_rx =
-        Transport::<Vec<i64>>::connect_rx(&transport, ping, deadline).expect("claim ping");
-    let echo_tx = Transport::<Vec<i64>>::connect_tx(&transport, pong, deadline).expect("dial pong");
-    let rx = Transport::<Vec<i64>>::connect_rx(&transport, pong, deadline).expect("claim pong");
-
-    let cancel = CancelToken::new();
-    let echo_cancel = cancel.clone();
-    let echo = std::thread::spawn(move || {
-        while let Ok(msg) = echo_rx.recv_deadline(Duration::from_secs(5), &echo_cancel) {
-            if echo_tx.send(msg).is_err() {
-                break;
-            }
-        }
-    });
-
-    let payload: Vec<i64> = (0..64).collect();
-    let metric = measure(samples, batch, || {
-        tx.send(payload.clone()).expect("queue the ping");
-        std::hint::black_box(
-            rx.recv_deadline(Duration::from_secs(5), &cancel)
-                .expect("echo returns"),
-        );
-    });
-    cancel.cancel();
-    echo.join().expect("echo thread exits");
-    metric
-}
-
 /// Median/p99 of a one-frame ping-pong over a loopback mux transport: the
 /// ping link (0→1) and the echo link (1→0) resolve to the same peer-pair
 /// session, so the measurement exercises the shared tx queue, the doorbell
 /// wakeup, and the demux path in both directions.
 fn mux_rtt(samples: usize, batch: usize) -> Metric {
-    let transport = MuxTransport::bind(MuxConfig::default()).expect("bind mux");
-    let addr = transport.local_addr();
-    transport.set_peer(0, addr);
-    transport.set_peer(1, addr);
+    let transport = MuxTransport::loopback(2).expect("bind mux");
     let ping = LinkId {
         from: 0,
         to: 1,
@@ -488,11 +427,7 @@ fn mux_sockets() -> Metric {
             .ok()
             .map(|dir| dir.count() as i64)
     };
-    let transport = MuxTransport::bind(MuxConfig::default()).expect("bind mux");
-    let addr = transport.local_addr();
-    for label in 0..8 {
-        transport.set_peer(label, addr);
-    }
+    let transport = MuxTransport::loopback(8).expect("bind mux");
     let before = live();
     let deadline = Duration::from_secs(5);
     let mut endpoints = Vec::new();
@@ -529,9 +464,10 @@ fn mux_sockets() -> Metric {
     }
 }
 
-/// OS threads the reactor backend adds to the process while carrying
-/// `links` established link pairs — read from `/proc/self/task`, the
-/// kernel's own ledger, with the configured pool size as the fallback on
+/// OS threads the mux transport adds to the process while carrying
+/// `links` established link pairs of one peer pair — read from
+/// `/proc/self/task`, the kernel's own ledger, with the documented pool
+/// size (2 tx + 2 rx servicers + the acceptor) as the fallback on
 /// platforms without procfs.
 fn transport_threads(links: u8) -> Metric {
     let live = || {
@@ -540,10 +476,7 @@ fn transport_threads(links: u8) -> Metric {
             .map(|dir| dir.count() as i64)
     };
     let before = live();
-    let transport = ReactorTransport::bind(ReactorConfig::default()).expect("bind reactor");
-    let addr = transport.local_addr();
-    transport.set_peer(0, addr);
-    transport.set_peer(1, addr);
+    let transport = MuxTransport::loopback(2).expect("bind mux");
     let deadline = Duration::from_secs(5);
     let mut endpoints = Vec::new();
     for tag in 0..links {
@@ -559,7 +492,7 @@ fn transport_threads(links: u8) -> Metric {
     }
     let threads = match (before, live()) {
         (Some(b), Some(a)) => (a - b).max(0) as f64,
-        _ => transport.reactor_count() as f64,
+        _ => 5.0,
     };
     drop(endpoints);
     Metric {

@@ -348,7 +348,7 @@ impl SortBuilder {
     /// [`run`](SortBuilder::run) is this with [`InProc`] — the node
     /// programs are identical either way; only the medium carrying their
     /// compare-exchange traffic changes. Hand a
-    /// [`TcpTransport`](aoft_sim::TcpTransport) here and the same `S_FT`
+    /// [`MuxTransport`](aoft_net::MuxTransport) here and the same `S_FT`
     /// schedule runs over real sockets, with the transport's failure
     /// detector feeding the very same fail-stop path as a simulated
     /// omission fault. Host links stay in-process regardless (environmental

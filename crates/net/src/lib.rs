@@ -6,14 +6,13 @@
 //! ([`LinkTx`]/[`LinkRx`]) per [`LinkId`], and two backends implement it —
 //!
 //! * [`InProc`]: in-process channels, the original simulator medium;
-//! * [`TcpTransport`]: real TCP over loopback (or any reachable address),
-//!   with a length-prefixed, checksummed frame codec ([`frame`]), per-link
-//!   writer/reader threads, send retry with capped exponential
-//!   [`Backoff`], and a heartbeat-based failure detector that surfaces a
-//!   silent peer as [`NetError::PeerDead`];
-//! * [`ReactorTransport`]: the same wire format and failure detector over
-//!   nonblocking sockets, multiplexed by a fixed pool of reactor threads —
-//!   `O(reactors)` transport threads instead of two per link.
+//! * [`MuxTransport`]: real TCP over loopback (or any reachable address),
+//!   one session per *peer pair* carrying every link between the two
+//!   nodes, with a length-prefixed, checksummed frame codec ([`frame`]),
+//!   pooled wire buffers ([`pool`]), a fixed pool of doorbell-driven
+//!   servicer threads, send retry with capped exponential [`Backoff`], and
+//!   a heartbeat-based failure detector that surfaces a silent peer as
+//!   [`NetError::PeerDead`] on every link of the session.
 //!
 //! The failure-detection contract matches the paper's fail-stop model
 //! (assumption 4: *a missing message is detectable*): every receive takes a
@@ -37,9 +36,7 @@ mod inproc;
 mod link;
 mod mux;
 pub mod pool;
-mod reactor;
 mod remap;
-mod tcp;
 mod timer;
 pub mod wire;
 
@@ -52,8 +49,6 @@ pub use inproc::InProc;
 pub use link::{LinkId, LinkRx, LinkTx, Transport};
 pub use mux::{MuxConfig, MuxTransport};
 pub use pool::BufPool;
-pub use reactor::{ReactorConfig, ReactorTransport};
 pub use remap::MappedTransport;
-pub use tcp::{TcpConfig, TcpTransport};
 pub use timer::TimerWheel;
 pub use wire::{CodecError, Wire};

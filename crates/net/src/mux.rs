@@ -1,42 +1,37 @@
 //! Multiplexed peer sessions: one physical TCP connection per *peer pair*.
 //!
-//! The per-link backends ([`crate::TcpTransport`], [`crate::ReactorTransport`])
-//! open one socket per directed [`LinkId`] — `O(d·2^d)` sockets for a
-//! d-cube, which is exactly what makes multi-process fleets impractical and
-//! what keeps the polling reactor's first-byte latency on its idle-sleep
-//! ramp. [`MuxTransport`] collapses that to **one session per unordered
-//! peer pair**:
+//! [`MuxTransport`] is the crate's one socket backend. A d-cube has
+//! `d·2^d` directed [`LinkId`]s but only `d·2^(d-1)` peer pairs, and every
+//! link between two nodes — both directions, all tags — rides **one
+//! session per unordered peer pair**:
 //!
 //! * the session handshake exchanges a magic preamble, the peer-pair ids
 //!   and a link manifest; every subsequent Data frame carries the 9-byte
 //!   [`LinkId`] handshake encoding as a *demux tag* prefix inside the frame
-//!   payload — same single-pass framing and [`crate::pool`] buffer leases
-//!   as the per-link backends, one extra tag per frame;
+//!   payload — the [`crate::frame`] codec, single-pass framing into
+//!   [`crate::pool`] buffer leases, one extra tag per frame;
 //! * all of a pair's links share one tx queue set, drained fairly
 //!   (round-robin across links) into a single `write_vectored`;
 //! * wakeups are **event-driven**, not sleep-polled: a tx doorbell
 //!   (`Condvar`) wakes the owning tx servicer the moment a sender enqueues,
 //!   and rx servicers sit in *blocking* reads with a short
-//!   `set_read_timeout` whenever they own a single session — no idle-sleep
-//!   ramp on the hot path. A servicer that owns several sessions falls back
-//!   to a nonblocking sweep with the reactor's adaptive idle ramp
-//!   ([`MuxConfig::idle_sleep_min`]/[`MuxConfig::idle_sleep_max`]), which
+//!   `set_read_timeout` whenever they own a single session. A servicer
+//!   that owns several sessions falls back to a nonblocking sweep on an
+//!   adaptive idle ramp ([`IDLE_SLEEP_MIN`] → [`IDLE_SLEEP_MAX`]), which
 //!   is the honest price of the thread cap;
 //! * heartbeats, silence dead-checks and write-retry backoff are
 //!   **per-session** obligations on the tx servicer's [`TimerWheel`] — one
-//!   timer per peer pair instead of one per directed link;
-//! * tx and rx servicer threads are bounded by [`MuxConfig::tx_servicers`]
-//!   and [`MuxConfig::rx_servicers`] regardless of session count.
+//!   timer per peer pair, not one per directed link;
+//! * servicer threads are a fixed pool ([`TX_SERVICERS`] tx +
+//!   [`RX_SERVICERS`] rx + 1 acceptor) regardless of session count.
 //!
 //! Failure semantics follow the session: when a session dies (silence past
 //! the heartbeat window, EOF, socket error, corrupt stream), **every** link
 //! it carried observes the same terminal error — `PeerDead` fans out to all
-//! of the pair's receivers at once, which is strictly *better* detection
-//! than per-link backends give (one observation covers all links).
+//! of the pair's receivers at once, so one observation covers all links.
 //!
-//! The wire format is NOT interoperable with the per-link backends: a mux
-//! listener expects the session preamble, and mux Data frames carry the
-//! demux tag. Both sides of a pair must speak mux.
+//! A mux listener expects the session preamble and mux Data frames carry
+//! the demux tag: both sides of a pair must speak mux.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
@@ -55,8 +50,6 @@ use crate::frame::{
     decode_frame_body, encode_frame, frame_header, FrameKind, HEADER_LEN, MAX_FRAME_LEN,
 };
 use crate::pool;
-use crate::reactor::idle_ramp_from_env;
-use crate::tcp::HANDSHAKE_TIMEOUT;
 use crate::timer::TimerWheel;
 use crate::wire::{from_bytes, Wire};
 use crate::{Backoff, CancelToken, LinkId, LinkRx, LinkTx, NetError, PollSlices, Transport};
@@ -85,9 +78,41 @@ const MAX_MANIFEST: usize = 1024;
 /// Reads one multi-session sweep allows a single session before yielding.
 const READS_PER_PASS: usize = 8;
 
-/// Tuning knobs for the multiplexed backend. Timing fields carry the same
-/// meaning as their [`crate::ReactorConfig`] counterparts, but apply
-/// per *session* (peer pair), not per link.
+/// How long the acceptor waits for a dialer's session preamble before
+/// dropping the connection.
+const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// Write attempts per batch before the session is declared dead.
+const MAX_SEND_RETRIES: u32 = 5;
+
+/// First write-retry delay; doubles per attempt.
+const INITIAL_BACKOFF: Duration = Duration::from_millis(5);
+
+/// Write-retry delay ceiling.
+const MAX_BACKOFF: Duration = Duration::from_millis(200);
+
+/// Frames one *link* queues before `send` blocks — the per-link
+/// backpressure bound (a session's queue capacity is this × links).
+const TX_QUEUE_FRAMES: usize = 1024;
+
+/// Tx servicer threads; sessions hash onto them round-robin. The doorbell
+/// keeps every count event-driven.
+const TX_SERVICERS: usize = 2;
+
+/// Rx servicer threads. A servicer owning exactly one session uses
+/// blocking reads (lowest latency); owning more it falls back to a
+/// nonblocking sweep on the idle ramp below.
+const RX_SERVICERS: usize = 2;
+
+/// First slice of the multi-session rx sweep's idle ramp; doubles per pass
+/// that makes no progress.
+const IDLE_SLEEP_MIN: Duration = Duration::from_micros(500);
+
+/// Ceiling of that ramp: bounds first-byte latency after an idle period.
+const IDLE_SLEEP_MAX: Duration = Duration::from_millis(2);
+
+/// The liveness clocks of a [`MuxTransport`], per *session* (peer pair).
+/// Everything else about the backend is a constant of this module.
 #[derive(Debug, Clone)]
 pub struct MuxConfig {
     /// Deadline the engine should pass when establishing links.
@@ -95,46 +120,17 @@ pub struct MuxConfig {
     /// Idle gap after which a session emits a heartbeat frame.
     pub heartbeat_interval: Duration,
     /// Inbound silence after which the whole session — every link it
-    /// carries — is declared dead.
+    /// carries — is declared dead. Must be several multiples of
+    /// `heartbeat_interval`.
     pub heartbeat_timeout: Duration,
-    /// Write attempts per batch before the session is declared dead.
-    pub max_send_retries: u32,
-    /// First retry delay; doubles per attempt.
-    pub initial_backoff: Duration,
-    /// Retry delay ceiling.
-    pub max_backoff: Duration,
-    /// Frames one *link* queues before `send` blocks — the per-link
-    /// backpressure bound (a session's queue capacity is this × links).
-    pub tx_queue_frames: usize,
-    /// Tx servicer threads; sessions hash onto them round-robin. The
-    /// doorbell keeps every count event-driven.
-    pub tx_servicers: usize,
-    /// Rx servicer threads. A servicer owning exactly one session uses
-    /// blocking reads (lowest latency); owning more it falls back to a
-    /// nonblocking sweep on the idle ramp below.
-    pub rx_servicers: usize,
-    /// First slice of the multi-session rx sweep's idle ramp.
-    pub idle_sleep_min: Duration,
-    /// Ceiling of that ramp.
-    pub idle_sleep_max: Duration,
 }
 
 impl Default for MuxConfig {
     fn default() -> Self {
-        let (idle_sleep_min, idle_sleep_max) =
-            idle_ramp_from_env(Duration::from_micros(500), Duration::from_millis(2));
         Self {
             connect_timeout: Duration::from_secs(2),
             heartbeat_interval: Duration::from_millis(25),
             heartbeat_timeout: Duration::from_millis(500),
-            max_send_retries: 5,
-            initial_backoff: Duration::from_millis(5),
-            max_backoff: Duration::from_millis(200),
-            tx_queue_frames: 1024,
-            tx_servicers: 2,
-            rx_servicers: 2,
-            idle_sleep_min,
-            idle_sleep_max,
         }
     }
 }
@@ -212,7 +208,8 @@ enum Inbox {
     Attached(Box<dyn MuxSink>, u64),
 }
 
-/// Type-erased delivery target, same contract as the reactor's sink.
+/// Type-erased delivery target: the rx servicer demuxes raw payload bytes
+/// without knowing the link's message type.
 trait MuxSink: Send {
     fn deliver_data(&self, payload: &[u8]) -> SinkStatus;
     fn fail(&self, err: NetError);
@@ -305,7 +302,7 @@ impl Session {
     }
 
     /// Puts the session on its tx servicer's ready list and rings the
-    /// doorbell — the event-driven wakeup that replaces the reactor's
+    /// doorbell — the event-driven wakeup that keeps the tx side off any
     /// idle-sleep polling.
     fn ring(self: &Arc<Self>) {
         {
@@ -489,7 +486,7 @@ enum TxTimerKind {
 }
 
 /// A per-session obligation on the tx servicer's wheel — one entry per
-/// *session*, where the per-link backends schedule one per link.
+/// *session*, however many links it carries.
 struct TxTimer {
     id: u64,
     kind: TxTimerKind,
@@ -589,7 +586,7 @@ impl TxWorker {
                         session,
                         batch: None,
                         attempts: 0,
-                        backoff: Backoff::new(self.config.initial_backoff, self.config.max_backoff),
+                        backoff: Backoff::new(INITIAL_BACKOFF, MAX_BACKOFF),
                         blocked_until: None,
                         last_write: now,
                     },
@@ -734,7 +731,7 @@ impl TxWorker {
                 Err(err) => {
                     local.attempts += 1;
                     reg.net_send_retries.add(&local.session.label, 1);
-                    if local.attempts > self.config.max_send_retries {
+                    if local.attempts > MAX_SEND_RETRIES {
                         local.session.kill(NetError::Io(format!(
                             "session {} write failed after {} attempts: {err}",
                             local.session.label, local.attempts
@@ -879,7 +876,7 @@ impl RxWorker {
     fn run(self) {
         let mut sessions: Vec<RxLocal> = Vec::new();
         let mut scratch = vec![0u8; 64 * 1024];
-        let mut idle_sleep = self.config.idle_sleep_min;
+        let mut idle_sleep = IDLE_SLEEP_MIN;
         // The socket mode currently applied to every owned session:
         // blocking short-timeout reads while owning exactly one session,
         // a nonblocking sweep otherwise.
@@ -940,12 +937,12 @@ impl RxWorker {
                 sessions.remove(idx);
             }
             if single || progress {
-                idle_sleep = self.config.idle_sleep_min;
+                idle_sleep = IDLE_SLEEP_MIN;
             } else {
-                // Multi-session sweep made no progress: the reactor's
-                // adaptive ramp bounds the idle burn.
+                // Multi-session sweep made no progress: the adaptive
+                // ramp bounds the idle burn.
                 std::thread::sleep(idle_sleep);
-                idle_sleep = (idle_sleep * 2).min(self.config.idle_sleep_max);
+                idle_sleep = (idle_sleep * 2).min(IDLE_SLEEP_MAX);
             }
         }
     }
@@ -1262,12 +1259,11 @@ enum DialSlot {
 /// A socket transport that multiplexes every link of a peer pair over one
 /// physical TCP session.
 ///
-/// Socket count is `O(peer pairs)` instead of `O(directed links)`; servicer
-/// threads are bounded by [`MuxConfig::tx_servicers`] +
-/// [`MuxConfig::rx_servicers`] + 1 (the acceptor) regardless of session
-/// count. Same [`Transport`] contract and `set_peer` routing as the other
-/// socket backends, but the wire format is mux-specific (see the module
-/// docs) — both sides of a pair must use `MuxTransport`.
+/// Socket count is `O(peer pairs)`, not `O(directed links)`, and the
+/// transport runs on five threads (2 tx servicers + 2 rx servicers + the
+/// acceptor) regardless of session count. Every label dials this
+/// transport's own listener unless [`MuxTransport::set_peer`] routes it
+/// elsewhere; both sides of a pair must use `MuxTransport`.
 ///
 /// Session establishment is deterministic: for any pair `(lo, hi)` the
 /// endpoint acting as `lo` dials `hi`'s listener; the endpoint acting as
@@ -1285,8 +1281,8 @@ pub struct MuxTransport {
 
 impl MuxTransport {
     /// Binds a listener on an ephemeral loopback port and starts the
-    /// servicer pools (`tx_servicers` + `rx_servicers` + 1 acceptor
-    /// threads, total, independent of session count).
+    /// servicer pools (tx servicers + rx servicers + 1 acceptor: five
+    /// threads in total, independent of session count).
     ///
     /// # Errors
     ///
@@ -1298,7 +1294,7 @@ impl MuxTransport {
         let shutdown = Arc::new(AtomicBool::new(false));
         let mut threads = Vec::new();
         let mut tx_pool = Vec::new();
-        for idx in 0..config.tx_servicers.max(1) {
+        for idx in 0..TX_SERVICERS {
             let doorbell = Arc::new(TxDoorbell {
                 state: Mutex::new(TxSvcState::default()),
                 bell: Condvar::new(),
@@ -1317,7 +1313,7 @@ impl MuxTransport {
             );
         }
         let mut rx_pool = Vec::new();
-        for idx in 0..config.rx_servicers.max(1) {
+        for idx in 0..RX_SERVICERS {
             let (assign_tx, assign_rx) = unbounded::<RxAssign>();
             rx_pool.push(assign_tx);
             let worker = RxWorker {
@@ -1356,6 +1352,23 @@ impl MuxTransport {
             dial_cv: Condvar::new(),
             threads,
         })
+    }
+
+    /// A whole cube in one process: binds with the default config and
+    /// routes every label in `0..nodes` to this transport's own listener,
+    /// so each compare-exchange crosses a real loopback socket. In a
+    /// multi-process cluster each label's [`MuxTransport::set_peer`] points
+    /// at a different process instead.
+    ///
+    /// # Errors
+    ///
+    /// As [`MuxTransport::bind`].
+    pub fn loopback(nodes: u32) -> Result<Self, NetError> {
+        let transport = Self::bind(MuxConfig::default())?;
+        for label in 0..nodes {
+            transport.set_peer(label, transport.listener_addr);
+        }
+        Ok(transport)
     }
 
     /// The address peers dial to reach this transport's sessions.
@@ -1568,7 +1581,7 @@ impl<M: Wire + Send + 'static> Transport<M> for MuxTransport {
             link,
             tag: link.to_handshake(),
             token,
-            cap: self.shared.config.tx_queue_frames,
+            cap: TX_QUEUE_FRAMES,
             _marker: PhantomData,
         }))
     }
@@ -1671,7 +1684,6 @@ mod tests {
             connect_timeout: Duration::from_secs(2),
             heartbeat_interval: Duration::from_millis(10),
             heartbeat_timeout: Duration::from_millis(250),
-            ..MuxConfig::default()
         }
     }
 
@@ -1786,6 +1798,50 @@ mod tests {
             2
         );
         assert_eq!(transport.session_count(), 2);
+    }
+
+    #[test]
+    fn dropped_sender_yields_closed() {
+        let transport = MuxTransport::bind(fast_config()).unwrap();
+        let cancel = CancelToken::new();
+        let deadline = Duration::from_secs(5);
+        let l = link(0, 2, 1);
+        let tx = Transport::<u64>::connect_tx(&transport, l, deadline).unwrap();
+        let rx = Transport::<u64>::connect_rx(&transport, l, deadline).unwrap();
+        // Nothing was ever sent: the drop alone must surface as Closed,
+        // not as a timeout.
+        drop(tx);
+        let err = rx
+            .recv_deadline(Duration::from_secs(5), &cancel)
+            .unwrap_err();
+        assert_eq!(err, NetError::Closed);
+    }
+
+    #[test]
+    fn cancel_interrupts_blocked_mux_recv() {
+        let transport = MuxTransport::bind(fast_config()).unwrap();
+        let deadline = Duration::from_secs(5);
+        let l = link(3, 4, 0);
+        let _tx = Transport::<u64>::connect_tx(&transport, l, deadline).unwrap();
+        let rx = Transport::<u64>::connect_rx(&transport, l, deadline).unwrap();
+        let cancel = CancelToken::new();
+        let observer = cancel.clone();
+        let start = Instant::now();
+        std::thread::scope(|scope| {
+            scope.spawn(move || {
+                std::thread::sleep(Duration::from_millis(30));
+                observer.cancel();
+            });
+            let err = rx
+                .recv_deadline(Duration::from_secs(30), &cancel)
+                .unwrap_err();
+            assert_eq!(err, NetError::Cancelled);
+        });
+        assert!(
+            start.elapsed() < Duration::from_secs(5),
+            "cancel took {:?}",
+            start.elapsed()
+        );
     }
 
     #[test]

@@ -1,20 +1,18 @@
-//! Deadline-ordered timer wheel shared by the reactor and the service
-//! batcher.
+//! Deadline-ordered timer wheel shared by the mux tx servicers and the
+//! service batcher.
 //!
-//! A reactor thread multiplexes every timed obligation of its links —
-//! heartbeat emission, silence dead-checks, retry backoff — through one
-//! [`TimerWheel`] instead of per-link `recv_timeout`/`read_timeout` clocks.
-//! The wheel is a min-heap of `(deadline, payload)` entries; the owner pops
-//! expired entries each pass and uses [`TimerWheel::next_deadline`] to
-//! bound its idle sleep, so a sleeping loop still wakes exactly when the
-//! earliest obligation comes due.
+//! A tx servicer multiplexes every timed obligation of its sessions —
+//! heartbeat emission, retry backoff — through one [`TimerWheel`] instead
+//! of a clock per session. The wheel is a min-heap of `(deadline, payload)`
+//! entries; the owner pops expired entries each pass and uses
+//! [`TimerWheel::next_deadline`] to bound its idle sleep, so a sleeping
+//! loop still wakes exactly when the earliest obligation comes due.
 //!
-//! Cancellation is lazy: the reactor's payloads carry the link slot's
-//! generation, and a fired timer whose generation no longer matches the
-//! slot (the link was removed, the slot reused) is simply ignored. That
-//! keeps scheduling O(log n) with no removal bookkeeping — the standard
-//! hashed/hierarchical wheel trade, collapsed to a heap because an owner
-//! holds at most a few hundred timers.
+//! Cancellation is lazy: payloads carry the session id, and a fired timer
+//! whose session is gone is simply ignored. That keeps scheduling
+//! O(log n) with no removal bookkeeping — the standard hashed/hierarchical
+//! wheel trade, collapsed to a heap because an owner holds at most a few
+//! hundred timers.
 //!
 //! The wheel is generic so other deadline-driven loops can reuse it: the
 //! service-layer micro-batcher schedules its flush deadlines on a
@@ -23,27 +21,6 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::time::Instant;
-
-/// What a fired reactor timer asks the reactor to do.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum TimerKind {
-    /// A tx link's idle-heartbeat obligation came due.
-    Heartbeat,
-    /// An rx link's silence check came due (failure detector tick).
-    DeadCheck,
-    /// A tx link's retry backoff elapsed; the write pump may try again.
-    Retry,
-}
-
-/// One scheduled reactor obligation: `slot` indexes the reactor's link
-/// table, and `gen` must match the slot's current generation for the timer
-/// to be live.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Timer {
-    pub(crate) slot: usize,
-    pub(crate) gen: u64,
-    pub(crate) kind: TimerKind,
-}
 
 struct Entry<T> {
     at: Reverse<Instant>,
@@ -132,52 +109,30 @@ mod tests {
     fn fires_in_deadline_order_regardless_of_insertion() {
         let base = Instant::now();
         let mut wheel = TimerWheel::new();
-        let t = |slot| Timer {
-            slot,
-            gen: 0,
-            kind: TimerKind::Heartbeat,
-        };
-        wheel.schedule(base + Duration::from_millis(30), t(3));
-        wheel.schedule(base + Duration::from_millis(10), t(1));
-        wheel.schedule(base + Duration::from_millis(20), t(2));
+        wheel.schedule(base + Duration::from_millis(30), 3);
+        wheel.schedule(base + Duration::from_millis(10), 1);
+        wheel.schedule(base + Duration::from_millis(20), 2);
         assert_eq!(
             wheel.next_deadline(),
             Some(base + Duration::from_millis(10))
         );
         let late = base + Duration::from_millis(25);
-        assert_eq!(wheel.pop_expired(late).map(|t| t.slot), Some(1));
-        assert_eq!(wheel.pop_expired(late).map(|t| t.slot), Some(2));
-        assert_eq!(wheel.pop_expired(late), None, "slot 3 is not yet due");
+        assert_eq!(wheel.pop_expired(late), Some(1));
+        assert_eq!(wheel.pop_expired(late), Some(2));
+        assert_eq!(wheel.pop_expired(late), None, "timer 3 is not yet due");
         assert_eq!(wheel.len(), 1);
     }
 
     #[test]
     fn nothing_expires_before_its_deadline() {
         let base = Instant::now();
-        let mut wheel = TimerWheel::new();
-        wheel.schedule(
-            base + Duration::from_secs(60),
-            Timer {
-                slot: 0,
-                gen: 7,
-                kind: TimerKind::Retry,
-            },
-        );
-        assert_eq!(wheel.pop_expired(base), None);
-        let fired = wheel.pop_expired(base + Duration::from_secs(61)).unwrap();
-        assert_eq!(fired.gen, 7);
-        assert_eq!(fired.kind, TimerKind::Retry);
-    }
-
-    #[test]
-    fn generic_payloads_work_without_reactor_types() {
-        let base = Instant::now();
         let mut wheel: TimerWheel<&'static str> = TimerWheel::new();
         assert!(wheel.is_empty());
-        wheel.schedule(base + Duration::from_millis(5), "flush");
+        wheel.schedule(base + Duration::from_secs(60), "flush");
         assert!(!wheel.is_empty());
+        assert_eq!(wheel.pop_expired(base), None);
         assert_eq!(
-            wheel.pop_expired(base + Duration::from_millis(6)),
+            wheel.pop_expired(base + Duration::from_secs(61)),
             Some("flush")
         );
     }

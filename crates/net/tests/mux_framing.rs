@@ -1,8 +1,9 @@
-//! Framing parity between the multiplexed and per-link backends: for any
+//! What multiplexing adds to the wire, pinned to the codec: for any
 //! assignment of message sequences to links, interleaving those links over
-//! one mux session delivers each link's frame stream byte-for-byte
-//! identical to what the reactor backend puts on that link's dedicated
-//! socket — the demux tag is the *only* thing mux adds to a Data frame.
+//! one mux session puts on the socket, per link and in send order, exactly
+//! `wire::to_bytes(msg)` behind a 9-byte demux tag — the tag is the *only*
+//! thing mux adds to a Data frame — every frame decodes with
+//! `frame::decode_frame`, and every link ends in a `LinkBye`.
 //!
 //! Also the failure-semantics half of the same claim: one session death
 //! surfaces on *every* link the session carried, because the session is
@@ -14,10 +15,8 @@ use std::net::{TcpListener, TcpStream};
 use std::time::Duration;
 
 use aoft_net::frame::{decode_frame, FrameKind};
-use aoft_net::{
-    CancelToken, LinkId, MuxConfig, MuxTransport, NetError, ReactorConfig, ReactorTransport,
-    Transport,
-};
+use aoft_net::wire::to_bytes;
+use aoft_net::{CancelToken, LinkId, MuxConfig, MuxTransport, NetError, Transport};
 use proptest::prelude::*;
 
 /// Hour-long heartbeats keep every captured stream pure data, so the byte
@@ -29,15 +28,6 @@ fn quiet_mux() -> MuxTransport {
         ..MuxConfig::default()
     };
     MuxTransport::bind(config).expect("bind mux")
-}
-
-fn quiet_reactor() -> ReactorTransport {
-    let config = ReactorConfig {
-        heartbeat_interval: Duration::from_secs(3600),
-        heartbeat_timeout: Duration::from_secs(7200),
-        ..ReactorConfig::default()
-    };
-    ReactorTransport::bind(config).expect("bind reactor")
 }
 
 /// Sends each link's messages through one mux session dialed at a raw
@@ -111,38 +101,6 @@ fn capture_mux(per_link: &[Vec<Vec<i64>>]) -> BTreeMap<u8, (Vec<Vec<u8>>, bool)>
     streams
 }
 
-/// Sends one link's messages through the reactor backend at a raw listener
-/// and returns the captured Data payloads from its dedicated socket.
-fn capture_reactor(tag: u8, msgs: &[Vec<i64>]) -> Vec<Vec<u8>> {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind raw listener");
-    let addr = listener.local_addr().expect("listener addr");
-    let transport = quiet_reactor();
-    transport.set_peer(9, addr);
-    let link = LinkId {
-        from: 3,
-        to: 9,
-        tag,
-    };
-    let tx = Transport::<Vec<i64>>::connect_tx(&transport, link, Duration::from_secs(5))
-        .expect("dial the raw listener");
-    let (mut socket, _) = listener.accept().expect("accept the dial");
-    for msg in msgs {
-        tx.send(msg.clone()).expect("queue a frame");
-    }
-    tx.close();
-    let mut bytes = Vec::new();
-    socket.read_to_end(&mut bytes).expect("read until Bye/EOF");
-    let mut input = &bytes[9..]; // skip the per-link handshake
-    let mut payloads = Vec::new();
-    while !input.is_empty() {
-        let (kind, payload) = decode_frame(&mut input).expect("stream parses as frames");
-        if kind == FrameKind::Data {
-            payloads.push(payload);
-        }
-    }
-    payloads
-}
-
 fn per_link_strategy() -> impl Strategy<Value = Vec<Vec<Vec<i64>>>> {
     prop::collection::vec(
         prop::collection::vec(prop::collection::vec(any::<i64>(), 0..24), 1..5),
@@ -154,19 +112,19 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Interleaving N links over one mux session preserves each link's
-    /// frame stream exactly as the per-link reactor backend emits it.
+    /// message stream exactly as the codec encodes it.
     #[test]
-    fn mux_interleaving_matches_per_link_reactor_streams(per_link in per_link_strategy()) {
+    fn mux_interleaving_preserves_each_links_codec_stream(per_link in per_link_strategy()) {
         let mux_streams = capture_mux(&per_link);
         prop_assert_eq!(mux_streams.len(), per_link.len(), "one stream per link");
         for (tag, msgs) in per_link.iter().enumerate() {
             let tag = tag as u8;
             let (mux_payloads, closed) = &mux_streams[&tag];
             prop_assert!(*closed, "link {tag} must end in a LinkBye");
-            let reactor_payloads = capture_reactor(tag, msgs);
+            let encoded: Vec<Vec<u8>> = msgs.iter().map(to_bytes).collect();
             prop_assert_eq!(
-                mux_payloads, &reactor_payloads,
-                "link {} payload streams differ", tag
+                mux_payloads, &encoded,
+                "link {} payload stream is not its messages' encodings", tag
             );
         }
     }
@@ -174,8 +132,8 @@ proptest! {
 
 /// One session death is every link's death: when the single socket a peer
 /// pair shares goes silent, each link the session carried reports
-/// `PeerDead` — the per-link backends make the same report per socket, so
-/// collapsing sockets must not narrow detection.
+/// `PeerDead` — collapsing a pair's links onto one socket must not narrow
+/// detection.
 #[test]
 fn session_death_fans_out_to_every_link() {
     let config = MuxConfig {

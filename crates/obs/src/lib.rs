@@ -20,8 +20,9 @@
 //!   scrape is well-formed.
 //!
 //! Instrumented crates either touch [`global()`] fields directly (single
-//! atomics) or, on hot per-link paths, cache a [`LinkCounters`] handle once
-//! and pay only atomic increments afterwards.
+//! atomics) or, on hot paths, cache a labeled family's
+//! [`with_label`](Family::with_label) handle once and pay only atomic
+//! increments afterwards.
 
 pub mod event;
 pub mod hist;
@@ -34,7 +35,6 @@ pub use hist::{Histogram, HistogramSnapshot};
 pub use registry::{global, Counter, Family, Gauge, GaugeFamily, Registry};
 pub use server::{scrape, ObsServer};
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// A started span clock. [`Stopwatch::elapsed`] reads it without consuming,
@@ -52,38 +52,6 @@ impl Stopwatch {
     /// Time since the watch started.
     pub fn elapsed(&self) -> Duration {
         self.0.elapsed()
-    }
-}
-
-/// Cached per-link counter handles for a transport link's reader/writer
-/// threads: one label-map lookup at connect time, plain atomics forever
-/// after.
-#[derive(Debug, Clone)]
-pub struct LinkCounters {
-    /// Frame bytes written (data + heartbeats).
-    pub bytes_sent: Arc<Counter>,
-    /// Bytes read from the socket.
-    pub bytes_received: Arc<Counter>,
-    /// Frame write retries.
-    pub send_retries: Arc<Counter>,
-    /// Expected heartbeats that failed to arrive on time.
-    pub heartbeat_misses: Arc<Counter>,
-    /// Peer-dead declarations by the failure detector.
-    pub peer_dead: Arc<Counter>,
-}
-
-impl LinkCounters {
-    /// Handles for `link` (conventionally the `from→to#tag` rendering of a
-    /// `LinkId`).
-    pub fn for_link(link: &str) -> Self {
-        let reg = global();
-        Self {
-            bytes_sent: reg.net_bytes_sent.with_label(link),
-            bytes_received: reg.net_bytes_received.with_label(link),
-            send_retries: reg.net_send_retries.with_label(link),
-            heartbeat_misses: reg.net_heartbeat_misses.with_label(link),
-            peer_dead: reg.net_peer_dead.with_label(link),
-        }
     }
 }
 
@@ -113,15 +81,6 @@ pub fn record_violation(family: &str, code: u32, node: u32, stage: Option<u32>, 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn link_counters_share_the_registry_family() {
-        let handles = LinkCounters::for_link("0→1#9");
-        handles.bytes_sent.add(100);
-        handles.send_retries.inc();
-        assert!(global().net_bytes_sent.with_label("0→1#9").get() >= 100);
-        assert!(global().net_send_retries.with_label("0→1#9").get() >= 1);
-    }
 
     #[test]
     fn violation_hook_counts_and_journals() {

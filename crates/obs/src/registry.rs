@@ -227,31 +227,13 @@ pub struct Registry {
     pub buf_pool_high_water: Gauge,
     /// Bytes of idle capacity the pool retains for reuse.
     pub buf_pool_retained_bytes: Gauge,
-    /// Frame bytes written per link (data + heartbeats).
-    pub net_bytes_sent: Family,
-    /// Bytes read from the socket per link.
-    pub net_bytes_received: Family,
-    /// Frame write retries per link.
+    /// Write retries per mux session (the `link` label carries the
+    /// session's `lo~hi` peer pair).
     pub net_send_retries: Family,
-    /// Expected heartbeats that failed to arrive on time, per link.
+    /// Expected heartbeats that failed to arrive on time, per session.
     pub net_heartbeat_misses: Family,
-    /// Peers declared dead by the failure detector, per link.
+    /// Sessions declared dead by the failure detector.
     pub net_peer_dead: Family,
-
-    // --- reactor transport (aoft-net::reactor) ---
-    /// Reactor threads currently running (O(reactors), not O(links) — the
-    /// whole point of the nonblocking backend).
-    pub reactor_threads: Gauge,
-    /// Sockets currently registered with a reactor (tx + rx links).
-    pub reactor_links: Gauge,
-    /// Reactor loop iterations (each services every ready socket once).
-    pub reactor_wakeups: Counter,
-    /// Sends that had to wait on a full per-link tx queue (backpressure
-    /// propagated to the producing node thread).
-    pub reactor_tx_backpressure: Counter,
-    /// Frames coalesced into each vectored tx write (count-valued
-    /// histogram; 1 means no coalescing happened on that drain).
-    pub reactor_frames_per_write: Histogram,
 
     // --- multiplexed transport (aoft-net::mux) ---
     /// Live multiplexed peer sessions (one per peer-pair session end).
@@ -313,16 +295,9 @@ impl Registry {
             buf_pool_outstanding: Gauge::default(),
             buf_pool_high_water: Gauge::default(),
             buf_pool_retained_bytes: Gauge::default(),
-            net_bytes_sent: Family::new("link"),
-            net_bytes_received: Family::new("link"),
             net_send_retries: Family::new("link"),
             net_heartbeat_misses: Family::new("link"),
             net_peer_dead: Family::new("link"),
-            reactor_threads: Gauge::default(),
-            reactor_links: Gauge::default(),
-            reactor_wakeups: Counter::default(),
-            reactor_tx_backpressure: Counter::default(),
-            reactor_frames_per_write: Histogram::new(),
             mux_sessions: Gauge::default(),
             mux_frames_per_write: Histogram::new(),
             mux_wake_latency: Histogram::new(),
@@ -522,18 +497,6 @@ impl Registry {
         );
         family(
             &mut out,
-            "aoft_net_bytes_sent_total",
-            "Frame bytes written per link (data and heartbeats).",
-            &self.net_bytes_sent,
-        );
-        family(
-            &mut out,
-            "aoft_net_bytes_received_total",
-            "Bytes read from the socket per link.",
-            &self.net_bytes_received,
-        );
-        family(
-            &mut out,
             "aoft_net_send_retries_total",
             "Frame write retries per link.",
             &self.net_send_retries,
@@ -549,36 +512,6 @@ impl Registry {
             "aoft_net_peer_dead_total",
             "Peers declared dead by the failure detector, per link.",
             &self.net_peer_dead,
-        );
-        gauge(
-            &mut out,
-            "aoft_reactor_threads",
-            "Reactor threads currently running.",
-            &self.reactor_threads,
-        );
-        gauge(
-            &mut out,
-            "aoft_reactor_links",
-            "Sockets currently registered with a reactor.",
-            &self.reactor_links,
-        );
-        counter(
-            &mut out,
-            "aoft_reactor_wakeups_total",
-            "Reactor loop iterations.",
-            &self.reactor_wakeups,
-        );
-        counter(
-            &mut out,
-            "aoft_reactor_tx_backpressure_total",
-            "Sends that waited on a full per-link tx queue.",
-            &self.reactor_tx_backpressure,
-        );
-        count_histogram(
-            &mut out,
-            "aoft_reactor_frames_per_write",
-            "Frames coalesced into each vectored tx write.",
-            &self.reactor_frames_per_write,
         );
         gauge(
             &mut out,
@@ -783,12 +716,12 @@ mod tests {
         reg.queue_depth.set(2);
         reg.job_latency.record(Duration::from_millis(12));
         reg.violations.add("phi_p", 1);
-        reg.net_bytes_sent.add("0→1#0", 640);
+        reg.mux_bytes_sent.add("0~1", 640);
         reg.fleet_cube_health.set("0", 1);
         reg.batch_occupancy.record_count(4);
         reg.batch_flushes.add("size", 1);
         reg.batch_jobs_coalesced.add(4);
-        reg.reactor_frames_per_write.record_count(8);
+        reg.mux_frames_per_write.record_count(8);
         let text = reg.render_prometheus();
         for name in [
             "aoft_jobs_submitted_total",
@@ -796,13 +729,12 @@ mod tests {
             "aoft_job_latency_seconds_bucket",
             "aoft_job_latency_seconds_count",
             "aoft_violations_total{predicate=\"phi_p\"}",
-            "aoft_net_bytes_sent_total{link=\"0→1#0\"}",
+            "aoft_mux_bytes_sent_total{session=\"0~1\"}",
             "aoft_net_peer_dead_total 0",
             "aoft_job_effort_ticks_total",
             "aoft_adv_mutations_total 0",
             "aoft_adv_drops_total 0",
-            "aoft_reactor_threads",
-            "aoft_reactor_wakeups_total",
+            "aoft_mux_sessions",
             "aoft_fleet_cubes",
             "aoft_fleet_jobs_routed_total 0",
             "aoft_fleet_cube_health{cube=\"0\"} 1",
@@ -811,8 +743,8 @@ mod tests {
             "aoft_batch_occupancy_count 1",
             "aoft_batch_flushes_total{trigger=\"size\"} 1",
             "aoft_batch_jobs_coalesced_total 4",
-            "aoft_reactor_frames_per_write_bucket{le=\"8\"}",
-            "aoft_reactor_frames_per_write_count 1",
+            "aoft_mux_frames_per_write_bucket{le=\"8\"}",
+            "aoft_mux_frames_per_write_count 1",
         ] {
             assert!(text.contains(name), "missing {name} in:\n{text}");
         }

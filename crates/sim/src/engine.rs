@@ -110,7 +110,7 @@ impl<T> RunReport<T> {
 /// `Engine` is generic over the [`Transport`] that carries node-to-node
 /// traffic. The default, [`InProc`], moves packets over in-process channels
 /// — the original simulator. [`Engine::with_transport`] substitutes any
-/// other medium (e.g. `aoft_net::TcpTransport` for a real-socket cluster)
+/// other medium (e.g. `aoft_net::MuxTransport` for a real-socket cluster)
 /// without touching program code: host links and error signalling stay
 /// in-process because the paper's host links are reliable by assumption 2,
 /// and the medium under test is the node interconnect.

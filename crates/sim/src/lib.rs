@@ -79,8 +79,7 @@ mod trace;
 
 pub use adversary::{Action, Adversary, AdversarySet, SendContext};
 pub use aoft_net::{
-    Backoff, InProc, LinkCache, LinkId, MappedTransport, NetError, ReactorConfig, ReactorTransport,
-    TcpConfig, TcpTransport, Transport, Wire,
+    Backoff, InProc, LinkCache, LinkId, MappedTransport, NetError, Transport, Wire,
 };
 pub use config::SimConfig;
 pub use det::DetEngine;

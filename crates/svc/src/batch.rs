@@ -13,8 +13,8 @@
 //!
 //! * **size** — the batch reached `batch_max`;
 //! * **deadline** — the flush window ([`SvcConfig::batch_flush`], tracked
-//!   on the same [`TimerWheel`] the reactor uses) expired while the queue
-//!   was empty;
+//!   on the same [`TimerWheel`] the mux tx servicers use) expired while the
+//!   queue was empty;
 //! * **boundary** — the next queued job is incompatible; it stays queued
 //!   (FIFO order is never reordered around) and the batch flushes early;
 //! * **solo** — batching is off (`batch_max = 1`), or the *first* job

@@ -492,11 +492,7 @@ mod tests {
         let parent_control = MuxTransport::bind(MuxConfig::default()).expect("bind parent");
         let parent_addr = parent_control.local_addr();
         let host = std::thread::spawn(move || {
-            let cube = MuxTransport::bind(MuxConfig::default()).expect("bind cube loopback");
-            let addr = cube.local_addr();
-            for label in 0..8 {
-                cube.set_peer(label, addr);
-            }
+            let cube = MuxTransport::loopback(8).expect("bind cube loopback");
             let svc = SvcConfig::new(3).recv_timeout(Duration::from_millis(800));
             CubeHost::serve(101, parent_addr, svc, cube).expect("host serves until close");
         });

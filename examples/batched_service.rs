@@ -6,7 +6,7 @@
 //! ```
 //!
 //! A single-worker `SortService` with `batch_max = 16` takes a burst of 64
-//! jobs over the nonblocking reactor backend. The worker's batcher coalesces
+//! jobs over loopback mux sessions. The worker's batcher coalesces
 //! compatible queued jobs into composite-key attempts — each job's keys
 //! tagged with its batch sequence number, so one lexicographic `S_FT` run
 //! sorts every job's keys into its own contiguous segment and a demux splits
@@ -21,8 +21,9 @@ mod common;
 
 use std::time::{Duration, Instant};
 
+use aoft::net::MuxTransport;
 use aoft::svc::{JobSpec, SortService, SvcConfig};
-use common::{demo_keys, loopback_reactor_cluster, sorted};
+use common::{demo_keys, sorted};
 
 const JOBS: u64 = 64;
 
@@ -32,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .batch_max(16)
         .batch_flush(Duration::from_millis(2))
         .recv_timeout(Duration::from_millis(800));
-    let service = SortService::start(config, loopback_reactor_cluster(8)?)?;
+    let service = SortService::start(config, MuxTransport::loopback(8)?)?;
 
     println!("burst-submitting {JOBS} jobs into one worker (batch_max = 16)\n");
     let started = Instant::now();

@@ -29,8 +29,9 @@ use std::time::Duration;
 use aoft::adv::ByzantineTransport;
 use aoft::faults::{FaultKind, FaultPlan, Trigger};
 use aoft::hypercube::NodeId;
+use aoft::net::MuxTransport;
 use aoft::svc::{JobSpec, SortService, SvcConfig};
-use common::{demo_keys, loopback_cluster, sorted};
+use common::{demo_keys, sorted};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     const TWO_FACED: u32 = 0;
@@ -40,7 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Trigger::always(),
         0xE0_0D,
     );
-    let transport = ByzantineTransport::new(loopback_cluster(8)?, plan);
+    let transport = ByzantineTransport::new(MuxTransport::loopback(8)?, plan);
 
     let config = SvcConfig::new(3)
         .max_attempts(4)

@@ -2,8 +2,7 @@
 //!
 //! Each example is its own crate rooted at `examples/<name>.rs`; they all
 //! `mod common;` this file instead of repeating the cube bring-up
-//! boilerplate (deterministic demo keys, loopback TCP clusters, the
-//! standard `S_FT` builder).
+//! boilerplate (deterministic demo keys, the standard `S_FT` builder).
 
 // Every example uses a subset of these helpers; the rest would otherwise
 // trip dead-code warnings per example crate.
@@ -11,7 +10,6 @@
 
 use std::time::Duration;
 
-use aoft::sim::{ReactorConfig, ReactorTransport, TcpConfig, TcpTransport};
 use aoft::sort::{Algorithm, Key, SortBuilder};
 
 /// Deterministic, scattered demo keys: a multiplicative hash over `0..n`,
@@ -28,33 +26,6 @@ pub fn sorted(keys: &[Key]) -> Vec<Key> {
     let mut expected = keys.to_vec();
     expected.sort_unstable();
     expected
-}
-
-/// Binds a fresh loopback TCP transport and maps all `nodes` labels to its
-/// own listener — a whole cube in one process, every compare-exchange
-/// crossing a real socket. In the multi-process case each label's
-/// `set_peer` would point at a different machine instead.
-pub fn loopback_cluster(nodes: u32) -> Result<TcpTransport, Box<dyn std::error::Error>> {
-    let transport = TcpTransport::bind(TcpConfig::default())?;
-    let addr = transport.local_addr();
-    for label in 0..nodes {
-        transport.set_peer(label, addr);
-    }
-    Ok(transport)
-}
-
-/// Like [`loopback_cluster`], but over the nonblocking reactor backend:
-/// the whole cube's links are multiplexed onto a fixed pool of reactor
-/// threads instead of two OS threads per link.
-pub fn loopback_reactor_cluster(
-    nodes: u32,
-) -> Result<ReactorTransport, Box<dyn std::error::Error>> {
-    let transport = ReactorTransport::bind(ReactorConfig::default())?;
-    let addr = transport.local_addr();
-    for label in 0..nodes {
-        transport.set_peer(label, addr);
-    }
-    Ok(transport)
 }
 
 /// The standard fail-stop sorter: `S_FT` over `nodes` nodes with a receive

@@ -1,12 +1,12 @@
-//! A fleet of sort cubes over reactor TCP, surviving a cube-killing fault.
+//! A fleet of sort cubes over loopback TCP, surviving a cube-killing fault.
 //!
 //! ```text
 //! cargo run --example fleet
 //! ```
 //!
 //! Three d=3 cubes — two active, one standby spare — run behind a
-//! [`FleetRouter`], every cube on its own loopback *reactor* TCP transport
-//! (nonblocking sockets on a fixed thread pool, not two threads per link).
+//! [`FleetRouter`], every cube on its own loopback [`MuxTransport`] (one TCP
+//! session per peer pair on a fixed thread pool, not a socket per link).
 //! Mid-stream, node 5 of cube 1 goes permanently fail-silent. The cube's
 //! own attempt budget is 1, so the in-flight job fails *loudly* at the cube
 //! level; the fleet layer then takes over:
@@ -27,8 +27,9 @@ mod common;
 use std::time::Duration;
 
 use aoft::faults::{FaultyTransport, LinkFault};
+use aoft::net::MuxTransport;
 use aoft::svc::{FleetConfig, FleetRouter, JobSpec, SvcConfig};
-use common::{demo_keys, loopback_reactor_cluster, sorted};
+use common::{demo_keys, sorted};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // One attempt per job: a cube-level fault is not retried inside the
@@ -40,14 +41,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .recv_timeout(Duration::from_millis(800));
     let config = FleetConfig::new(cube, 2).spares(1);
 
-    // Every cube gets its own reactor transport; cube 1's is additionally
+    // Every cube gets its own mux transport; cube 1's is additionally
     // wrapped with a fail-silent kill on node 5 after 10 frames per link —
     // a few jobs in, mid-stream (a d=3 job puts ~3 frames on the busiest
     // outgoing link of a node).
     let router = FleetRouter::start(config, |i| {
-        let transport = loopback_reactor_cluster(8)
-            .map_err(|e| aoft::net::NetError::Io(format!("cube {i} bring-up: {e}")))?;
-        let mut faulty = FaultyTransport::new(transport, 0xf1ee7 + i as u64);
+        let mut faulty = FaultyTransport::new(MuxTransport::loopback(8)?, 0xf1ee7 + i as u64);
         if i == 1 {
             faulty = faulty.fault_sender(
                 5,
@@ -60,7 +59,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Ok(faulty)
     })?;
 
-    println!("fleet: 2 active d=3 cubes + 1 spare, reactor TCP loopback");
+    println!("fleet: 2 active d=3 cubes + 1 spare, mux sessions over loopback TCP");
     println!("cube 1 node 5 dies fail-silent mid-stream\n");
 
     let mut failovers = 0usize;
@@ -126,12 +125,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "aoft_fleet_cube_health",
         "aoft_fleet_failovers_total",
         "aoft_fleet_spares_promoted_total",
-        "aoft_reactor_threads",
-        "aoft_reactor_wakeups_total",
+        "aoft_mux_sessions",
+        "aoft_mux_bytes_sent_total",
     ] {
         assert!(text.contains(family), "missing {family} in scrape");
     }
-    println!("\nfleet + reactor families present on the metrics scrape ✓");
+    println!("\nfleet + mux families present on the metrics scrape ✓");
 
     router.shutdown();
     println!("fleet survived a mid-stream cube fault: failover, quarantine, spare promotion — zero silent corruption");

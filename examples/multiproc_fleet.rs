@@ -60,11 +60,7 @@ fn cube_host(
     parent: SocketAddr,
     kill_node: Option<u32>,
 ) -> Result<(), Box<dyn std::error::Error>> {
-    let cube = MuxTransport::bind(MuxConfig::default())?;
-    let addr = cube.local_addr();
-    for node in 0..8 {
-        cube.set_peer(node, addr);
-    }
+    let cube = MuxTransport::loopback(8)?;
     // Attempt budget 1 makes a cube-level fault surface immediately as a
     // loud `Failed` (the fleet handles it); quarantine on the first strike
     // means the next job already runs degraded around the dead node.

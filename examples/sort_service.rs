@@ -25,8 +25,9 @@ mod common;
 use std::time::Duration;
 
 use aoft::faults::{FaultyTransport, LinkFault};
+use aoft::net::MuxTransport;
 use aoft::svc::{JobSpec, SortService, SvcConfig};
-use common::{demo_keys, loopback_cluster, sorted};
+use common::{demo_keys, sorted};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Node 5 dies fail-silent once each of its links has carried 40 frames
@@ -36,7 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         kill_after: Some(40),
         ..LinkFault::default()
     };
-    let transport = FaultyTransport::new(loopback_cluster(8)?, 0x5e7c).fault_sender(5, kill);
+    let transport = FaultyTransport::new(MuxTransport::loopback(8)?, 0x5e7c).fault_sender(5, kill);
 
     let config = SvcConfig::new(3)
         .max_attempts(4)
@@ -83,7 +84,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Live scrape of the Prometheus endpoint: the fault shows up as Φ
     // violations and a quarantine event next to the routine job, queue,
-    // predicate, and per-link traffic counters.
+    // predicate, and per-session traffic counters.
     let exposition = aoft::obs::scrape(metrics_addr)?;
     let samples = aoft::obs::prom::parse_samples(&exposition).map_err(std::io::Error::other)?;
     println!("\nscrape of http://{metrics_addr}/metrics:");
@@ -93,12 +94,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "aoft_quarantine_total",
         "aoft_predicate_checks_total",
         "aoft_violations_total",
-        "aoft_net_bytes_sent_total",
+        "aoft_mux_bytes_sent_total",
     ] {
         println!("  {name} = {}", samples[name]);
     }
     assert!(samples["aoft_predicate_checks_total"] > 0.0);
-    assert!(samples["aoft_net_bytes_sent_total"] > 0.0);
+    assert!(samples["aoft_mux_bytes_sent_total"] > 0.0);
     assert!(
         samples["aoft_violations_total"] > 0.0 || samples["aoft_quarantine_total"] > 0.0,
         "the injected kill must be visible on the scrape"

@@ -5,9 +5,10 @@
 //! ```
 //!
 //! The simulator's node programs are transport-agnostic: handing
-//! [`SortBuilder::run_on`] a [`TcpTransport`] runs the identical `S_FT`
+//! [`SortBuilder::run_on`] a [`MuxTransport`] runs the identical `S_FT`
 //! schedule with every compare-exchange crossing a real socket — framed,
-//! checksummed, heartbeat-monitored. Two runs are shown:
+//! checksummed, heartbeat-monitored, one session per peer pair. Two runs
+//! are shown:
 //!
 //! 1. a clean sort of 64 keys across the 8 nodes;
 //! 2. the same sort with node 5's outgoing links cut mid-stage (a
@@ -19,14 +20,15 @@
 mod common;
 
 use aoft::faults::{FaultyTransport, LinkFault};
+use aoft::net::MuxTransport;
 use aoft::sort::SortError;
-use common::{demo_keys, loopback_cluster, sft_builder, sorted};
+use common::{demo_keys, sft_builder, sorted};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let keys = demo_keys(64, 0);
 
     // Run 1: the cube sorts over TCP.
-    let report = sft_builder(keys.clone(), 8).run_on(loopback_cluster(8)?)?;
+    let report = sft_builder(keys.clone(), 8).run_on(MuxTransport::loopback(8)?)?;
     assert_eq!(report.output(), sorted(&keys).as_slice());
     println!(
         "clean run: {} keys sorted over loopback TCP by {} nodes \
@@ -43,7 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         kill_after: Some(2),
         ..LinkFault::default()
     };
-    let faulty = FaultyTransport::new(loopback_cluster(8)?, 0xA0F7).fault_sender(5, kill);
+    let faulty = FaultyTransport::new(MuxTransport::loopback(8)?, 0xA0F7).fault_sender(5, kill);
     match sft_builder(keys, 8).run_on(faulty) {
         Ok(_) => unreachable!("a silenced peer must not yield a sorted result"),
         Err(SortError::Detected { reports, .. }) => {

@@ -13,8 +13,8 @@
 //! * [`sort`] — the paper's contribution: the non-redundant bitonic sort
 //!   `S_NR`, the fault-tolerant `S_FT` with the constraint predicate
 //!   (Φ_P, Φ_F, Φ_C), block variants, and the host-sequential baselines.
-//! * [`net`] — pluggable transports: in-process channels, TCP links with
-//!   heartbeat failure detection, and transport-level fault injection.
+//! * [`net`] — the link medium: in-process channels, or multiplexed TCP
+//!   sessions (one per peer pair) with heartbeat failure detection.
 //! * [`svc`] — a resident sorting service: bounded job queue with admission
 //!   control, a worker pool multiplexing the cube over any transport, and a
 //!   diagnosis-driven recovery loop (quarantine + degraded-mode retry).

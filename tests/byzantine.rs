@@ -15,17 +15,8 @@ use std::time::Duration;
 use aoft::adv::ByzantineTransport;
 use aoft::faults::{FaultKind, FaultPlan, Trigger};
 use aoft::hypercube::NodeId;
-use aoft::net::{TcpConfig, TcpTransport};
+use aoft::net::MuxTransport;
 use aoft::svc::{JobSpec, SortService, SvcConfig};
-
-fn loopback(nodes: u32) -> TcpTransport {
-    let transport = TcpTransport::bind(TcpConfig::default()).expect("bind loopback");
-    let addr = transport.local_addr();
-    for label in 0..nodes {
-        transport.set_peer(label, addr);
-    }
-    transport
-}
 
 #[test]
 fn tcp_two_faced_node_is_quarantined_by_name() {
@@ -36,7 +27,8 @@ fn tcp_two_faced_node_is_quarantined_by_name() {
         Trigger::always(),
         0xE0_0D,
     );
-    let transport = ByzantineTransport::new(loopback(8), plan);
+    let loopback = MuxTransport::loopback(8).expect("bind loopback");
+    let transport = ByzantineTransport::new(loopback, plan);
     let config = SvcConfig::new(3)
         .workers(1)
         .max_attempts(4)

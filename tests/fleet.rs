@@ -208,14 +208,7 @@ fn backpressure_aggregates_across_every_cube() {
 fn fleet_soak_streams_ten_thousand_jobs() {
     let backend = std::env::var("AOFT_FLEET_BACKEND").unwrap_or_else(|_| "inproc".into());
     match backend.as_str() {
-        "mux" => run_fleet_soak(|_| {
-            let transport = aoft::net::MuxTransport::bind(aoft::net::MuxConfig::default())?;
-            let addr = transport.local_addr();
-            for label in 0..(1u32 << DIM) {
-                transport.set_peer(label, addr);
-            }
-            Ok(transport)
-        }),
+        "mux" => run_fleet_soak(|_| aoft::net::MuxTransport::loopback(1 << DIM)),
         "inproc" => run_fleet_soak(|_| Ok(InProc::new())),
         other => panic!("AOFT_FLEET_BACKEND={other} is not a soak backend (inproc | mux)"),
     }

@@ -1,4 +1,4 @@
-//! The reactor transport's thread claim, in a test binary of its own: the
+//! The socket transport's thread claim, in a test binary of its own: the
 //! test counts the threads of the whole process in `/proc/self/task`, so it
 //! must not share a process with tests that spawn cubes of their own.
 
@@ -8,7 +8,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use aoft::sim::{ReactorConfig, ReactorTransport};
+use aoft::net::{MuxConfig, MuxTransport};
 use aoft::sort::{Algorithm, SortBuilder};
 
 /// Live threads in this process, via the kernel's own ledger.
@@ -18,10 +18,11 @@ fn live_threads() -> Option<usize> {
         .map(|dir| dir.count())
 }
 
-/// The tentpole claim, measured: a d=6 cube has 384 directed links, which
-/// costs the threaded backend 768 dedicated transport threads. The reactor
-/// multiplexes all of them onto its fixed pool, so the process peak stays
-/// around nodes + reactors — an order of magnitude below thread-per-link.
+/// The thread claim, measured: a d=6 cube has 384 directed links, which
+/// would cost a thread-per-link design 768 dedicated transport threads.
+/// `MuxTransport` services all of them from its fixed pool, so the process
+/// peak stays around nodes + pool — an order of magnitude below
+/// thread-per-link.
 #[test]
 fn d6_cube_runs_on_a_bounded_thread_pool() {
     let Some(base) = live_threads() else {
@@ -30,21 +31,18 @@ fn d6_cube_runs_on_a_bounded_thread_pool() {
     };
 
     // Generous liveness margins: 64 compute threads on a small CI box can
-    // stall a reactor pass long enough for the default 500 ms silence
+    // stall a servicer pass long enough for the default 500 ms silence
     // window to fire spuriously. The thread-count claim needs an honest
     // run, not a tight failure detector.
-    let config = ReactorConfig {
+    let config = MuxConfig {
         connect_timeout: Duration::from_secs(10),
         heartbeat_interval: Duration::from_millis(100),
         heartbeat_timeout: Duration::from_secs(30),
-        ..ReactorConfig::default()
     };
-    let reactors = config.reactors;
-    let transport = ReactorTransport::bind(config).expect("bind loopback reactor");
-    let addr = transport.local_addr();
-    for label in 0..64 {
-        transport.set_peer(label, addr);
-    }
+    // The transport's whole pool: 2 tx servicers + 2 rx servicers + the
+    // acceptor, whatever the session count.
+    let pool = 2 + 2 + 1;
+    let transport = MuxTransport::bind(config).expect("bind loopback mux");
 
     // Sample the task count while the sort runs; keep the peak.
     let stop = Arc::new(AtomicBool::new(false));
@@ -66,21 +64,21 @@ fn d6_cube_runs_on_a_bounded_thread_pool() {
         .nodes(64)
         .recv_timeout(Duration::from_secs(10))
         .run_on(transport)
-        .expect("clean d=6 reactor run");
+        .expect("clean d=6 mux run");
     stop.store(true, Ordering::Relaxed);
     let peak = sampler.join().expect("sampler joins");
 
     assert_eq!(report.output(), common::sorted(&keys).as_slice());
     assert_eq!(report.blocks().len(), 64, "d=6 cube has 64 nodes");
 
-    // Peak extra threads ≈ 64 node threads + the reactor pool + harness
-    // slack. The threaded backend's *transport alone* would add 768.
+    // Peak extra threads ≈ 64 node threads + the servicer pool + harness
+    // slack. Thread-per-link's *transport alone* would add 768.
     let extra = peak.saturating_sub(base);
-    let budget = 64 + reactors + 32;
+    let budget = 64 + pool + 32;
     assert!(
         extra <= budget,
         "thread peak {peak} (base {base}, extra {extra}) exceeds {budget}; \
-         transport threads are not O(reactors)"
+         transport threads are not a fixed pool"
     );
     assert!(
         extra < 2 * 64 * 6,

@@ -7,16 +7,11 @@ mod common;
 use std::time::Duration;
 
 use aoft::faults::{FaultyTransport, LinkFault};
-use aoft::sim::{TcpConfig, TcpTransport};
+use aoft::net::MuxTransport;
 use aoft::svc::{JobError, JobSpec, SortService, SubmitError, SvcConfig};
 
-fn loopback(nodes: u32) -> TcpTransport {
-    let transport = TcpTransport::bind(TcpConfig::default()).expect("bind loopback listener");
-    let addr = transport.local_addr();
-    for label in 0..nodes {
-        transport.set_peer(label, addr);
-    }
-    transport
+fn loopback(nodes: u32) -> MuxTransport {
+    MuxTransport::loopback(nodes).expect("bind loopback listener")
 }
 
 fn job_keys(salt: i64) -> Vec<i32> {
@@ -205,15 +200,13 @@ fn metrics_endpoint_serves_prometheus_exposition() {
         "aoft_sort_runs_total",
         "aoft_sort_failstops_total",
         "aoft_error_reports_total",
-        "aoft_net_bytes_sent_total",
-        "aoft_net_bytes_received_total",
+        "aoft_net_send_retries_total",
         "aoft_net_heartbeat_misses_total",
         "aoft_net_peer_dead_total",
         "aoft_job_effort_ticks_total",
         "aoft_batch_occupancy",
         "aoft_batch_flushes_total",
         "aoft_batch_jobs_coalesced_total",
-        "aoft_reactor_frames_per_write",
         "aoft_mux_sessions",
         "aoft_mux_frames_per_write",
         "aoft_mux_wake_latency_us",
@@ -235,8 +228,9 @@ fn metrics_endpoint_serves_prometheus_exposition() {
     assert!(samples["aoft_attempts_total"] >= 8.0);
     assert!(samples["aoft_predicate_checks_total"] > 0.0);
     assert!(
-        samples["aoft_net_bytes_sent_total"] > 0.0,
-        "TCP links must account their frame bytes"
+        samples["aoft_mux_bytes_sent_total"] > 0.0
+            && samples["aoft_mux_bytes_received_total"] > 0.0,
+        "TCP sessions must account their frame bytes"
     );
     assert!(
         samples["aoft_violations_total"] > 0.0 || samples["aoft_quarantine_total"] > 0.0,
@@ -251,16 +245,10 @@ fn metrics_endpoint_serves_prometheus_exposition() {
 /// over multiplexed peer-pair sessions.
 #[test]
 fn mux_metrics_account_sessions_and_bytes() {
-    use aoft::net::{MuxConfig, MuxTransport};
-    let transport = MuxTransport::bind(MuxConfig::default()).expect("bind loopback mux");
-    let addr = transport.local_addr();
-    for label in 0..8 {
-        transport.set_peer(label, addr);
-    }
     let config = SvcConfig::new(3)
         .recv_timeout(Duration::from_millis(800))
         .metrics_addr("127.0.0.1:0".parse().unwrap());
-    let service = SortService::start(config, transport).expect("service starts");
+    let service = SortService::start(config, loopback(8)).expect("service starts");
     let endpoint = service.metrics_addr().expect("endpoint is enabled");
     for index in 0..4i64 {
         let keys = job_keys(900 + index);

@@ -8,9 +8,8 @@ mod common;
 
 use std::time::{Duration, Instant};
 
-use aoft::net::pool;
 use aoft::net::wire::{from_bytes, to_bytes};
-use aoft::sim::{TcpConfig, TcpTransport};
+use aoft::net::{pool, MuxTransport};
 use aoft::sort::{Algorithm, Block, LbsWire, Msg, MsgView, SortBuilder};
 use proptest::prelude::*;
 
@@ -98,14 +97,14 @@ proptest! {
 }
 
 /// Every wire buffer leased from the global pool during a full d=4 `S_FT`
-/// run over loopback TCP comes back: once the writer threads drain, the
+/// run over loopback TCP comes back: once the tx servicers drain, the
 /// outstanding-lease count returns to zero. This is the steady-state
 /// allocation discipline observed end to end — buffers cycle through the
 /// pool instead of being allocated per message.
 #[test]
 fn pool_reclaims_all_leases_after_d4_tcp_run() {
     let keys: Vec<i32> = (0..64i32).map(|x| x.wrapping_mul(-61) % 53).collect();
-    let transport = TcpTransport::bind(TcpConfig::default()).expect("bind loopback listener");
+    let transport = MuxTransport::loopback(16).expect("bind loopback listener");
     let report = SortBuilder::new(Algorithm::FaultTolerant)
         .keys(keys.clone())
         .nodes(16)
@@ -115,7 +114,7 @@ fn pool_reclaims_all_leases_after_d4_tcp_run() {
     let expected = common::sorted(&keys);
     assert_eq!(report.output(), expected.as_slice());
 
-    // Writer threads may still be flushing their last frames when run_on
+    // Tx servicers may still be flushing their last frames when run_on
     // returns; give them a bounded moment to hand their leases back.
     let deadline = Instant::now() + Duration::from_secs(5);
     loop {
