@@ -3,15 +3,15 @@
 
 use std::any::Any;
 use std::collections::HashMap;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 
-use crate::{CancelToken, LinkId, LinkRx, LinkTx, NetError, PollSlices, Transport};
+use crate::mailbox::{mailbox, MailboxRx, MailboxTx};
+use crate::{LinkId, LinkRx, LinkTx, NetError, Transport};
 
-/// Channel-pair registry: each `LinkId` lazily materializes one unbounded
-/// channel whose two endpoints are each claimable exactly once.
+/// Mailbox-pair registry: each `LinkId` lazily materializes one unbounded
+/// [`mailbox`] whose two endpoints are each claimable exactly once.
 ///
 /// Both endpoints are *moved out* on claim — the registry retains nothing —
 /// so dropping the claimed `LinkTx` disconnects the channel and the peer's
@@ -47,7 +47,7 @@ impl InProc {
     ) -> R {
         let mut links = self.links.lock();
         let entry = links.entry(link).or_insert_with(|| {
-            let (tx, rx) = unbounded::<M>();
+            let (tx, rx) = mailbox::<M>();
             ChannelEntry {
                 tx: Some(Box::new(tx)),
                 rx: Some(Box::new(rx)),
@@ -80,13 +80,13 @@ impl<M: Send + 'static> Transport<M> for InProc {
                 .tx
                 .take()
                 .ok_or_else(|| NetError::Io(format!("sender for link {link} already claimed")))?;
-            let tx = boxed.downcast::<Sender<M>>().map_err(|boxed| {
+            let tx = boxed.downcast::<MailboxTx<M>>().map_err(|boxed| {
                 entry.tx = Some(boxed);
                 NetError::Io(format!(
                     "link {link} already open with another message type"
                 ))
             })?;
-            Ok(Box::new(InProcTx(*tx)) as Box<dyn LinkTx<M>>)
+            Ok(tx as Box<dyn LinkTx<M>>)
         })
     }
 
@@ -100,52 +100,22 @@ impl<M: Send + 'static> Transport<M> for InProc {
                 .rx
                 .take()
                 .ok_or_else(|| NetError::Io(format!("receiver for link {link} already claimed")))?;
-            let rx = boxed.downcast::<Receiver<M>>().map_err(|boxed| {
+            let rx = boxed.downcast::<MailboxRx<M>>().map_err(|boxed| {
                 entry.rx = Some(boxed);
                 NetError::Io(format!(
                     "link {link} already open with another message type"
                 ))
             })?;
-            Ok(Box::new(InProcRx(*rx)) as Box<dyn LinkRx<M>>)
+            Ok(rx as Box<dyn LinkRx<M>>)
         })
-    }
-}
-
-struct InProcTx<M>(Sender<M>);
-
-impl<M: Send> LinkTx<M> for InProcTx<M> {
-    fn send(&self, msg: M) -> Result<(), NetError> {
-        self.0.send(msg).map_err(|_| NetError::Closed)
-    }
-}
-
-struct InProcRx<M>(Receiver<M>);
-
-impl<M: Send> LinkRx<M> for InProcRx<M> {
-    fn recv_deadline(&self, timeout: Duration, cancel: &CancelToken) -> Result<M, NetError> {
-        let deadline = Instant::now() + timeout;
-        let mut slices = PollSlices::new();
-        loop {
-            if cancel.is_cancelled() {
-                return Err(NetError::Cancelled);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(NetError::Timeout { waited: timeout });
-            }
-            let slice = slices.next_slice(deadline - now);
-            match self.0.recv_timeout(slice) {
-                Ok(msg) => return Ok(msg),
-                Err(RecvTimeoutError::Timeout) => continue,
-                Err(RecvTimeoutError::Disconnected) => return Err(NetError::Closed),
-            }
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mailbox::contract;
+    use crate::{CancelToken, LinkCache};
 
     fn open_pair(transport: &InProc, link: LinkId) -> (Box<dyn LinkTx<u32>>, Box<dyn LinkRx<u32>>) {
         let tx = transport.connect_tx(link, Duration::from_secs(1)).unwrap();
@@ -234,24 +204,24 @@ mod tests {
             tag: 0,
         };
         let (_tx, rx) = open_pair(&transport, link);
-        let cancel = CancelToken::new();
-        let observer = cancel.clone();
-        let start = Instant::now();
-        std::thread::scope(|scope| {
-            scope.spawn(move || {
-                std::thread::sleep(Duration::from_millis(30));
-                observer.cancel();
-            });
-            let err = rx
-                .recv_deadline(Duration::from_secs(30), &cancel)
-                .unwrap_err();
-            assert_eq!(err, NetError::Cancelled);
-        });
-        assert!(
-            start.elapsed() < Duration::from_secs(5),
-            "cancel took {:?}",
-            start.elapsed()
-        );
+        contract::cancel_interrupts_a_long_blocked_recv(&*rx);
+        contract::cancel_racing_recv_start_is_never_lost(&*rx);
+        contract::silent_deadline_wakes_exactly_once(&*rx);
+    }
+
+    #[test]
+    fn cached_receiver_follows_each_runs_token() {
+        // `LinkCache` hands every run the same endpoint under that run's
+        // fresh token.
+        let cache = LinkCache::new(InProc::new());
+        let link = LinkId {
+            from: 0,
+            to: 1,
+            tag: 0,
+        };
+        let _tx: Box<dyn LinkTx<u32>> = cache.connect_tx(link, Duration::from_secs(1)).unwrap();
+        let rx: Box<dyn LinkRx<u32>> = cache.connect_rx(link, Duration::from_secs(1)).unwrap();
+        contract::reused_receiver_follows_its_current_token(&*rx);
     }
 
     #[test]

@@ -19,10 +19,13 @@
 //! deadline, and a dead or silent peer yields an error the caller converts
 //! into an executable-assertion violation — never a silent wrong answer.
 //!
-//! Cancellation uses [`CancelToken`], a shared flag every blocked receive
-//! polls at a bounded slice ([`CANCEL_POLL_SLICE`]); when one node
-//! fail-stops the whole machine, peers blocked in `recv` observe it within
-//! one slice regardless of the transport in use.
+//! Cancellation is an event: [`CancelToken::cancel`] wakes every receiver
+//! blocked under the token. All receiving ends — [`InProc`] links, the
+//! simulator's host links, the typed inbox behind a mux receiver — are one
+//! [`mailbox`], the crate's single blocking-receive loop, so when one node
+//! fail-stops the whole machine, peers blocked in `recv` return at once
+//! regardless of the transport in use, and a receiver with nothing to do
+//! sleeps until its deadline without periodic wake-ups.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,6 +37,7 @@ mod error;
 pub mod frame;
 mod inproc;
 mod link;
+mod mailbox;
 mod mux;
 pub mod pool;
 mod remap;
@@ -42,11 +46,12 @@ pub mod wire;
 
 pub use backoff::Backoff;
 pub use cache::LinkCache;
-pub use cancel::{CancelToken, PollSlices, CANCEL_POLL_SLICE, CANCEL_POLL_SLICE_MAX};
+pub use cancel::CancelToken;
 pub use error::NetError;
 pub use frame::{FrameKind, FRAME_VERSION, MAX_FRAME_LEN};
 pub use inproc::InProc;
 pub use link::{LinkId, LinkRx, LinkTx, Transport};
+pub use mailbox::{mailbox, MailboxRx, MailboxTx};
 pub use mux::{MuxConfig, MuxTransport};
 pub use pool::BufPool;
 pub use remap::MappedTransport;

@@ -78,10 +78,12 @@ pub trait LinkTx<M>: Send {
 pub trait LinkRx<M>: Send {
     /// Blocks for the next message, for at most `timeout`.
     ///
-    /// Implementations poll `cancel` on the [`PollSlices`](crate::PollSlices)
-    /// ramp while blocked — never less often than
-    /// [`CANCEL_POLL_SLICE_MAX`](crate::CANCEL_POLL_SLICE_MAX) — so a
-    /// machine-wide fail-stop interrupts the wait promptly.
+    /// A blocked receive is woken by [`CancelToken::cancel`] on the token
+    /// it was called with — whichever token that is; an endpoint may serve
+    /// a different run's token on every call — and otherwise sleeps until a
+    /// message, the peer's close or the deadline: no periodic wake-ups.
+    /// Socket and in-process backends alike get this from the one
+    /// [`mailbox`](crate::mailbox) their receivers are built on.
     ///
     /// # Errors
     ///

@@ -3,11 +3,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use aoft_hypercube::{Hypercube, NodeId};
-use aoft_net::{InProc, LinkId, LinkRx, LinkTx, Transport};
+use aoft_net::{mailbox, InProc, LinkId, LinkRx, LinkTx, Transport};
 use crossbeam_channel::unbounded;
 
 use crate::adversary::AdversarySet;
-use crate::channel::{ChannelRx, ChannelTx};
 use crate::error::{ErrorReport, SimError};
 use crate::host::HostCtx;
 use crate::message::{Packet, Payload};
@@ -17,8 +16,8 @@ use crate::program::Program;
 use crate::trace::{Event, Trace};
 use crate::SimConfig;
 
-// The machine-wide fail-stop token now lives in the transport layer, where
-// every blocked receive — channel or socket — polls it.
+// The machine-wide fail-stop token lives in the transport layer, where
+// `cancel()` wakes every blocked receive — mailbox or socket.
 pub(crate) use aoft_net::CancelToken;
 
 /// How long link establishment may block per endpoint. Instant for
@@ -257,22 +256,22 @@ impl<T> Engine<T> {
             })
             .collect();
 
-        // Host links: raw channel pairs wrapped as link endpoints, so the
-        // contexts stay medium-agnostic. Deliberately not routed through the
-        // transport — host links are reliable by assumption 2, and the
-        // channel's disconnect-on-drop gives send-to-finished-host the
-        // LinkClosed error the baselines rely on.
+        // Host links: bare `aoft-net` mailboxes — the same link endpoints
+        // `InProc` hands out, so the contexts stay medium-agnostic.
+        // Deliberately not routed through the transport — host links are
+        // reliable by assumption 2, and the mailbox's closed-on-drop gives
+        // send-to-finished-host the LinkClosed error the baselines rely on.
         let mut to_host_txs: Vec<Box<dyn LinkTx<Packet<M>>>> = Vec::with_capacity(n);
         let mut to_host_rxs: Vec<Box<dyn LinkRx<Packet<M>>>> = Vec::with_capacity(n);
         let mut from_host_txs: Vec<Box<dyn LinkTx<Packet<M>>>> = Vec::with_capacity(n);
         let mut from_host_rxs: Vec<Box<dyn LinkRx<Packet<M>>>> = Vec::with_capacity(n);
         for _ in 0..n {
-            let (tx, rx) = unbounded();
-            to_host_txs.push(Box::new(ChannelTx(tx)));
-            to_host_rxs.push(Box::new(ChannelRx(rx)));
-            let (tx, rx) = unbounded();
-            from_host_txs.push(Box::new(ChannelTx(tx)));
-            from_host_rxs.push(Box::new(ChannelRx(rx)));
+            let (tx, rx) = mailbox();
+            to_host_txs.push(Box::new(tx));
+            to_host_rxs.push(Box::new(rx));
+            let (tx, rx) = mailbox();
+            from_host_txs.push(Box::new(tx));
+            from_host_rxs.push(Box::new(rx));
         }
 
         let (err_tx, err_rx) = unbounded();
@@ -342,6 +341,19 @@ impl<T> Engine<T> {
             (node_results, host_result, host_metrics, host_events)
         });
 
+        if let Some(first_cancel) = cancel.cancelled_at() {
+            // The fail-stop's fan-out: how long the halt took to reach every
+            // node thread, blocked receivers included.
+            aoft_obs::emit(
+                aoft_obs::Event::new("failstop_fanout")
+                    .job(job)
+                    .elapsed(first_cancel.elapsed())
+                    .detail(format!(
+                        "first cancel() to last of {n} node threads returned"
+                    )),
+            );
+        }
+
         drop(err_tx);
         let reports: Vec<ErrorReport> = err_rx.try_iter().collect();
         let report = assemble_report(node_results, host_metrics, host_events, reports);
@@ -388,7 +400,7 @@ pub(crate) fn assemble_report<T>(
             reports.push(ErrorReport {
                 detector: *id,
                 at: node_metrics[id.index()].finished_at,
-                code: 0,
+                code: ErrorReport::RUNTIME_FAILURE,
                 stage: None,
                 suspect: match err {
                     SimError::MissingMessage { from, .. } | SimError::LinkClosed { peer: from } => {

@@ -80,6 +80,13 @@ pub struct ErrorReport {
     pub detail: String,
 }
 
+impl ErrorReport {
+    /// The `code` of a report the engine files itself when a node died of a
+    /// runtime failure (missing message, closed link) without any assertion
+    /// having signalled. Application-layer violation codes start at 1.
+    pub const RUNTIME_FAILURE: u32 = 0;
+}
+
 impl fmt::Display for ErrorReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(

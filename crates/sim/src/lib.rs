@@ -64,7 +64,6 @@
 #![warn(missing_docs, missing_debug_implementations)]
 
 mod adversary;
-mod channel;
 mod config;
 mod det;
 mod engine;

@@ -155,17 +155,24 @@ fn missing_message_times_out() {
 
 #[test]
 fn signal_error_fail_stops_whole_machine() {
+    const JOB: u64 = 0x5167_0001;
     let program = |ctx: &mut NodeCtx<'_, Word>| -> Result<(), SimError> {
         if ctx.id().raw() == 2 {
+            // Long enough that a poll ramp would be at its coarsest slices.
+            std::thread::sleep(Duration::from_millis(250));
             ctx.signal_error(42, "synthetic violation");
             return Err(SimError::Cancelled);
         }
-        // Everyone else blocks on a message that never comes; cancellation
-        // must wake them long before the (long) timeout.
-        let partner = ctx.id().neighbor(0);
-        match ctx.recv_from(partner) {
-            Err(SimError::Cancelled) | Err(SimError::LinkClosed { .. }) => Ok(()),
-            Err(SimError::MissingMessage { .. }) => Ok(()),
+        // Everyone else blocks on a message that never comes; the
+        // cancellation itself must wake them — node links and host links
+        // alike — not a timer.
+        let result = if ctx.id().raw() % 2 == 0 {
+            ctx.recv_from(ctx.id().neighbor(0))
+        } else {
+            ctx.recv_host()
+        };
+        match result {
+            Err(SimError::Cancelled) => Ok(()),
             other => panic!("expected cancellation, got {other:?}"),
         }
     };
@@ -173,19 +180,42 @@ fn signal_error_fail_stops_whole_machine() {
         Hypercube::new(3).unwrap(),
         SimConfig::new()
             .cost_model(CostModel::unit())
-            .recv_timeout(Duration::from_secs(30)),
+            .recv_timeout(Duration::from_secs(30))
+            .job(JOB),
     );
-    let start = std::time::Instant::now();
-    let report = eng.run(&program);
-    assert!(
-        start.elapsed() < Duration::from_secs(5),
-        "cancel wakes receivers"
-    );
+    let (report, host_saw) = eng.run_with_host(&program, AdversarySet::honest(8), |host| {
+        host.recv_from(NodeId::new(0))
+    });
+    assert_eq!(host_saw.unwrap_err(), SimError::Cancelled);
     assert!(report.is_fail_stop());
     let primary = &report.reports()[0];
     assert_eq!(primary.detector, NodeId::new(2));
     assert_eq!(primary.code, 42);
     assert!(primary.detail.contains("synthetic"));
+
+    let fanout: Vec<_> = aoft_obs::recent_events()
+        .into_iter()
+        .filter(|e| e.kind == "failstop_fanout" && e.job == Some(JOB))
+        .collect();
+    assert_eq!(fanout.len(), 1, "one fan-out event per fail-stopped run");
+    let elapsed_us = fanout[0].elapsed_us.expect("fan-out duration");
+    assert!(
+        elapsed_us < 10_000,
+        "cancel() to last thread returned took {elapsed_us} µs"
+    );
+}
+
+#[test]
+fn clean_run_emits_no_fanout_event() {
+    const JOB: u64 = 0x5167_0002;
+    let eng = Engine::new(
+        Hypercube::new(2).unwrap(),
+        SimConfig::new().cost_model(CostModel::unit()).job(JOB),
+    );
+    assert!(!eng.run(&AllDimExchange).is_fail_stop());
+    assert!(!aoft_obs::recent_events()
+        .iter()
+        .any(|e| e.kind == "failstop_fanout" && e.job == Some(JOB)));
 }
 
 #[test]

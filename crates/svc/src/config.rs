@@ -35,7 +35,16 @@ pub struct SvcConfig {
     /// Φ_C equivocation proof only feeds the per-job avoid set — for
     /// harnesses that rotate transient faults through every node.
     pub quarantine_after: u32,
-    /// Initial inter-attempt backoff delay (doubles per retry).
+    /// First delay of the retry backoff schedule; doubles each time the
+    /// schedule is used. Time cures only absence, so the schedule applies
+    /// to exactly one kind of retry: the failed attempt reported something
+    /// *missing* (a receive timeout, closed link, dead peer or runtime
+    /// failure) **and** the retry runs on the very nodes that just failed
+    /// (nobody to avoid, or an avoid set cleared because it outgrew the
+    /// machine) — the transient-environment case. Every other retry — a
+    /// re-planned cube, or a fail-stop whose evidence is purely
+    /// Φ_P/Φ_F/Φ_C, which never fire because the machine was slow — starts
+    /// at once and leaves the schedule where it was.
     pub backoff_initial: Duration,
     /// Backoff cap.
     pub backoff_max: Duration,
@@ -61,8 +70,9 @@ pub struct SvcConfig {
 impl SvcConfig {
     /// A service on a `2^dim`-node cube with production-lean defaults:
     /// one worker, queue depth 64, 3 attempts per job, degraded mode down
-    /// to `d = 1`, quarantine after 2 strikes, 10→160 ms backoff, 800 ms
-    /// receive timeout, `S_FT`.
+    /// to `d = 1`, quarantine after 2 strikes, 10→160 ms backoff (served
+    /// only where [`backoff_initial`](Self::backoff_initial) says time can
+    /// help), 800 ms receive timeout, `S_FT`.
     pub fn new(dim: u32) -> Self {
         Self {
             dim,
@@ -124,7 +134,10 @@ impl SvcConfig {
         self
     }
 
-    /// Sets the inter-attempt backoff schedule.
+    /// Sets the backoff schedule a retry serves when — and only when — the
+    /// failed attempt's evidence is absence and the retry lands on the same
+    /// machine (see [`backoff_initial`](Self::backoff_initial)): time cures
+    /// only absence.
     pub fn backoff(mut self, initial: Duration, max: Duration) -> Self {
         self.backoff_initial = initial;
         self.backoff_max = max;

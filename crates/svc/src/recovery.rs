@@ -23,6 +23,48 @@ pub(crate) struct CubePlan {
     pub map: Vec<u32>,
 }
 
+/// When a retry may start, decided from what the failed attempt reported
+/// and where the retry would run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum RetryTiming {
+    /// The retry runs on other physical nodes than the attempt that failed:
+    /// whatever ailed those, waiting for them is pointless. Start now.
+    Replanned,
+    /// Same machine, and every report is a value predicate (Φ_P/Φ_F/Φ_C or
+    /// a structural check). A predicate never fires because the machine was
+    /// *slow*, so time cures nothing. Start now.
+    ValueEvidence,
+    /// Same machine, and some report says something was *absent* — a
+    /// receive timed out, a link closed, a peer died, a node failed at
+    /// run time. The transient-environment case: back off.
+    Absence,
+}
+
+/// The retry policy: back off only when time can help.
+///
+/// The next attempt waits iff the failed attempt's `reports` contain
+/// absence evidence **and** the retry lands on exactly the physical nodes
+/// that just failed (`failed.map == next.map`: an empty or cleared avoid
+/// set). Pure — it decides *when* the next attempt starts, never what any
+/// attempt checks, so Theorem 3 is untouched.
+pub(crate) fn retry_timing(
+    reports: &[ErrorReport],
+    failed: &CubePlan,
+    next: &CubePlan,
+) -> RetryTiming {
+    let dead_link = dead_link_code();
+    let absence = |report: &ErrorReport| {
+        report.code == dead_link || report.code == ErrorReport::RUNTIME_FAILURE
+    };
+    if failed.map != next.map {
+        RetryTiming::Replanned
+    } else if reports.iter().any(absence) {
+        RetryTiming::Absence
+    } else {
+        RetryTiming::ValueEvidence
+    }
+}
+
 /// What [`Recovery::record_failure`] learned from one fail-stopped attempt.
 pub(crate) struct FailureVerdict {
     /// Physical labels implicated by diagnosis (the job avoids these on its
@@ -121,10 +163,7 @@ impl Recovery {
                 newly_quarantined: Vec::new(),
             };
         }
-        let dead_link = Violation::MessageLost {
-            from: aoft_hypercube::NodeId::new(0),
-        }
-        .code();
+        let dead_link = dead_link_code();
         let equivocation = equivocation_codes();
         let diagnosis = diagnose(reports, plan.dim);
         let mut logical: BTreeSet<usize> = BTreeSet::new();
@@ -206,6 +245,15 @@ impl Recovery {
     }
 }
 
+/// The violation code of a missing message (receive timeout, closed link,
+/// dead peer): the one predicate whose evidence is *absence*.
+fn dead_link_code() -> u32 {
+    Violation::MessageLost {
+        from: aoft_hypercube::NodeId::new(0),
+    }
+    .code()
+}
+
 /// The violation codes whose named suspect constitutes an equivocation
 /// proof: the Φ_C checks fire them only when a sender's *own* entry
 /// disagreed with (or was missing from) a vertex-disjoint copy.
@@ -260,6 +308,85 @@ mod tests {
             stage: Some(0),
             suspect: Some(NodeId::new(suspect)),
             detail: String::new(),
+        }
+    }
+
+    fn value_only(detector: u32, code_of: Violation) -> ErrorReport {
+        ErrorReport {
+            detector: NodeId::new(detector),
+            at: Ticks::ZERO,
+            code: code_of.code(),
+            stage: code_of.stage_hint(),
+            suspect: None,
+            detail: String::new(),
+        }
+    }
+
+    #[test]
+    fn retry_backs_off_only_for_absence_on_the_same_machine() {
+        let full = CubePlan {
+            dim: 3,
+            map: (0..8).collect(),
+        };
+        let degraded = CubePlan {
+            dim: 2,
+            map: vec![0, 1, 2, 3],
+        };
+        let shifted = CubePlan {
+            dim: 3,
+            map: vec![0, 1, 2, 3, 4, 5, 6, 8],
+        };
+        let phi_p = value_only(1, Violation::NonBitonic { stage: 1 });
+        let phi_f = value_only(2, Violation::NotPermutation { stage: 2 });
+        let phi_c = bad_value(1, 5);
+        let timeout = missing_message(1, 5);
+        let runtime = ErrorReport {
+            code: ErrorReport::RUNTIME_FAILURE,
+            ..value_only(3, Violation::OutputRejected)
+        };
+        use RetryTiming::{Absence, Replanned, ValueEvidence};
+        let table: [(&str, Vec<ErrorReport>, &CubePlan, RetryTiming); 11] = [
+            ("Φ_P, same map", vec![phi_p.clone()], &full, ValueEvidence),
+            (
+                "Φ_P + Φ_F, same map",
+                vec![phi_p.clone(), phi_f],
+                &full,
+                ValueEvidence,
+            ),
+            ("Φ_C, same map", vec![phi_c.clone()], &full, ValueEvidence),
+            ("Φ_C, degraded", vec![phi_c.clone()], &degraded, Replanned),
+            (
+                "Φ_P, same dim other nodes",
+                vec![phi_p],
+                &shifted,
+                Replanned,
+            ),
+            ("timeout, same map", vec![timeout.clone()], &full, Absence),
+            (
+                "timeout, degraded",
+                vec![timeout.clone()],
+                &degraded,
+                Replanned,
+            ),
+            (
+                "value then timeout, same map",
+                vec![phi_c.clone(), timeout.clone()],
+                &full,
+                Absence,
+            ),
+            (
+                "value then timeout, degraded",
+                vec![phi_c, timeout],
+                &degraded,
+                Replanned,
+            ),
+            ("runtime failure, same map", vec![runtime], &full, Absence),
+            // Unreachable from the engine (a fail-stop always carries a
+            // report); nothing in an empty set says time would help.
+            ("no reports, same map", vec![], &full, ValueEvidence),
+        ];
+        for (case, reports, next, expect) in table {
+            assert_eq!(retry_timing(&reports, &full, next), expect, "{case}");
         }
     }
 

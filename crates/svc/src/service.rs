@@ -19,7 +19,7 @@ use crate::config::{ConfigError, SvcConfig};
 use crate::job::{JobError, JobHandle, JobId, JobReport, JobSpec, SubmitError};
 use crate::metrics::{MetricsSink, SvcMetrics};
 use crate::queue::{JobQueue, PushRefused, QueuedJob};
-use crate::recovery::{CubePlan, Recovery};
+use crate::recovery::{retry_timing, CubePlan, Recovery, RetryTiming};
 
 /// A resident sorting service over a shared transport.
 ///
@@ -225,17 +225,15 @@ where
             // Solo batches — and everything when `batch_max` is 1 — take
             // the original per-job path, byte for byte.
             let job = batch.jobs.into_iter().next().expect("batch of one");
-            let (result, effort) = run_job(&inner, slot, &job);
+            let (result, attempts, effort) = run_job(&inner, slot, &job);
+            let retries = attempts.saturating_sub(1) as u64;
             match &result {
-                Ok(report) => inner.metrics.job_completed(
-                    report.latency,
-                    (report.attempts - 1) as u64,
-                    effort,
-                    &report.metrics,
-                ),
-                Err(_) => inner
-                    .metrics
-                    .job_failed(inner.config.max_attempts.saturating_sub(1) as u64, effort),
+                Ok(report) => {
+                    inner
+                        .metrics
+                        .job_completed(report.latency, retries, effort, &report.metrics)
+                }
+                Err(_) => inner.metrics.job_failed(retries, effort),
             }
             let _ = job.reply.send(result);
         } else {
@@ -245,13 +243,93 @@ where
     }
 }
 
-/// One job's attempt loop: plan cube → run → on fail-stop diagnose, strike,
-/// back off, retry degraded.
+/// What a job (or a batch, across its re-splits) carries from one attempt
+/// to the next: the nodes its own fail-stops implicated, and the backoff
+/// schedule — which advances only when a retry actually waits.
+struct RetryState {
+    avoid: BTreeSet<u32>,
+    backoff: Backoff,
+}
+
+impl RetryState {
+    fn new(config: &SvcConfig) -> Self {
+        Self {
+            avoid: BTreeSet::new(),
+            backoff: Backoff::new(config.backoff_initial, config.backoff_max),
+        }
+    }
+}
+
+/// Plans the cube an attempt runs on and, for a retry, decides when it
+/// starts: at once, unless [`retry_timing`] says time can help — then, and
+/// only then, the worker serves the schedule's next delay. `failed` is
+/// the plan and reports of the attempt being retried (`None` on a first
+/// attempt). Both attempt loops begin every attempt here.
 ///
-/// The second return value is the job's total effort in ticks — node-time
-/// summed over every attempt, fail-stopped ones included, so the cost of
-/// retried work is billed whether or not the job ultimately succeeds.
-fn run_job<T>(inner: &Inner<T>, slot: usize, job: &QueuedJob) -> (Result<JobReport, JobError>, u64)
+/// `Err(healthy)` when fewer than `2^min_dim` trusted nodes remain.
+fn begin_attempt<T>(
+    inner: &Inner<T>,
+    job: JobId,
+    attempt: usize,
+    failed: Option<(&CubePlan, &[ErrorReport])>,
+    retry: &mut RetryState,
+) -> Result<CubePlan, usize>
+where
+    T: Transport<Packet<Msg>> + Send + Sync + 'static,
+{
+    let Some((failed_plan, reports)) = failed else {
+        return inner.recovery.plan(&retry.avoid);
+    };
+    let plan = inner.recovery.plan(&retry.avoid).or_else(|_| {
+        // The job-local avoid set has outgrown the machine: a timeout
+        // cascade implicated more nodes than any single fault can.
+        // A clean retry on whatever the service still trusts beats
+        // refusing the job — transient congestion clears, and a
+        // persistent fault re-detects loudly on the fresh attempt.
+        retry.avoid.clear();
+        inner.recovery.plan(&retry.avoid)
+    })?;
+    let (wait, reason) = match retry_timing(reports, failed_plan, &plan) {
+        RetryTiming::Replanned => (
+            Duration::ZERO,
+            format!(
+                "replanned d{}→d{} avoiding {:?}",
+                failed_plan.dim,
+                plan.dim,
+                retry.avoid.iter().collect::<Vec<_>>()
+            ),
+        ),
+        RetryTiming::ValueEvidence => (Duration::ZERO, "value evidence, same machine".into()),
+        RetryTiming::Absence => (
+            retry.backoff.next_delay(),
+            "absence, same machine: backoff".into(),
+        ),
+    };
+    aoft_obs::emit(
+        aoft_obs::Event::new("retry_scheduled")
+            .job(job.0)
+            .attempt(attempt as u32)
+            .elapsed(wait)
+            .detail(reason),
+    );
+    if wait > Duration::ZERO {
+        std::thread::sleep(wait);
+    }
+    Ok(plan)
+}
+
+/// One job's attempt loop: plan cube → run → on fail-stop diagnose, strike,
+/// retry (degraded when diagnosis named someone to avoid).
+///
+/// Returns the result, the attempts actually started, and the job's total
+/// effort in ticks — node-time summed over every attempt, fail-stopped ones
+/// included, so the cost of retried work is billed whether or not the job
+/// ultimately succeeds.
+fn run_job<T>(
+    inner: &Inner<T>,
+    slot: usize,
+    job: &QueuedJob,
+) -> (Result<JobReport, JobError>, usize, u64)
 where
     T: Transport<Packet<Msg>> + Send + Sync + 'static,
 {
@@ -259,27 +337,16 @@ where
     // Each worker slot owns `dim` consecutive link tags (validated ≤ 256 at
     // start), so concurrent jobs never share a physical link.
     let tag_base = (slot as u32 * config.dim) as u8;
-    let mut avoid: BTreeSet<u32> = BTreeSet::new();
+    let mut retry = RetryState::new(config);
     let mut detections: Vec<Vec<ErrorReport>> = Vec::new();
-    let mut backoff = Backoff::new(config.backoff_initial, config.backoff_max);
+    let mut failed_plan: Option<CubePlan> = None;
     let mut effort: u64 = 0;
 
     for attempt in 0..config.max_attempts {
-        if attempt > 0 {
-            let delay = backoff.next_delay();
-            if delay > Duration::ZERO {
-                std::thread::sleep(delay);
-            }
-        }
-        if attempt > 0 && inner.recovery.plan(&avoid).is_err() {
-            // The job-local avoid set has outgrown the machine: a timeout
-            // cascade implicated more nodes than any single fault can.
-            // A clean retry on whatever the service still trusts beats
-            // refusing the job — transient congestion clears, and a
-            // persistent fault re-detects loudly on the fresh attempt.
-            avoid.clear();
-        }
-        let plan = match inner.recovery.plan(&avoid) {
+        let failed = failed_plan
+            .as_ref()
+            .zip(detections.last().map(Vec::as_slice));
+        let plan = match begin_attempt(inner, job.id, attempt, failed, &mut retry) {
             Ok(plan) => plan,
             Err(healthy) => {
                 return (
@@ -287,6 +354,7 @@ where
                         healthy,
                         min_dim: config.min_dim,
                     }),
+                    attempt,
                     effort,
                 )
             }
@@ -300,6 +368,7 @@ where
                     "{} keys do not divide over the degraded {nodes}-node cube",
                     job.spec.keys.len()
                 ))),
+                attempt,
                 effort,
             );
         }
@@ -327,6 +396,7 @@ where
                 builder = builder.fault_plan(plan.clone());
             }
         }
+        let started = Instant::now();
         match std::panic::catch_unwind(AssertUnwindSafe(|| builder.run_on(transport))) {
             Ok(Ok(report)) => {
                 effort += report.metrics().effort();
@@ -347,6 +417,7 @@ where
                         effort,
                         trace: report.trace().clone(),
                     }),
+                    attempt + 1,
                     effort,
                 );
             }
@@ -359,13 +430,21 @@ where
                     aoft_obs::Event::new("attempt_failstop")
                         .job(job.id.0)
                         .attempt(attempt as u32)
+                        .elapsed(started.elapsed())
                         .detail(format!("{} report(s)", reports.len())),
                 );
-                digest_failure(inner, &reports, &plan, &mut avoid);
+                digest_failure(inner, &reports, &plan, &mut retry.avoid);
                 detections.push(reports);
+                failed_plan = Some(plan);
             }
-            Ok(Err(err)) => return (Err(JobError::Invalid(err.to_string())), effort),
-            Err(payload) => return (Err(JobError::Runtime(panic_message(payload))), effort),
+            Ok(Err(err)) => return (Err(JobError::Invalid(err.to_string())), attempt + 1, effort),
+            Err(payload) => {
+                return (
+                    Err(JobError::Runtime(panic_message(payload))),
+                    attempt + 1,
+                    effort,
+                )
+            }
         }
     }
     (
@@ -373,6 +452,7 @@ where
             attempts: config.max_attempts,
             detections,
         }),
+        config.max_attempts,
         effort,
     )
 }
@@ -409,16 +489,15 @@ where
     // One avoid set and one backoff schedule for the whole batch, shared
     // across re-splits: violations name nodes, not jobs, so what one half
     // learns the other must not re-discover.
-    let mut avoid: BTreeSet<u32> = BTreeSet::new();
-    let mut backoff = Backoff::new(inner.config.backoff_initial, inner.config.backoff_max);
+    let mut retry = RetryState::new(&inner.config);
     execute_batch(
         inner,
         slot,
         riders,
         codec,
         inner.config.max_attempts,
-        &mut avoid,
-        &mut backoff,
+        None,
+        &mut retry,
     );
 }
 
@@ -429,15 +508,17 @@ where
 /// the surviving subcube — split in half when it held two or more jobs, so
 /// a pathological interaction cannot pin every rider to the same fate.
 /// `budget` is the attempt budget shared down the recursion; each level
-/// consumes one attempt before splitting.
+/// consumes one attempt before splitting. `failed` is the plan and reports
+/// of the attempt these riders are retrying (`None` for a fresh batch);
+/// each re-split half decides its own retry timing from it.
 fn execute_batch<T>(
     inner: &Inner<T>,
     slot: usize,
     mut riders: Vec<BatchJob>,
     codec: CompositeCodec,
     budget: usize,
-    avoid: &mut BTreeSet<u32>,
-    backoff: &mut Backoff,
+    failed: Option<(&CubePlan, &[ErrorReport])>,
+    retry: &mut RetryState,
 ) where
     T: Transport<Packet<Msg>> + Send + Sync + 'static,
 {
@@ -457,20 +538,8 @@ fn execute_batch<T>(
         }
         return;
     }
-    let retrying = riders.iter().any(|r| r.attempts > 0);
-    if retrying {
-        let delay = backoff.next_delay();
-        if delay > Duration::ZERO {
-            std::thread::sleep(delay);
-        }
-        if inner.recovery.plan(avoid).is_err() {
-            // Same fallback as the solo path: a timeout cascade implicated
-            // more nodes than any single fault can; retry on what the
-            // service still trusts.
-            avoid.clear();
-        }
-    }
-    let plan = match inner.recovery.plan(avoid) {
+    let lead = &riders[0];
+    let plan = match begin_attempt(inner, lead.job.id, lead.attempts, failed, retry) {
         Ok(plan) => plan,
         Err(healthy) => {
             for rider in riders {
@@ -557,6 +626,7 @@ fn execute_batch<T>(
         .nodes(nodes)
         .recv_timeout(config.recv_timeout)
         .job(run_id);
+    let started = Instant::now();
     match std::panic::catch_unwind(AssertUnwindSafe(|| builder.run_on(transport))) {
         Ok(Ok(report)) => {
             let lens: Vec<usize> = riders.iter().map(|r| r.job.spec.keys.len()).collect();
@@ -629,26 +699,29 @@ fn execute_batch<T>(
                 aoft_obs::Event::new("attempt_failstop")
                     .job(riders[0].job.id.0)
                     .attempt((riders[0].attempts - 1) as u32)
+                    .elapsed(started.elapsed())
                     .detail(format!(
                         "{} report(s) over {} coalesced job(s)",
                         reports.len(),
                         riders.len()
                     )),
             );
-            digest_failure(inner, &reports, &plan, avoid);
+            digest_failure(inner, &reports, &plan, &mut retry.avoid);
             for rider in &mut riders {
                 rider.effort += effort_share(wasted, rider.job.spec.keys.len() as u64, total_len);
                 rider.detections.push(reports.clone());
             }
+            let failed = Some((&plan, reports.as_slice()));
+            let budget = budget - 1;
             if riders.len() >= 2 {
                 // Re-split: each half retries as its own (smaller) batch on
                 // the surviving subcube, sequentially, sharing the avoid
                 // set and backoff schedule.
                 let tail = riders.split_off(riders.len() / 2);
-                execute_batch(inner, slot, riders, codec, budget - 1, avoid, backoff);
-                execute_batch(inner, slot, tail, codec, budget - 1, avoid, backoff);
+                execute_batch(inner, slot, riders, codec, budget, failed, retry);
+                execute_batch(inner, slot, tail, codec, budget, failed, retry);
             } else {
-                execute_batch(inner, slot, riders, codec, budget - 1, avoid, backoff);
+                execute_batch(inner, slot, riders, codec, budget, failed, retry);
             }
         }
         Ok(Err(err)) => {
@@ -902,14 +975,49 @@ mod tests {
             .expect("admit")
             .wait()
             .expect_err("no healthy cube can remain");
-        assert!(
-            matches!(
-                err,
-                JobError::CubeExhausted { .. } | JobError::Exhausted { .. }
-            ),
-            "loud failure, got {err}"
-        );
-        assert_eq!(service.metrics().jobs_failed, 1);
+        // Retries are billed as made: a retry the cube could no longer
+        // host never started.
+        let retries_made = match err {
+            JobError::CubeExhausted { .. } => 0,
+            JobError::Exhausted { attempts, .. } => attempts as u64 - 1,
+            other => panic!("loud failure, got {other}"),
+        };
+        let snap = service.metrics();
+        assert_eq!(snap.jobs_failed, 1);
+        assert_eq!(snap.retries, retries_made, "billed for {err}");
+    }
+
+    #[test]
+    fn a_job_that_dies_on_its_first_attempt_is_billed_no_retries() {
+        /// A medium with no links: the engine panics establishing the first.
+        struct NoLinks;
+        impl Transport<Packet<Msg>> for NoLinks {
+            fn connect_tx(
+                &self,
+                _link: aoft_net::LinkId,
+                _deadline: Duration,
+            ) -> Result<Box<dyn aoft_net::LinkTx<Packet<Msg>>>, aoft_net::NetError> {
+                Err(aoft_net::NetError::Closed)
+            }
+            fn connect_rx(
+                &self,
+                _link: aoft_net::LinkId,
+                _deadline: Duration,
+            ) -> Result<Box<dyn aoft_net::LinkRx<Packet<Msg>>>, aoft_net::NetError> {
+                Err(aoft_net::NetError::Closed)
+            }
+        }
+        let service =
+            SortService::start(SvcConfig::new(2).max_attempts(3), NoLinks).expect("start");
+        let err = service
+            .submit(JobSpec::new(keys(8, 1)))
+            .expect("admit")
+            .wait()
+            .expect_err("no attempt can run");
+        assert!(matches!(err, JobError::Runtime(_)), "got {err}");
+        let snap = service.metrics();
+        assert_eq!(snap.jobs_failed, 1);
+        assert_eq!(snap.retries, 0, "one attempt made, none retried");
     }
 
     #[test]

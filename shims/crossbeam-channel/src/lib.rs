@@ -5,8 +5,8 @@
 //! `Sender`/`Receiver`, blocking/timed/non-blocking receives, and
 //! disconnection semantics (a channel is disconnected for receivers when
 //! every `Sender` is dropped, and for senders when every `Receiver` is
-//! dropped). The `select!` macro is intentionally absent: call sites were
-//! rewritten against deadline-sliced receives (see `aoft-net`).
+//! dropped). The `select!` macro is intentionally absent: a receive that
+//! must also answer to a cancellation uses `aoft-net`'s mailbox instead.
 
 #![forbid(unsafe_code)]
 

@@ -5,14 +5,17 @@
 
 mod common;
 
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+use aoft::adv::FrameInjector;
 use aoft::faults::{FaultKind, FaultPlan, FaultyTransport, LinkFault, Trigger};
 use aoft::hypercube::NodeId;
-use aoft::net::Transport;
+use aoft::net::{LinkId, LinkRx, LinkTx, NetError, Transport};
 use aoft::sim::{InProc, Packet};
-use aoft::sort::Msg;
-use aoft::svc::{JobSpec, SortService, SvcConfig};
+use aoft::sort::{Msg, Violation};
+use aoft::svc::{JobReport, JobSpec, SortService, SvcConfig};
 use proptest::prelude::*;
 
 /// One worker so queued jobs actually meet in its batcher; a short flush
@@ -190,4 +193,270 @@ fn batch_max_one_is_byte_identical_to_the_unbatched_path() {
         "every job is its own batch of one"
     );
     service.shutdown();
+}
+
+// ---------------------------------------------------------------------------
+// The retry policy under batching: each half of a re-split batch decides its
+// own retry timing from the joint attempt's evidence. Asserted on the
+// `retry_scheduled` events and the job reports, never on the clock.
+// ---------------------------------------------------------------------------
+
+/// A cube whose links out of one node lie for exactly one run — the wire-
+/// level twin of `JobSpec::fault_plan` ("transient: first attempt only"),
+/// which batched jobs cannot carry. Disarmed it is a plain transport, so the
+/// warm-up jobs that push this test's job ids past every id another test in
+/// this binary can emit events under (the event ring is process-wide) pass
+/// untouched; once armed, the first run to send claims the fault, and every
+/// other run — the retries included — passes untouched again.
+struct OneRunFault<T> {
+    inner: T,
+    plan: FaultPlan,
+    /// `DISARMED`, `ARMED`, or the id of the run that claimed the fault.
+    run: Arc<AtomicU64>,
+}
+
+const DISARMED: u64 = 0;
+const ARMED: u64 = u64::MAX;
+
+struct OneRunFaultTx {
+    inner: Box<dyn LinkTx<Packet<Msg>>>,
+    injector: Mutex<FrameInjector>,
+    run: Arc<AtomicU64>,
+}
+
+impl LinkTx<Packet<Msg>> for OneRunFaultTx {
+    fn send(&self, packet: Packet<Msg>) -> Result<(), NetError> {
+        let claimed = self
+            .run
+            .compare_exchange(ARMED, packet.job, Ordering::SeqCst, Ordering::SeqCst)
+            .unwrap_or_else(|current| current);
+        if claimed != ARMED && claimed != packet.job {
+            return self.inner.send(packet);
+        }
+        let outcome = self
+            .injector
+            .lock()
+            .unwrap()
+            .intercept(&packet.payload, packet.available_at)
+            .expect("adversary mutations stay within the Msg value space");
+        for payload in outcome.deliver {
+            self.inner.send(Packet {
+                src: packet.src,
+                dst: packet.dst,
+                available_at: packet.available_at,
+                seq: packet.seq,
+                job: packet.job,
+                payload,
+            })?;
+        }
+        Ok(())
+    }
+}
+
+impl<T: Transport<Packet<Msg>>> Transport<Packet<Msg>> for OneRunFault<T> {
+    fn connect_tx(
+        &self,
+        link: LinkId,
+        deadline: Duration,
+    ) -> Result<Box<dyn LinkTx<Packet<Msg>>>, NetError> {
+        let inner = self.inner.connect_tx(link, deadline)?;
+        let faulty = self.plan.specs().iter().find(|s| s.node.raw() == link.from);
+        Ok(match faulty {
+            Some(spec) => Box::new(OneRunFaultTx {
+                inner,
+                injector: Mutex::new(FrameInjector::new(spec, link)),
+                run: Arc::clone(&self.run),
+            }),
+            None => inner,
+        })
+    }
+
+    fn connect_rx(
+        &self,
+        link: LinkId,
+        deadline: Duration,
+    ) -> Result<Box<dyn LinkRx<Packet<Msg>>>, NetError> {
+        self.inner.connect_rx(link, deadline)
+    }
+}
+
+/// Job ids up to this can appear in another test's events.
+const WARM_UP_JOBS: usize = 8;
+
+/// The tests below number their jobs alike; they read the ring in turns.
+static EVENT_RING: Mutex<()> = Mutex::new(());
+
+/// Burst-submits a four-job batch to a service whose cube misbehaves per
+/// `plan` for the batch's first attempt only, and returns each half's rider
+/// reports with the `retry_scheduled` events of its lead job.
+fn recover_split_batch(
+    config: SvcConfig,
+    plan: FaultPlan,
+) -> [(Vec<JobReport>, Vec<aoft::obs::Event>); 2] {
+    let run = Arc::new(AtomicU64::new(DISARMED));
+    let transport = OneRunFault {
+        inner: InProc::new(),
+        plan,
+        run: Arc::clone(&run),
+    };
+    let service = SortService::start(config, transport).expect("start");
+    let warm_up: Vec<JobSpec> = (0..WARM_UP_JOBS as i64)
+        .map(|i| JobSpec::new(batch_keys(i, 8)))
+        .collect();
+    run_all(&service, &warm_up);
+    run.store(ARMED, Ordering::SeqCst);
+
+    let since = aoft::obs::Event::new("clock").ts_us;
+    let specs: Vec<JobSpec> = (200..204).map(|i| JobSpec::new(batch_keys(i, 8))).collect();
+    let handles: Vec<_> = specs
+        .iter()
+        .map(|spec| service.submit(spec.clone()).expect("admit"))
+        .collect();
+    let reports: Vec<JobReport> = handles
+        .into_iter()
+        .map(|handle| handle.wait().expect("a transient fault is survived"))
+        .collect();
+    for (spec, report) in specs.iter().zip(&reports) {
+        assert_eq!(
+            report.output,
+            common::sorted(&spec.keys),
+            "never silently wrong"
+        );
+        assert!(report.id.0 > WARM_UP_JOBS as u64);
+    }
+    service.shutdown();
+    let retries_of = |lead: &JobReport| -> Vec<aoft::obs::Event> {
+        aoft::obs::recent_events()
+            .into_iter()
+            .filter(|e| e.kind == "retry_scheduled" && e.job == Some(lead.id.0) && e.ts_us >= since)
+            .collect()
+    };
+    let (head, tail) = (reports[..2].to_vec(), reports[2..].to_vec());
+    let (head_retries, tail_retries) = (retries_of(&head[0]), retries_of(&tail[0]));
+    [(head, head_retries), (tail, tail_retries)]
+}
+
+/// `true` when all four riders were aboard one joint attempt that
+/// fail-stopped (so the batch re-split), `false` when the fault was masked.
+fn batch_was_split(halves: &[(Vec<JobReport>, Vec<aoft::obs::Event>); 2]) -> bool {
+    let riders = || halves.iter().flat_map(|(riders, _)| riders);
+    if riders().all(|r| r.attempts == 1) {
+        return false;
+    }
+    let joint = &halves[0].0[0].detections[0];
+    assert!(
+        riders().all(|r| r.detections.first() == Some(joint)),
+        "the four jobs did not share their first attempt"
+    );
+    true
+}
+
+#[test]
+fn resplit_halves_retry_at_once_on_value_evidence() {
+    let _turn = EVENT_RING.lock().unwrap_or_else(|e| e.into_inner());
+    let kinds = [
+        FaultKind::CorruptValue,
+        FaultKind::TwoFaced,
+        FaultKind::StuckStale,
+        FaultKind::Equivocate,
+        FaultKind::CorruptLbs,
+    ];
+    let absence = Violation::MessageLost {
+        from: NodeId::new(0),
+    }
+    .code();
+    let (mut replanned, mut same_machine) = ([0; 2], [0; 2]);
+    for kind in kinds {
+        for node in 0..8u32 {
+            let plan = FaultPlan::new().with_fault(
+                NodeId::new(node),
+                kind,
+                Trigger::from_seq(1),
+                0xba7c ^ u64::from(node),
+            );
+            let halves = recover_split_batch(batched_config(8), plan);
+            if !batch_was_split(&halves) {
+                continue;
+            }
+            for (half, (riders, retries)) in halves.iter().enumerate() {
+                let what = format!("{kind:?} at P{node}, half {half}");
+                let value_only = riders[0]
+                    .detections
+                    .iter()
+                    .flatten()
+                    .all(|r| r.code != absence && r.code != 0);
+                if !value_only {
+                    continue; // a lie that also starved someone: not this test's case
+                }
+                assert_eq!(retries.len(), riders[0].attempts - 1, "{what}");
+                let mut dim = 3;
+                for retry in retries {
+                    assert_eq!(retry.elapsed_us, Some(0), "{what}: no wait, {retry:?}");
+                    let reason = retry.detail.as_deref().expect("reason");
+                    if let Some(rest) = reason.strip_prefix(&format!("replanned d{dim}→d")) {
+                        dim = rest[..1].parse().expect("dimension");
+                        replanned[half] += 1;
+                    } else {
+                        assert_eq!(reason, "value evidence, same machine", "{what}");
+                        same_machine[half] += 1;
+                    }
+                }
+                for rider in riders {
+                    assert_eq!(rider.dim, dim, "{what}: rider {}", rider.id.0);
+                }
+            }
+        }
+    }
+    for half in 0..2 {
+        assert!(replanned[half] > 0, "half {half}: no fault named a suspect");
+        assert!(
+            same_machine[half] > 0,
+            "half {half}: no fault left the machine unchanged"
+        );
+    }
+}
+
+#[test]
+fn resplit_halves_back_off_on_absence_over_the_same_machine() {
+    let _turn = EVENT_RING.lock().unwrap_or_else(|e| e.into_inner());
+    // No degraded mode (min_dim = dim): whoever the timeouts implicate, the
+    // avoid set outgrows the machine, is cleared, and both halves retry on
+    // the map that just failed. Node 5 goes silent after the first message
+    // on each of its links, for the joint attempt only.
+    let config = batched_config(8).min_dim(3);
+    let backoff_initial = config.backoff_initial;
+    let plan = FaultPlan::new().with_fault(
+        NodeId::new(5),
+        FaultKind::DropMessages,
+        Trigger::from_seq(1),
+        0xd509,
+    );
+    let halves = recover_split_batch(config, plan);
+    assert!(
+        batch_was_split(&halves),
+        "a swallowed message is never masked"
+    );
+    let mut waits = Vec::new();
+    for (half, (riders, retries)) in halves.iter().enumerate() {
+        for rider in riders {
+            assert_eq!(rider.attempts, 2, "half {half}");
+            assert_eq!(rider.dim, 3, "half {half}: same machine");
+        }
+        assert_eq!(retries.len(), 1, "half {half}");
+        assert_eq!(
+            retries[0].detail.as_deref(),
+            Some("absence, same machine: backoff"),
+            "half {half}"
+        );
+        waits.push(Duration::from_micros(retries[0].elapsed_us.expect("wait")));
+    }
+    assert!(
+        waits[0] >= backoff_initial,
+        "first half waited {:?}",
+        waits[0]
+    );
+    assert!(
+        waits[1] > waits[0],
+        "the shared schedule advances when it is used: {waits:?}"
+    );
 }

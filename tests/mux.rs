@@ -285,8 +285,8 @@ fn detection_latency_is_bounded_by_recv_timeout() {
     );
 }
 
-/// A machine-wide cancel interrupts a receive blocked on a socket link
-/// promptly, even while the session's heartbeat timers and silence checks
+/// A machine-wide cancel wakes a receive blocked on a socket link at once,
+/// even while the session's heartbeat timers and silence checks
 /// stay live on the servicer threads.
 #[test]
 fn cancel_interrupts_mux_recv_under_live_timers() {
@@ -301,23 +301,24 @@ fn cancel_interrupts_mux_recv_under_live_timers() {
     let rx = Transport::<Packet<Msg>>::connect_rx(&transport, link, Duration::from_secs(2))
         .expect("claim");
 
+    // Blocked long enough (≥ 200 ms) that a poll ramp would be sleeping in
+    // its coarsest slices when the cancel lands.
     let cancel = CancelToken::new();
     let trip = cancel.clone();
     std::thread::spawn(move || {
-        std::thread::sleep(Duration::from_millis(100));
+        std::thread::sleep(Duration::from_millis(260));
         trip.cancel();
     });
-    let start = Instant::now();
     let err = rx
         .recv_deadline(Duration::from_secs(30), &cancel)
         .expect_err("nothing was sent");
+    let lag = cancel.cancelled_at().expect("cancelled").elapsed();
     assert!(
         matches!(err, aoft::net::NetError::Cancelled),
         "expected Cancelled, got {err:?}"
     );
     assert!(
-        start.elapsed() < Duration::from_secs(5),
-        "cancel took {:?}; the poll ramp is broken",
-        start.elapsed()
+        lag < Duration::from_millis(25),
+        "cancel() to return took {lag:?}; cancellation is an event, not a poll"
     );
 }

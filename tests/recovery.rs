@@ -3,11 +3,14 @@
 
 mod common;
 
+use std::sync::Mutex;
 use std::time::Duration;
 
 use aoft::faults::{FaultKind, FaultPlan, Trigger};
 use aoft::hypercube::NodeId;
-use aoft::sort::{diagnosis, Algorithm, SortBuilder, SortError};
+use aoft::sim::InProc;
+use aoft::sort::{diagnosis, Algorithm, SortBuilder, SortError, Violation};
+use aoft::svc::{JobReport, JobSpec, SortService, SvcConfig};
 
 fn builder() -> SortBuilder {
     SortBuilder::new(Algorithm::FaultTolerant)
@@ -109,4 +112,158 @@ fn delayed_messages_never_produce_wrong_output() {
             }
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// The service's retry policy: a retry starts at once unless the evidence is
+// absence *and* it lands on the machine that just failed. Asserted on the
+// `retry_scheduled` events and the job reports, never on the clock.
+// ---------------------------------------------------------------------------
+
+/// Every service numbers its jobs from 1 and the event ring is process-wide,
+/// so the tests that read it take turns.
+static EVENT_RING: Mutex<()> = Mutex::new(());
+
+/// Runs one job carrying `plan` (a transient fault: first attempt only) on a
+/// fresh service and returns its report with the `retry_scheduled` events it
+/// caused, oldest first.
+fn recover(config: SvcConfig, plan: FaultPlan) -> (JobReport, Vec<aoft::obs::Event>) {
+    let since = aoft::obs::Event::new("clock").ts_us;
+    let service = SortService::start(config, InProc::new()).expect("start");
+    let keys: Vec<i32> = (0..64).map(|x| (x * 97 + 13) % 61).collect();
+    let handle = service
+        .submit(JobSpec::new(keys.clone()).fault_plan(plan))
+        .expect("admit");
+    let job = handle.id().0;
+    let report = handle.wait().expect("a transient fault is survived");
+    assert_eq!(report.output, common::sorted(&keys), "never silently wrong");
+    let retries = aoft::obs::recent_events()
+        .into_iter()
+        .filter(|e| e.kind == "retry_scheduled" && e.job == Some(job) && e.ts_us >= since)
+        .collect::<Vec<_>>();
+    assert_eq!(
+        retries.len(),
+        report.attempts - 1,
+        "one retry_scheduled event per retry"
+    );
+    (report, retries)
+}
+
+fn absence_codes() -> [u32; 2] {
+    let lost = Violation::MessageLost {
+        from: NodeId::new(0),
+    };
+    [lost.code(), aoft::sim::ErrorReport::RUNTIME_FAILURE]
+}
+
+#[test]
+fn value_evidence_retries_at_once_on_a_default_config() {
+    let _turn = EVENT_RING.lock().unwrap_or_else(|e| e.into_inner());
+    let default_backoff = SvcConfig::new(3).backoff_initial;
+    assert!(default_backoff >= Duration::from_millis(10));
+
+    // Which node catches a lie first is a thread race, so sweep the
+    // benchmark's fault mix and hold every recovered job to the policy.
+    let kinds = [
+        FaultKind::CorruptValue,
+        FaultKind::TwoFaced,
+        FaultKind::StuckStale,
+        FaultKind::Equivocate,
+        FaultKind::CorruptLbs,
+    ];
+    let (mut replanned, mut same_machine) = (0, 0);
+    for kind in kinds {
+        for node in 0..8u32 {
+            let plan = FaultPlan::new().with_fault(
+                NodeId::new(node),
+                kind,
+                Trigger::from_seq(1),
+                0x5eed ^ u64::from(node),
+            );
+            let (report, retries) = recover(SvcConfig::new(3), plan);
+            let what = format!("{kind:?} at P{node}");
+            if !report.recovered() {
+                continue; // masked: the lie never changed a checked value
+            }
+            let absence = absence_codes();
+            assert!(
+                report
+                    .detections
+                    .iter()
+                    .flatten()
+                    .all(|r| !absence.contains(&r.code)),
+                "{what}: a predicate-detected fault, never a timeout"
+            );
+            assert_eq!(report.attempts, 2, "{what}: one retry is enough");
+            let retry = &retries[0];
+            assert_eq!(retry.elapsed_us, Some(0), "{what}: no wait, {retry:?}");
+            let reason = retry.detail.as_deref().expect("reason");
+            if reason.starts_with("replanned d3→d2 avoiding [") {
+                // Diagnosis named someone: the retry routes around them.
+                assert_eq!(report.dim, 2, "{what}");
+                replanned += 1;
+            } else {
+                // Φ_P/Φ_F with nobody to blame: same machine, still no nap.
+                assert_eq!(reason, "value evidence, same machine", "{what}");
+                assert_eq!(report.dim, 3, "{what}");
+                same_machine += 1;
+            }
+        }
+    }
+    assert!(replanned > 0, "no fault named a suspect");
+    assert!(same_machine > 0, "no fault left the machine unchanged");
+}
+
+#[test]
+fn absence_on_the_same_machine_backs_off() {
+    let _turn = EVENT_RING.lock().unwrap_or_else(|e| e.into_inner());
+    // A 2-node cube cannot route around either end of its one link: the
+    // dead-link evidence strikes both, the avoid set outgrows the machine
+    // and is cleared, and the retry lands on the map that just failed —
+    // the transient-environment case backoff exists for.
+    let config = SvcConfig::new(1).recv_timeout(Duration::from_millis(200));
+    let backoff_initial = config.backoff_initial;
+    for kind in [FaultKind::Crash, FaultKind::DropMessages] {
+        let plan = FaultPlan::new().with_fault(NodeId::new(1), kind, Trigger::from_seq(1), 7);
+        let (report, retries) = recover(config.clone(), plan);
+        assert_eq!(report.attempts, 2, "{kind:?}");
+        assert_eq!(report.dim, 1, "{kind:?}: same machine");
+        let absence = absence_codes();
+        assert!(
+            report.detections[0]
+                .iter()
+                .any(|r| absence.contains(&r.code)),
+            "{kind:?}: detected by absence"
+        );
+        let retry = &retries[0];
+        assert_eq!(
+            retry.detail.as_deref(),
+            Some("absence, same machine: backoff"),
+            "{kind:?}"
+        );
+        let waited = Duration::from_micros(retry.elapsed_us.expect("wait"));
+        assert!(waited >= backoff_initial, "{kind:?}: waited {waited:?}");
+    }
+}
+
+#[test]
+fn absence_that_replans_does_not_wait() {
+    let _turn = EVENT_RING.lock().unwrap_or_else(|e| e.into_inner());
+    // The same crash on a cube with room to degrade: the retry runs on
+    // other nodes, and waiting for the ones left behind buys nothing.
+    let config = SvcConfig::new(3).recv_timeout(Duration::from_millis(200));
+    let plan =
+        FaultPlan::new().with_fault(NodeId::new(5), FaultKind::Crash, Trigger::from_seq(1), 7);
+    let (report, retries) = recover(config, plan);
+    assert_eq!(report.attempts, 2);
+    assert!(report.dim < 3, "degraded retry");
+    let retry = &retries[0];
+    assert_eq!(retry.elapsed_us, Some(0), "{retry:?}");
+    assert!(
+        retry
+            .detail
+            .as_deref()
+            .is_some_and(|d| d.starts_with("replanned d3→d")),
+        "{retry:?}"
+    );
 }
