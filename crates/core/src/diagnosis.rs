@@ -24,8 +24,8 @@
 //!   dead data path, but corroboration (e.g. across retry attempts) is
 //!   needed to walk it back to the origin.
 //!
-//! The result is advice for the operator (or for
-//! [`run_with_retry`](crate::SortBuilder::run_with_retry)), not a proof.
+//! The result is advice for the operator (or for a retry loop such as the
+//! sort service's, which re-plans around the suspects), not a proof.
 
 use aoft_hypercube::{NodeSet, Subcube};
 use aoft_sim::ErrorReport;

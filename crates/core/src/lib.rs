@@ -73,7 +73,7 @@ pub use block::{Block, MergeScratch};
 pub use composite::{demux, mux, CompositeCodec, DemuxError};
 pub use lbs::LbsBuffer;
 pub use msg::{BlockView, LbsWire, LbsWireView, Msg, MsgView};
-pub use runner::{Algorithm, RetryReport, SortBuilder, SortDirection, SortError, SortReport};
+pub use runner::{Algorithm, SortBuilder, SortDirection, SortError, SortReport};
 pub use sft::{SftProgram, Shipping};
 pub use snr::SnrProgram;
 pub use violation::Violation;

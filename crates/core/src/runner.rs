@@ -6,7 +6,6 @@ use std::time::Duration;
 
 use aoft_faults::FaultPlan;
 use aoft_hypercube::Hypercube;
-use aoft_net::Backoff;
 use aoft_sim::{
     CostModel, DetEngine, Engine, ErrorReport, InProc, Packet, RunMetrics, RunReport, SimConfig,
     Simulator, Ticks, Trace, Transport,
@@ -151,18 +150,6 @@ impl SortReport {
     }
 }
 
-/// The result of a retried sort: the final report plus the fail-stop
-/// history that preceded it.
-#[derive(Debug, Clone)]
-pub struct RetryReport {
-    /// The successful run.
-    pub report: SortReport,
-    /// Attempts consumed, including the successful one.
-    pub attempts_used: usize,
-    /// The reports of each failed attempt, in order.
-    pub detections: Vec<Vec<ErrorReport>>,
-}
-
 /// Configures and runs one distributed sort.
 ///
 /// Consuming builder: configure, then [`run`](SortBuilder::run).
@@ -193,8 +180,6 @@ pub struct SortBuilder {
     trace: bool,
     direction: SortDirection,
     job: u64,
-    backoff_initial: Duration,
-    backoff_max: Duration,
 }
 
 impl SortBuilder {
@@ -211,8 +196,6 @@ impl SortBuilder {
             trace: false,
             direction: SortDirection::Ascending,
             job: 0,
-            backoff_initial: Duration::from_millis(10),
-            backoff_max: Duration::from_millis(160),
         }
     }
 
@@ -276,17 +259,6 @@ impl SortBuilder {
     /// discarded instead of consumed.
     pub fn job(mut self, id: u64) -> Self {
         self.job = id;
-        self
-    }
-
-    /// Sets the capped-exponential delay slept between retry attempts
-    /// (`initial, 2·initial, … ≤ max` — `aoft_net`'s [`Backoff`] policy).
-    ///
-    /// Defaults to 10 ms capped at 160 ms. An `initial` of zero disables
-    /// the inter-attempt sleep entirely.
-    pub fn retry_backoff(mut self, initial: Duration, max: Duration) -> Self {
-        self.backoff_initial = initial;
-        self.backoff_max = max;
         self
     }
 
@@ -489,105 +461,6 @@ impl SortBuilder {
             }
         }
     }
-
-    /// Runs the sort up to `attempts` times, re-running after each
-    /// fail-stop — the second "appropriate action" the paper's diagnostic
-    /// delivery enables. `plan_for_attempt` models the environment: it
-    /// supplies the faults active during each attempt (a transient fault
-    /// simply stops appearing; a permanent one exhausts the budget).
-    ///
-    /// Between attempts the builder sleeps on the capped-exponential
-    /// schedule set by [`retry_backoff`](SortBuilder::retry_backoff),
-    /// giving a transient environmental fault time to clear instead of
-    /// immediately re-running into it.
-    ///
-    /// The never-silently-wrong guarantee is preserved: every individual
-    /// attempt is a full `S_FT` run.
-    ///
-    /// # Errors
-    ///
-    /// * [`SortError::InvalidInput`] — unusable configuration (checked once);
-    /// * [`SortError::Detected`] — the final attempt also fail-stopped; its
-    ///   reports are returned.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `attempts` is zero.
-    pub fn run_with_retry<F>(
-        self,
-        attempts: usize,
-        mut plan_for_attempt: F,
-    ) -> Result<RetryReport, SortError>
-    where
-        F: FnMut(usize) -> FaultPlan,
-    {
-        self.retry_loop(attempts, |builder, attempt| {
-            builder.fault_plan(plan_for_attempt(attempt)).run()
-        })
-    }
-
-    /// Like [`run_with_retry`](SortBuilder::run_with_retry), but each
-    /// attempt runs over the transport `transport_for_attempt` supplies —
-    /// the entry point a resident service uses to retry a fail-stopped job
-    /// on a *different* machine (e.g. a degraded subcube avoiding the
-    /// diagnosed suspects, via
-    /// [`MappedTransport`](aoft_sim::MappedTransport)).
-    ///
-    /// The injected fault plan stays whatever
-    /// [`fault_plan`](SortBuilder::fault_plan) configured (normally empty:
-    /// over a real medium the faults are environmental, not injected).
-    ///
-    /// # Errors
-    ///
-    /// As [`run_with_retry`](SortBuilder::run_with_retry).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `attempts` is zero.
-    pub fn run_with_retry_on<T, F>(
-        self,
-        attempts: usize,
-        mut transport_for_attempt: F,
-    ) -> Result<RetryReport, SortError>
-    where
-        T: Transport<Packet<Msg>> + Send,
-        F: FnMut(usize) -> T,
-    {
-        self.retry_loop(attempts, |builder, attempt| {
-            builder.run_on(transport_for_attempt(attempt))
-        })
-    }
-
-    fn retry_loop<F>(self, attempts: usize, mut run_attempt: F) -> Result<RetryReport, SortError>
-    where
-        F: FnMut(SortBuilder, usize) -> Result<SortReport, SortError>,
-    {
-        assert!(attempts > 0, "at least one attempt");
-        let mut backoff = Backoff::new(self.backoff_initial, self.backoff_max);
-        let mut detections = Vec::new();
-        for attempt in 0..attempts {
-            if attempt > 0 {
-                let delay = backoff.next_delay();
-                if delay > Duration::ZERO {
-                    std::thread::sleep(delay);
-                }
-            }
-            match run_attempt(self.clone(), attempt) {
-                Ok(report) => {
-                    return Ok(RetryReport {
-                        report,
-                        attempts_used: attempt + 1,
-                        detections,
-                    });
-                }
-                Err(SortError::Detected { reports, .. }) if attempt + 1 < attempts => {
-                    detections.push(reports);
-                }
-                Err(err) => return Err(err),
-            }
-        }
-        unreachable!("loop returns on success or on the final error");
-    }
 }
 
 #[cfg(test)]
@@ -757,110 +630,6 @@ mod tests {
         assert_eq!(Algorithm::FaultTolerant.to_string(), "S_FT");
         let err = SortError::InvalidInput("nope".into());
         assert!(err.to_string().contains("nope"));
-    }
-
-    #[test]
-    fn retry_rides_out_transient_fault() {
-        let keys: Vec<Key> = (0..16).rev().collect();
-        let mut expected = keys.clone();
-        expected.sort_unstable();
-        let retry = SortBuilder::new(Algorithm::FaultTolerant)
-            .keys(keys)
-            .recv_timeout(Duration::from_millis(300))
-            .run_with_retry(3, |attempt| {
-                if attempt == 0 {
-                    // Transient: present only during the first attempt.
-                    FaultPlan::new().with_fault(
-                        NodeId::new(4),
-                        FaultKind::CorruptValue,
-                        Trigger::from_seq(1),
-                        77,
-                    )
-                } else {
-                    FaultPlan::new()
-                }
-            })
-            .expect("second attempt is clean");
-        assert_eq!(retry.attempts_used, 2);
-        assert_eq!(retry.detections.len(), 1);
-        assert!(!retry.detections[0].is_empty());
-        assert_eq!(retry.report.output(), expected);
-    }
-
-    #[test]
-    fn retry_exhausts_on_permanent_fault() {
-        let permanent = |_: usize| {
-            FaultPlan::new().with_fault(
-                NodeId::new(2),
-                FaultKind::TwoFaced,
-                Trigger::from_seq(1),
-                5,
-            )
-        };
-        let result = SortBuilder::new(Algorithm::FaultTolerant)
-            .keys((0..8).rev().collect())
-            .recv_timeout(Duration::from_millis(300))
-            .run_with_retry(2, permanent);
-        assert!(matches!(result, Err(SortError::Detected { .. })));
-    }
-
-    #[test]
-    fn retry_sleeps_on_the_backoff_schedule() {
-        let permanent = |_: usize| {
-            FaultPlan::new().with_fault(
-                NodeId::new(1),
-                FaultKind::CorruptValue,
-                Trigger::from_seq(1),
-                3,
-            )
-        };
-        let start = std::time::Instant::now();
-        let result = SortBuilder::new(Algorithm::FaultTolerant)
-            .keys((0..8).rev().collect())
-            .recv_timeout(Duration::from_millis(300))
-            .retry_backoff(Duration::from_millis(60), Duration::from_millis(60))
-            .run_with_retry(2, permanent);
-        assert!(matches!(result, Err(SortError::Detected { .. })));
-        assert!(
-            start.elapsed() >= Duration::from_millis(60),
-            "second attempt must wait out the backoff, elapsed {:?}",
-            start.elapsed()
-        );
-    }
-
-    #[test]
-    fn retry_on_swaps_transports_between_attempts() {
-        use aoft_faults::{FaultyTransport, LinkFault};
-        use aoft_sim::InProc;
-
-        let keys: Vec<Key> = (0..16).rev().collect();
-        let mut expected = keys.clone();
-        expected.sort_unstable();
-        let retry = SortBuilder::new(Algorithm::FaultTolerant)
-            .keys(keys)
-            .nodes(8)
-            .recv_timeout(Duration::from_millis(300))
-            .retry_backoff(Duration::ZERO, Duration::ZERO)
-            .run_with_retry_on(2, |attempt| {
-                let transport = FaultyTransport::new(InProc::new(), 7);
-                if attempt == 0 {
-                    // First medium silences node 5 after two sends; the
-                    // replacement medium is clean.
-                    transport.fault_sender(
-                        5,
-                        LinkFault {
-                            kill_after: Some(2),
-                            ..LinkFault::default()
-                        },
-                    )
-                } else {
-                    transport
-                }
-            })
-            .expect("clean transport on the second attempt");
-        assert_eq!(retry.attempts_used, 2);
-        assert_eq!(retry.detections.len(), 1);
-        assert_eq!(retry.report.output(), expected);
     }
 
     #[test]

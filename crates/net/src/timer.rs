@@ -13,10 +13,6 @@
 //! O(log n) with no removal bookkeeping — the standard hashed/hierarchical
 //! wheel trade, collapsed to a heap because an owner holds at most a few
 //! hundred timers.
-//!
-//! The wheel is generic so other deadline-driven loops can reuse it: the
-//! service-layer micro-batcher schedules its flush deadlines on a
-//! `TimerWheel<JobId>` with exactly the same pop/peek discipline.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

@@ -12,27 +12,26 @@
 //! Flush policy (who decides a batch is done growing):
 //!
 //! * **size** — the batch reached `batch_max`;
-//! * **deadline** — the flush window ([`SvcConfig::batch_flush`], tracked
-//!   on the same [`TimerWheel`] the mux tx servicers use) expired while the
-//!   queue was empty;
+//! * **deadline** — the flush window ([`SvcConfig::batch_flush`]) expired
+//!   while the queue was empty;
 //! * **boundary** — the next queued job is incompatible; it stays queued
 //!   (FIFO order is never reordered around) and the batch flushes early;
 //! * **solo** — batching is off (`batch_max = 1`), or the *first* job
-//!   claimed is itself incompatible: it runs alone immediately, paying no
-//!   flush wait at all.
+//!   claimed is itself incompatible: it flushes alone immediately, paying
+//!   no flush wait at all.
 //!
 //! Compatibility is conservative: ascending direction, no fault plan, no
 //! trace capture, and every key inside the composite codec's reduced
-//! range. Anything else takes the solo path — the batcher never changes
-//! what a job computes, only whether it shares a ride.
+//! range. Anything else rides alone — a batch of one on the same attempt
+//! loop, sorted as its plain keys. The batcher never changes what a job
+//! computes, only whether it shares a ride.
 
 use std::time::{Duration, Instant};
 
-use aoft_net::TimerWheel;
 use aoft_sort::{CompositeCodec, SortDirection};
 
 use crate::config::SvcConfig;
-use crate::job::{JobId, JobSpec};
+use crate::job::JobSpec;
 use crate::queue::{JobQueue, PopMore, QueuedJob};
 
 /// A flushed batch: one or more jobs bound for a single cube attempt.
@@ -90,9 +89,7 @@ impl Batcher {
                 trigger: "solo",
             });
         }
-        let mut wheel: TimerWheel<JobId> = TimerWheel::new();
-        wheel.schedule(Instant::now() + self.flush, first.id);
-        let deadline = wheel.next_deadline().expect("flush timer just scheduled");
+        let deadline = Instant::now() + self.flush;
         let mut jobs = vec![first];
         let trigger = loop {
             if jobs.len() >= self.max {
@@ -101,10 +98,7 @@ impl Batcher {
             match queue.pop_compatible(deadline, |job| self.compatible(&job.spec)) {
                 PopMore::Job(job) => jobs.push(job),
                 PopMore::Boundary => break "boundary",
-                PopMore::TimedOut => {
-                    debug_assert!(wheel.pop_expired(Instant::now()).is_some());
-                    break "deadline";
-                }
+                PopMore::TimedOut => break "deadline",
                 // Shutdown mid-gather: flush what we hold — these jobs are
                 // claimed and must still be answered.
                 PopMore::Stopped => break "deadline",
@@ -117,6 +111,7 @@ impl Batcher {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::job::JobId;
     use aoft_faults::FaultPlan;
     use crossbeam_channel::unbounded;
 

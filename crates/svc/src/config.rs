@@ -57,9 +57,10 @@ pub struct SvcConfig {
     /// [`SortService::metrics_addr`](crate::SortService::metrics_addr).
     pub metrics_addr: Option<SocketAddr>,
     /// Most jobs one cube attempt may coalesce into a single composite-key
-    /// sort. `1` (the default) disables batching: every job takes exactly
-    /// the unbatched path. Capped at 1024 — ten sequence bits still leave
-    /// a ±2^20 key range.
+    /// sort. `1` (the default) disables batching: every job flushes at
+    /// once as a batch of one, never waiting for company and never
+    /// coalesced. Capped at 1024 — ten sequence bits still leave a ±2^20
+    /// key range.
     pub batch_max: usize,
     /// How long the first job of a forming batch may wait for company
     /// before the batch is flushed anyway (the deadline trigger). Ignored

@@ -12,7 +12,7 @@ use aoft_net::{Backoff, LinkCache, MappedTransport, Transport};
 use aoft_obs::ObsServer;
 use aoft_sim::{ErrorReport, NodeMetrics, Packet, Trace};
 use aoft_sort::composite::{demux, mux, CompositeCodec};
-use aoft_sort::{Msg, SortBuilder, SortError};
+use aoft_sort::{Key, Msg, SortBuilder, SortError, SortReport};
 
 use crate::batch::Batcher;
 use crate::config::{ConfigError, SvcConfig};
@@ -221,41 +221,99 @@ where
         inner.metrics.batch_flushed(batch.jobs.len(), batch.trigger);
         let inflight = batch.jobs.len() as i64;
         aoft_obs::global().inflight_jobs.add(inflight);
-        if batch.jobs.len() == 1 {
-            // Solo batches — and everything when `batch_max` is 1 — take
-            // the original per-job path, byte for byte.
-            let job = batch.jobs.into_iter().next().expect("batch of one");
-            let (result, attempts, effort) = run_job(&inner, slot, &job);
-            let retries = attempts.saturating_sub(1) as u64;
-            match &result {
-                Ok(report) => {
-                    inner
-                        .metrics
-                        .job_completed(report.latency, retries, effort, &report.metrics)
-                }
-                Err(_) => inner.metrics.job_failed(retries, effort),
-            }
-            let _ = job.reply.send(result);
-        } else {
-            run_batch(&inner, slot, batch.jobs, batcher.codec());
-        }
+        run_batch(&inner, slot, batcher.codec(), batch.jobs);
         aoft_obs::global().inflight_jobs.add(-inflight);
     }
 }
 
-/// What a job (or a batch, across its re-splits) carries from one attempt
-/// to the next: the nodes its own fail-stops implicated, and the backoff
+/// What a batch carries from one attempt to the next, across its
+/// re-splits: the nodes its own fail-stops implicated, and the backoff
 /// schedule — which advances only when a retry actually waits.
 struct RetryState {
     avoid: BTreeSet<u32>,
     backoff: Backoff,
 }
 
-impl RetryState {
-    fn new(config: &SvcConfig) -> Self {
-        Self {
-            avoid: BTreeSet::new(),
-            backoff: Backoff::new(config.backoff_initial, config.backoff_max),
+/// One job aboard a ride.
+struct Rider {
+    job: QueuedJob,
+    /// Effort billed so far: this job's proportional share (by key count)
+    /// of every attempt it was aboard, fail-stopped ones included.
+    effort: u64,
+}
+
+/// Jobs that share their cube attempts, and the history they share: a
+/// re-split hands both halves the same one.
+struct Ride {
+    riders: Vec<Rider>,
+    /// Attempts these jobs have been aboard.
+    attempts: usize,
+    /// The reports of each of those that fail-stopped, in order.
+    detections: Vec<Vec<ErrorReport>>,
+    /// The cube the last of them ran on.
+    failed_plan: Option<CubePlan>,
+}
+
+/// What a verified attempt hands its riders.
+struct Sorted {
+    /// Each rider's keys, in rider order.
+    outputs: Vec<Vec<Key>>,
+    dim: u32,
+    metrics: NodeMetrics,
+    trace: Trace,
+}
+
+/// The service's one attempt loop: runs a flushed batch — a lone job is a
+/// batch of one — until every job in it is answered with a verified sort
+/// or a loud failure.
+///
+/// Recovery is job-agnostic: a fail-stop is diagnosed (nodes struck,
+/// quarantine counted), then the ride goes again on the surviving subcube —
+/// split in half when it held two or more jobs, so a pathological
+/// interaction cannot pin every rider to the same fate. The halves go one
+/// after the other, each with what is left of the batch's attempt budget.
+fn run_batch<T>(inner: &Inner<T>, slot: usize, codec: CompositeCodec, jobs: Vec<QueuedJob>)
+where
+    T: Transport<Packet<Msg>> + Send + Sync + 'static,
+{
+    let config = &inner.config;
+    // One avoid set and one backoff schedule for the whole batch: violations
+    // name nodes, not jobs, so what one half learns the other must not
+    // re-discover.
+    let mut retry = RetryState {
+        avoid: BTreeSet::new(),
+        backoff: Backoff::new(config.backoff_initial, config.backoff_max),
+    };
+    let mut rides = vec![Ride {
+        riders: jobs
+            .into_iter()
+            .map(|job| Rider { job, effort: 0 })
+            .collect(),
+        attempts: 0,
+        detections: Vec::new(),
+        failed_plan: None,
+    }];
+    while let Some(mut ride) = rides.pop() {
+        if ride.attempts == config.max_attempts {
+            let spent = JobError::Exhausted {
+                attempts: ride.attempts,
+                detections: ride.detections.clone(),
+            };
+            settle(inner, ride, Err(spent));
+        } else if let Some(ending) = run_attempt(inner, slot, codec, &mut ride, &mut retry) {
+            settle(inner, ride, ending);
+        } else {
+            // Fail-stopped. Two or more jobs go again as two smaller rides,
+            // the head half first (the list is a stack).
+            if ride.riders.len() >= 2 {
+                rides.push(Ride {
+                    riders: ride.riders.split_off(ride.riders.len() / 2),
+                    attempts: ride.attempts,
+                    detections: ride.detections.clone(),
+                    failed_plan: ride.failed_plan.clone(),
+                });
+            }
+            rides.push(ride);
         }
     }
 }
@@ -264,7 +322,7 @@ impl RetryState {
 /// starts: at once, unless [`retry_timing`] says time can help — then, and
 /// only then, the worker serves the schedule's next delay. `failed` is
 /// the plan and reports of the attempt being retried (`None` on a first
-/// attempt). Both attempt loops begin every attempt here.
+/// attempt).
 ///
 /// `Err(healthy)` when fewer than `2^min_dim` trusted nodes remain.
 fn begin_attempt<T>(
@@ -318,436 +376,165 @@ where
     Ok(plan)
 }
 
-/// One job's attempt loop: plan cube → run → on fail-stop diagnose, strike,
-/// retry (degraded when diagnosis named someone to avoid).
+/// One cube attempt over `ride`: plan (and, for a retry, wait if time can
+/// help), fresh run id, mapped transport, the sort itself. Every rider is
+/// charged its share of the attempt's effort, however the attempt ends.
 ///
-/// Returns the result, the attempts actually started, and the job's total
-/// effort in ticks — node-time summed over every attempt, fail-stopped ones
-/// included, so the cost of retried work is billed whether or not the job
-/// ultimately succeeds.
-fn run_job<T>(
+/// `None` when the machine fail-stopped: the evidence is on the ride, which
+/// may go again. Anything else is how the ride ends.
+fn run_attempt<T>(
     inner: &Inner<T>,
     slot: usize,
-    job: &QueuedJob,
-) -> (Result<JobReport, JobError>, usize, u64)
-where
-    T: Transport<Packet<Msg>> + Send + Sync + 'static,
-{
-    let config = &inner.config;
-    // Each worker slot owns `dim` consecutive link tags (validated ≤ 256 at
-    // start), so concurrent jobs never share a physical link.
-    let tag_base = (slot as u32 * config.dim) as u8;
-    let mut retry = RetryState::new(config);
-    let mut detections: Vec<Vec<ErrorReport>> = Vec::new();
-    let mut failed_plan: Option<CubePlan> = None;
-    let mut effort: u64 = 0;
-
-    for attempt in 0..config.max_attempts {
-        let failed = failed_plan
-            .as_ref()
-            .zip(detections.last().map(Vec::as_slice));
-        let plan = match begin_attempt(inner, job.id, attempt, failed, &mut retry) {
-            Ok(plan) => plan,
-            Err(healthy) => {
-                return (
-                    Err(JobError::CubeExhausted {
-                        healthy,
-                        min_dim: config.min_dim,
-                    }),
-                    attempt,
-                    effort,
-                )
-            }
-        };
-        let nodes = 1usize << plan.dim;
-        if job.spec.keys.len() % nodes != 0 {
-            // Unreachable after the submit-side check (degraded cubes are
-            // smaller powers of two), kept as defense in depth.
-            return (
-                Err(JobError::Invalid(format!(
-                    "{} keys do not divide over the degraded {nodes}-node cube",
-                    job.spec.keys.len()
-                ))),
-                attempt,
-                effort,
-            );
-        }
-        let run_id = inner.next_run.fetch_add(1, Ordering::Relaxed) + 1;
-        aoft_obs::global().attempts.inc();
-        aoft_obs::emit(
-            aoft_obs::Event::new("attempt_started")
-                .job(job.id.0)
-                .attempt(attempt as u32)
-                .detail(format!("run {run_id} on a {}-dim cube", plan.dim)),
-        );
-        let transport = MappedTransport::new(Arc::clone(&inner.cache), plan.map.clone())
-            .with_tag_base(tag_base);
-        let mut builder = SortBuilder::new(config.algorithm)
-            .keys(job.spec.keys.clone())
-            .direction(job.spec.direction)
-            .nodes(nodes)
-            .recv_timeout(config.recv_timeout)
-            .trace(job.spec.capture_trace)
-            .job(run_id);
-        if attempt == 0 {
-            // Injected model faults are transient: they hit the first
-            // attempt only (see `JobSpec::fault_plan`).
-            if let Some(plan) = &job.spec.fault_plan {
-                builder = builder.fault_plan(plan.clone());
-            }
-        }
-        let started = Instant::now();
-        match std::panic::catch_unwind(AssertUnwindSafe(|| builder.run_on(transport))) {
-            Ok(Ok(report)) => {
-                effort += report.metrics().effort();
-                let mut merged = NodeMetrics::default();
-                for node in &report.metrics().nodes {
-                    merged.merge(node);
-                }
-                merged.merge(&report.metrics().host);
-                return (
-                    Ok(JobReport {
-                        id: job.id,
-                        output: report.output().to_vec(),
-                        attempts: attempt + 1,
-                        dim: plan.dim,
-                        detections,
-                        latency: job.submitted_at.elapsed(),
-                        metrics: merged,
-                        effort,
-                        trace: report.trace().clone(),
-                    }),
-                    attempt + 1,
-                    effort,
-                );
-            }
-            Ok(Err(SortError::Detected {
-                reports,
-                effort: wasted,
-            })) => {
-                effort += wasted;
-                aoft_obs::emit(
-                    aoft_obs::Event::new("attempt_failstop")
-                        .job(job.id.0)
-                        .attempt(attempt as u32)
-                        .elapsed(started.elapsed())
-                        .detail(format!("{} report(s)", reports.len())),
-                );
-                digest_failure(inner, &reports, &plan, &mut retry.avoid);
-                detections.push(reports);
-                failed_plan = Some(plan);
-            }
-            Ok(Err(err)) => return (Err(JobError::Invalid(err.to_string())), attempt + 1, effort),
-            Err(payload) => {
-                return (
-                    Err(JobError::Runtime(panic_message(payload))),
-                    attempt + 1,
-                    effort,
-                )
-            }
-        }
-    }
-    (
-        Err(JobError::Exhausted {
-            attempts: config.max_attempts,
-            detections,
-        }),
-        config.max_attempts,
-        effort,
-    )
-}
-
-/// One job riding a batch, with the accounting that follows it through
-/// retries and re-splits.
-struct BatchJob {
-    job: QueuedJob,
-    /// Effort billed so far: this rider's proportional share of every
-    /// attempt it took part in, fail-stopped ones included.
-    effort: u64,
-    /// Fail-stop reports of every attempt this rider was aboard.
-    detections: Vec<Vec<ErrorReport>>,
-    /// Attempts this rider has been aboard (batched or post-split).
-    attempts: usize,
-}
-
-/// Runs a multi-job batch to completion: every rider's reply channel is
-/// answered (success or loud failure) and the metrics sink billed, exactly
-/// as the solo path does per job.
-fn run_batch<T>(inner: &Inner<T>, slot: usize, jobs: Vec<QueuedJob>, codec: CompositeCodec)
-where
-    T: Transport<Packet<Msg>> + Send + Sync + 'static,
-{
-    let riders = jobs
-        .into_iter()
-        .map(|job| BatchJob {
-            job,
-            effort: 0,
-            detections: Vec::new(),
-            attempts: 0,
-        })
-        .collect();
-    // One avoid set and one backoff schedule for the whole batch, shared
-    // across re-splits: violations name nodes, not jobs, so what one half
-    // learns the other must not re-discover.
-    let mut retry = RetryState::new(&inner.config);
-    execute_batch(
-        inner,
-        slot,
-        riders,
-        codec,
-        inner.config.max_attempts,
-        None,
-        &mut retry,
-    );
-}
-
-/// One cube attempt over `riders`' composite keys, recursing on failure.
-///
-/// Recovery stays job-agnostic: a fail-stop is diagnosed exactly as for a
-/// solo job (nodes struck, quarantine counted), then the *batch* retries on
-/// the surviving subcube — split in half when it held two or more jobs, so
-/// a pathological interaction cannot pin every rider to the same fate.
-/// `budget` is the attempt budget shared down the recursion; each level
-/// consumes one attempt before splitting. `failed` is the plan and reports
-/// of the attempt these riders are retrying (`None` for a fresh batch);
-/// each re-split half decides its own retry timing from it.
-fn execute_batch<T>(
-    inner: &Inner<T>,
-    slot: usize,
-    mut riders: Vec<BatchJob>,
     codec: CompositeCodec,
-    budget: usize,
-    failed: Option<(&CubePlan, &[ErrorReport])>,
+    ride: &mut Ride,
     retry: &mut RetryState,
-) where
+) -> Option<Result<Sorted, JobError>>
+where
     T: Transport<Packet<Msg>> + Send + Sync + 'static,
 {
     let config = &inner.config;
-    if budget == 0 {
-        for rider in riders {
-            fail_rider(
-                inner,
-                rider.job,
-                rider.attempts,
-                rider.effort,
-                JobError::Exhausted {
-                    attempts: rider.attempts,
-                    detections: rider.detections,
-                },
-            );
-        }
-        return;
-    }
-    let lead = &riders[0];
-    let plan = match begin_attempt(inner, lead.job.id, lead.attempts, failed, retry) {
+    // The lead rider names the ride in events, and its spec sets the
+    // per-job options: jobs that share an attempt all carry the defaults
+    // (`Batcher::compatible`).
+    let lead = &ride.riders[0].job;
+    let (lead_id, attempt) = (lead.id, ride.attempts);
+    let failed = ride
+        .failed_plan
+        .as_ref()
+        .zip(ride.detections.last().map(Vec::as_slice));
+    let plan = match begin_attempt(inner, lead_id, attempt, failed, retry) {
         Ok(plan) => plan,
         Err(healthy) => {
-            for rider in riders {
-                fail_rider(
-                    inner,
-                    rider.job,
-                    rider.attempts,
-                    rider.effort,
-                    JobError::CubeExhausted {
-                        healthy,
-                        min_dim: config.min_dim,
-                    },
-                );
-            }
-            return;
+            return Some(Err(JobError::CubeExhausted {
+                healthy,
+                min_dim: config.min_dim,
+            }))
         }
     };
     let nodes = 1usize << plan.dim;
-    // Lexicographic composites: each job's keys become a contiguous,
-    // internally ordered segment of the one sorted output. A post-split
-    // batch of one runs its plain keys — no tag overhead, full key range.
-    let keys = if riders.len() == 1 {
-        riders[0].job.spec.keys.clone()
-    } else {
-        let segments: Vec<&[i32]> = riders.iter().map(|r| r.job.spec.keys.as_slice()).collect();
-        match mux(codec, &segments) {
+    // A lone rider runs its plain keys — no tag overhead, full key range.
+    // Two or more become lexicographic composites: each job's keys a
+    // contiguous, internally ordered segment of the one sorted output.
+    let segments: Vec<&[Key]> = ride.riders.iter().map(|r| &r.job.spec.keys[..]).collect();
+    let lens: Vec<usize> = segments.iter().map(|keys| keys.len()).collect();
+    let keys = match segments[..] {
+        [only] => only.to_vec(),
+        // `None` is unreachable: compatibility was checked per job at batch
+        // time against this same codec. Defense in depth.
+        _ => match mux(codec, &segments) {
             Some(keys) => keys,
             None => {
-                // Unreachable: compatibility was checked per job at batch
-                // time against this same codec. Defense in depth.
-                for rider in riders {
-                    fail_rider(
-                        inner,
-                        rider.job,
-                        rider.attempts,
-                        rider.effort,
-                        JobError::Runtime("batched keys no longer fit the composite codec".into()),
-                    );
-                }
-                return;
+                let err = "batched keys no longer fit the composite codec";
+                return Some(Err(JobError::Runtime(err.into())));
             }
-        }
+        },
     };
-    if keys.len() % nodes != 0 {
-        // Unreachable after the submit-side check (each rider's count
-        // divides every power-of-two subcube, so any sum does too), kept as
-        // defense in depth like the solo path's.
-        for rider in riders {
-            fail_rider(
-                inner,
-                rider.job,
-                rider.attempts,
-                rider.effort,
-                JobError::Invalid(format!(
-                    "{} batched keys do not divide over the degraded {nodes}-node cube",
-                    keys.len()
-                )),
-            );
-        }
-        return;
+    let total_len = keys.len();
+    if total_len % nodes != 0 {
+        // Unreachable after the submit-side check (each job's count divides
+        // every power-of-two subcube, so any sum does too), kept as defense
+        // in depth.
+        return Some(Err(JobError::Invalid(format!(
+            "{total_len} keys do not divide over the degraded {nodes}-node cube"
+        ))));
     }
-    let total_len = keys.len() as u64;
     let run_id = inner.next_run.fetch_add(1, Ordering::Relaxed) + 1;
     aoft_obs::global().attempts.inc();
     aoft_obs::emit(
         aoft_obs::Event::new("attempt_started")
-            .job(riders[0].job.id.0)
-            .attempt(riders[0].attempts as u32)
+            .job(lead_id.0)
+            .attempt(attempt as u32)
             .detail(format!(
-                "run {run_id} on a {}-dim cube ({} coalesced job(s))",
+                "run {run_id} on a {}-dim cube ({} job(s))",
                 plan.dim,
-                riders.len()
+                ride.riders.len()
             )),
     );
-    for rider in &mut riders {
-        rider.attempts += 1;
-    }
+    // Each worker slot owns `dim` consecutive link tags (validated ≤ 256 at
+    // start), so concurrent attempts never share a physical link.
     let tag_base = (slot as u32 * config.dim) as u8;
     let transport =
         MappedTransport::new(Arc::clone(&inner.cache), plan.map.clone()).with_tag_base(tag_base);
-    let builder = SortBuilder::new(config.algorithm)
+    let mut builder = SortBuilder::new(config.algorithm)
         .keys(keys)
-        .direction(riders[0].job.spec.direction)
+        .direction(lead.spec.direction)
         .nodes(nodes)
         .recv_timeout(config.recv_timeout)
+        .trace(lead.spec.capture_trace)
         .job(run_id);
+    if let (0, Some(faults)) = (attempt, &lead.spec.fault_plan) {
+        // Injected model faults are transient: they hit the first attempt
+        // only (see `JobSpec::fault_plan`).
+        builder = builder.fault_plan(faults.clone());
+    }
     let started = Instant::now();
-    match std::panic::catch_unwind(AssertUnwindSafe(|| builder.run_on(transport))) {
+    let result = run_sort(builder, transport);
+    let effort = match &result {
+        Ok(Ok(report)) => report.metrics().effort(),
+        Ok(Err(SortError::Detected { effort, .. })) => *effort,
+        _ => 0,
+    };
+    ride.attempts += 1;
+    for (rider, &len) in ride.riders.iter_mut().zip(&lens) {
+        rider.effort += effort_share(effort, len as u64, total_len as u64);
+    }
+    match result {
         Ok(Ok(report)) => {
-            let lens: Vec<usize> = riders.iter().map(|r| r.job.spec.keys.len()).collect();
-            let outputs = if riders.len() == 1 {
-                vec![report.output().to_vec()]
-            } else {
-                match demux(codec, report.output(), &lens) {
-                    Ok(outputs) => outputs,
-                    Err(err) => {
-                        // A verified sort whose output is not a permutation
-                        // of the batch is corruption the predicates cannot
-                        // see (they check order, not tags). Fail-stop loud,
-                        // never hand a job another job's keys.
-                        for rider in riders {
-                            fail_rider(
-                                inner,
-                                rider.job,
-                                rider.attempts,
-                                rider.effort,
-                                JobError::Runtime(format!("batch demux integrity check: {err}")),
-                            );
-                        }
-                        return;
-                    }
-                }
+            let outputs = match lens[..] {
+                [_] => Ok(vec![report.output().to_vec()]),
+                _ => demux(codec, report.output(), &lens),
             };
-            let attempt_effort = report.metrics().effort();
-            let mut merged = NodeMetrics::default();
-            for node in &report.metrics().nodes {
-                merged.merge(node);
-            }
-            merged.merge(&report.metrics().host);
-            for (i, (rider, output)) in riders.into_iter().zip(outputs).enumerate() {
-                let share =
-                    effort_share(attempt_effort, rider.job.spec.keys.len() as u64, total_len);
-                let effort = rider.effort + share;
-                let job_report = JobReport {
-                    id: rider.job.id,
-                    output,
-                    attempts: rider.attempts,
-                    dim: plan.dim,
-                    detections: rider.detections,
-                    latency: rider.job.submitted_at.elapsed(),
-                    metrics: merged,
-                    effort,
-                    trace: Trace::default(),
-                };
-                // The attempt's simulator counters are service-billed once
-                // (first rider), not once per rider; every report still
-                // carries the merged view.
-                let sim = if i == 0 {
-                    merged
-                } else {
-                    NodeMetrics::default()
-                };
-                inner.metrics.job_completed(
-                    job_report.latency,
-                    (rider.attempts - 1) as u64,
-                    share,
-                    &sim,
-                );
-                let _ = rider.job.reply.send(Ok(job_report));
-            }
+            let mut metrics = report.metrics().node_total();
+            metrics.merge(&report.metrics().host);
+            let sorted = outputs.map(|outputs| Sorted {
+                outputs,
+                dim: plan.dim,
+                metrics,
+                trace: report.trace().clone(),
+            });
+            // A verified sort whose output is not a permutation of the batch
+            // is corruption the predicates cannot see (they check order, not
+            // tags). Fail-stop loud, never hand a job another job's keys.
+            Some(
+                sorted.map_err(|err| {
+                    JobError::Runtime(format!("batch demux integrity check: {err}"))
+                }),
+            )
         }
-        Ok(Err(SortError::Detected {
-            reports,
-            effort: wasted,
-        })) => {
+        Ok(Err(SortError::Detected { reports, .. })) => {
             aoft_obs::emit(
                 aoft_obs::Event::new("attempt_failstop")
-                    .job(riders[0].job.id.0)
-                    .attempt((riders[0].attempts - 1) as u32)
+                    .job(lead_id.0)
+                    .attempt(attempt as u32)
                     .elapsed(started.elapsed())
                     .detail(format!(
-                        "{} report(s) over {} coalesced job(s)",
+                        "{} report(s) over {} job(s)",
                         reports.len(),
-                        riders.len()
+                        ride.riders.len()
                     )),
             );
             digest_failure(inner, &reports, &plan, &mut retry.avoid);
-            for rider in &mut riders {
-                rider.effort += effort_share(wasted, rider.job.spec.keys.len() as u64, total_len);
-                rider.detections.push(reports.clone());
-            }
-            let failed = Some((&plan, reports.as_slice()));
-            let budget = budget - 1;
-            if riders.len() >= 2 {
-                // Re-split: each half retries as its own (smaller) batch on
-                // the surviving subcube, sequentially, sharing the avoid
-                // set and backoff schedule.
-                let tail = riders.split_off(riders.len() / 2);
-                execute_batch(inner, slot, riders, codec, budget, failed, retry);
-                execute_batch(inner, slot, tail, codec, budget, failed, retry);
-            } else {
-                execute_batch(inner, slot, riders, codec, budget, failed, retry);
-            }
+            ride.detections.push(reports);
+            ride.failed_plan = Some(plan);
+            None
         }
-        Ok(Err(err)) => {
-            for rider in riders {
-                fail_rider(
-                    inner,
-                    rider.job,
-                    rider.attempts,
-                    rider.effort,
-                    JobError::Invalid(err.to_string()),
-                );
-            }
-        }
-        Err(payload) => {
-            let msg = panic_message(payload);
-            for rider in riders {
-                fail_rider(
-                    inner,
-                    rider.job,
-                    rider.attempts,
-                    rider.effort,
-                    JobError::Runtime(msg.clone()),
-                );
-            }
-        }
+        Ok(Err(err)) => Some(Err(JobError::Invalid(err.to_string()))),
+        Err(payload) => Some(Err(JobError::Runtime(panic_message(payload)))),
     }
+}
+
+/// The sort itself, a panic in the engine caught rather than taking the
+/// worker down. Out of line on measurement, not taste: inlined into its one
+/// caller, a d=3 64-key job answers ≈ 5 % later (CHANGES.md, PR 22).
+#[inline(never)]
+fn run_sort<T>(
+    builder: SortBuilder,
+    transport: MappedTransport<T>,
+) -> std::thread::Result<Result<SortReport, SortError>>
+where
+    T: Transport<Packet<Msg>> + Send + Sync + 'static,
+{
+    std::panic::catch_unwind(AssertUnwindSafe(|| builder.run_on(transport)))
 }
 
 /// A rider's proportional share of one attempt's effort, by key count.
@@ -758,16 +545,49 @@ fn effort_share(attempt_effort: u64, rider_len: u64, total_len: u64) -> u64 {
     ((u128::from(attempt_effort) * u128::from(rider_len)) / u128::from(total_len)) as u64
 }
 
-/// Answers one batched job's reply channel with a loud failure and bills
-/// the sink, mirroring the solo path's failure accounting.
-fn fail_rider<T>(inner: &Inner<T>, job: QueuedJob, attempts: usize, effort: u64, err: JobError)
+/// The one place a job leaves the service: its [`JobReport`] or
+/// [`JobError`] is built, the sink billed, the reply sent. What the sink is
+/// billed is what the report says — retries as made, and effort over every
+/// attempt the job was aboard, whether or not it ended in an answer.
+fn settle<T>(inner: &Inner<T>, ride: Ride, mut ending: Result<Sorted, JobError>)
 where
     T: Transport<Packet<Msg>> + Send + Sync + 'static,
 {
-    inner
-        .metrics
-        .job_failed(attempts.saturating_sub(1) as u64, effort);
-    let _ = job.reply.send(Err(err));
+    let retries = ride.attempts.saturating_sub(1) as u64;
+    for (i, rider) in ride.riders.into_iter().enumerate() {
+        let result = match &mut ending {
+            Ok(sorted) => Ok(JobReport {
+                id: rider.job.id,
+                output: std::mem::take(&mut sorted.outputs[i]),
+                attempts: ride.attempts,
+                dim: sorted.dim,
+                detections: ride.detections.clone(),
+                latency: rider.job.submitted_at.elapsed(),
+                metrics: sorted.metrics,
+                effort: rider.effort,
+                // Only a lone rider can have asked for one.
+                trace: std::mem::take(&mut sorted.trace),
+            }),
+            Err(err) => Err(err.clone()),
+        };
+        match &result {
+            Ok(report) => {
+                // The attempt's simulator counters are service-billed once
+                // (first rider), not once per rider; every report still
+                // carries the merged view.
+                let sim = if i == 0 {
+                    report.metrics
+                } else {
+                    NodeMetrics::default()
+                };
+                inner
+                    .metrics
+                    .job_completed(report.latency, retries, report.effort, &sim);
+            }
+            Err(_) => inner.metrics.job_failed(retries, rider.effort),
+        }
+        let _ = rider.job.reply.send(result);
+    }
 }
 
 /// Feeds one fail-stopped attempt to the service's fault memory: the job

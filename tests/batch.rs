@@ -30,7 +30,7 @@ fn batched_config(batch_max: usize) -> SvcConfig {
 
 /// Burst-submits every spec, then waits in order. Panics on any loud
 /// failure: these tests only run plans the service is expected to survive.
-fn run_all<T>(service: &SortService<T>, specs: &[JobSpec]) -> Vec<Vec<i32>>
+fn run_reports<T>(service: &SortService<T>, specs: &[JobSpec]) -> Vec<JobReport>
 where
     T: Transport<Packet<Msg>> + Send + Sync + 'static,
 {
@@ -45,9 +45,17 @@ where
             handle
                 .wait()
                 .unwrap_or_else(|err| panic!("job {i} failed loudly: {err}"))
-                .output
         })
         .collect()
+}
+
+/// [`run_reports`], outputs only.
+fn run_all<T>(service: &SortService<T>, specs: &[JobSpec]) -> Vec<Vec<i32>>
+where
+    T: Transport<Packet<Msg>> + Send + Sync + 'static,
+{
+    let reports = run_reports(service, specs);
+    reports.into_iter().map(|report| report.output).collect()
 }
 
 /// Deterministic keys inside every codec's admissible range (batch_max 1024
@@ -78,8 +86,8 @@ proptest! {
                 // Key counts must divide the 8-node cube: multiples of 8.
                 let spec = JobSpec::new(batch_keys(salt, len * 8));
                 if i == 0 && fault_seed % 3 == 0 {
-                    // A single-fault rider: incompatible, takes the solo
-                    // path inside the same batched service.
+                    // A single-fault rider: incompatible, rides alone
+                    // inside the same batched service.
                     let node = NodeId::new((fault_seed % 8) as u32);
                     spec.fault_plan(FaultPlan::new().with_fault(
                         node,
@@ -150,14 +158,23 @@ fn mid_batch_node_death_quarantines_and_completes_every_rider() {
     let service = SortService::start(config, faulty).expect("start");
 
     let specs: Vec<JobSpec> = (100..108).map(|i| JobSpec::new(batch_keys(i, 8))).collect();
-    let outputs = run_all(&service, &specs);
-    for (spec, out) in specs.iter().zip(&outputs) {
-        assert_eq!(out, &common::sorted(&spec.keys), "never silently wrong");
+    let reports = run_reports(&service, &specs);
+    for (spec, report) in specs.iter().zip(&reports) {
+        assert_eq!(
+            report.output,
+            common::sorted(&spec.keys),
+            "never silently wrong"
+        );
     }
 
     let metrics = service.metrics();
     assert_eq!(metrics.jobs_completed, 8, "every rider must complete");
     assert_eq!(metrics.jobs_failed, 0);
+    assert_eq!(
+        metrics.effort,
+        reports.iter().map(|r| r.effort).sum::<u64>(),
+        "the sink bills what the reports say: fail-stopped attempts included"
+    );
     assert!(
         metrics.retries >= 1,
         "the mid-batch kill must cost at least one retry"
@@ -174,11 +191,11 @@ fn mid_batch_node_death_quarantines_and_completes_every_rider() {
     service.shutdown();
 }
 
-/// The unbatched-path guard: `batch_max = 1` must behave exactly like the
-/// service always has — every flush is a solo, nothing is ever coalesced,
-/// and outputs are the per-job sorts.
+/// `batch_max = 1` runs the same attempt loop as any batch; what is left to
+/// guard is that it never waits and never coalesces — every flush is a
+/// batch of one, and outputs are the per-job sorts.
 #[test]
-fn batch_max_one_is_byte_identical_to_the_unbatched_path() {
+fn batch_max_one_never_waits_and_never_coalesces() {
     let service = SortService::start(batched_config(1), InProc::new()).expect("start");
     let specs: Vec<JobSpec> = (0..8).map(|i| JobSpec::new(batch_keys(i, 16))).collect();
     let outputs = run_all(&service, &specs);
@@ -308,14 +325,7 @@ fn recover_split_batch(
 
     let since = aoft::obs::Event::new("clock").ts_us;
     let specs: Vec<JobSpec> = (200..204).map(|i| JobSpec::new(batch_keys(i, 8))).collect();
-    let handles: Vec<_> = specs
-        .iter()
-        .map(|spec| service.submit(spec.clone()).expect("admit"))
-        .collect();
-    let reports: Vec<JobReport> = handles
-        .into_iter()
-        .map(|handle| handle.wait().expect("a transient fault is survived"))
-        .collect();
+    let reports = run_reports(&service, &specs);
     for (spec, report) in specs.iter().zip(&reports) {
         assert_eq!(
             report.output,

@@ -197,7 +197,7 @@ fn backpressure_aggregates_across_every_cube() {
 /// model-level crash, and verify every single answer. `AOFT_BATCH_MAX`
 /// (default 16) sets each cube's micro-batcher width, so the soak also
 /// exercises coalesced composite-key attempts under sporadic faults; set it
-/// to 1 to soak the unbatched path. `AOFT_FLEET_BACKEND` picks each cube's
+/// to 1 to soak lone riders only. `AOFT_FLEET_BACKEND` picks each cube's
 /// medium: `inproc` (default) or `mux` for loopback peer-pair TCP sessions,
 /// so nightly soaks the multiplexed transport under the same faulted
 /// stream. With `AOFT_SOAK_JOURNAL=<path>` the run also writes the

@@ -207,7 +207,7 @@ fn snr_also_runs_over_mux() {
     assert_eq!(report.output(), common::sorted(&keys).as_slice());
 }
 
-/// `run_with_retry_on` models "restart the cluster and try again": every
+/// The attempt loop below models "restart the cluster and try again": every
 /// attempt gets a brand-new loopback transport, but the environment (node
 /// 5's dead outgoing links) persists for the first two attempts. Each
 /// failed attempt must carry a receiver-side missing-message diagnosis
@@ -226,20 +226,26 @@ fn retry_over_fresh_mux_transports_recovers_with_diagnoses() {
         kill_after: Some(0),
         ..LinkFault::default()
     };
-    let retry = builder(keys.clone(), 8)
-        .retry_backoff(Duration::ZERO, Duration::ZERO)
-        .run_with_retry_on(3, |attempt| {
-            let transport = FaultyTransport::new(mux(8), attempt as u64 + 11);
-            if attempt < 2 {
-                transport.fault_sender(5, kill)
-            } else {
-                transport
+    let mut detections = Vec::new();
+    let mut sorted = None;
+    for attempt in 0..3 {
+        let mut transport = FaultyTransport::new(mux(8), attempt as u64 + 11);
+        if attempt < 2 {
+            transport = transport.fault_sender(5, kill);
+        }
+        match builder(keys.clone(), 8).run_on(transport) {
+            Ok(report) => {
+                sorted = Some((attempt + 1, report));
+                break;
             }
-        })
-        .expect("third attempt runs on a healthy cluster");
-    assert_eq!(retry.attempts_used, 3);
-    assert_eq!(retry.detections.len(), 2);
-    for reports in &retry.detections {
+            Err(SortError::Detected { reports, .. }) => detections.push(reports),
+            Err(err) => panic!("attempt {attempt}: {err}"),
+        }
+    }
+    let (attempts_used, report) = sorted.expect("third attempt runs on a healthy cluster");
+    assert_eq!(attempts_used, 3);
+    assert_eq!(detections.len(), 2);
+    for reports in &detections {
         assert!(
             reports
                 .iter()
@@ -262,7 +268,7 @@ fn retry_over_fresh_mux_transports_recovers_with_diagnoses() {
             "diagnosis must localize the fault to a candidate region: {diagnosis}"
         );
     }
-    assert_eq!(retry.report.output(), common::sorted(&keys).as_slice());
+    assert_eq!(report.output(), common::sorted(&keys).as_slice());
 }
 
 /// The whole point of deadline-based receives: a dead peer costs one

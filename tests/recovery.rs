@@ -35,15 +35,27 @@ fn detect_diagnose_retry_loop() {
         }
     };
 
-    let retry = builder()
-        .run_with_retry(4, environment)
-        .expect("third attempt succeeds");
-    assert_eq!(retry.attempts_used, 3);
-    assert_eq!(retry.detections.len(), 2);
+    // The loop the diagnostics enable, spelled out: re-run after each
+    // fail-stop, keeping the reports.
+    let mut detections = Vec::new();
+    let mut sorted = None;
+    for attempt in 0..4 {
+        match builder().fault_plan(environment(attempt)).run() {
+            Ok(report) => {
+                sorted = Some((attempt + 1, report));
+                break;
+            }
+            Err(SortError::Detected { reports, .. }) => detections.push(reports),
+            Err(err) => panic!("attempt {attempt}: {err}"),
+        }
+    }
+    let (attempts_used, report) = sorted.expect("third attempt succeeds");
+    assert_eq!(attempts_used, 3);
+    assert_eq!(detections.len(), 2);
 
     // Diagnose each failed attempt: the suspect set must contain the truly
     // faulty node every time.
-    for reports in &retry.detections {
+    for reports in &detections {
         let diagnosis = diagnosis::diagnose(reports, 4);
         assert!(
             diagnosis.suspects().contains(NodeId::new(9)),
@@ -52,7 +64,7 @@ fn detect_diagnose_retry_loop() {
     }
 
     let keys: Vec<i32> = (0..16).map(|x| (x * 97 + 13) % 61).collect();
-    assert_eq!(retry.report.output(), common::sorted(&keys));
+    assert_eq!(report.output(), common::sorted(&keys));
 }
 
 #[test]

@@ -6,8 +6,11 @@ mod common;
 
 use std::time::Duration;
 
-use aoft::faults::{FaultyTransport, LinkFault};
+use aoft::faults::{FaultKind, FaultPlan, FaultyTransport, LinkFault, Trigger};
+use aoft::hypercube::NodeId;
 use aoft::net::MuxTransport;
+use aoft::sim::InProc;
+use aoft::sort::SortDirection;
 use aoft::svc::{JobError, JobSpec, SortService, SubmitError, SvcConfig};
 
 fn loopback(nodes: u32) -> MuxTransport {
@@ -300,5 +303,144 @@ fn shutdown_is_loud() {
     match handle.wait() {
         Ok(report) => assert_eq!(report.output, common::sorted(&job_keys(7))),
         Err(err) => assert!(matches!(err, JobError::Stopped)),
+    }
+}
+
+/// Every per-job option survives the one attempt loop, whether batching is
+/// off or the job is a lone rider that could not share: it runs as its
+/// plain keys, flushed alone without waiting out the window.
+#[test]
+fn a_lone_rider_keeps_every_per_job_feature() {
+    let window = Duration::from_secs(1);
+    let keys = job_keys(41);
+    let descending: Vec<i32> = common::sorted(&keys).into_iter().rev().collect();
+    let extremes = vec![i32::MAX, 7, i32::MIN, -7, 0, i32::MAX, i32::MIN, 1];
+    let transient = FaultPlan::new().with_fault(
+        NodeId::new(4),
+        FaultKind::CorruptValue,
+        Trigger::from_seq(1),
+        77,
+    );
+    // (what, spec, expected output, expected attempts, traced, shares a ride)
+    let table = [
+        (
+            "descending",
+            JobSpec::new(keys.clone()).direction(SortDirection::Descending),
+            descending,
+            1,
+            false,
+            false,
+        ),
+        (
+            "traced",
+            JobSpec::new(keys.clone()).capture_trace(true),
+            common::sorted(&keys),
+            1,
+            true,
+            false,
+        ),
+        (
+            "untraced",
+            JobSpec::new(keys.clone()).capture_trace(false),
+            common::sorted(&keys),
+            1,
+            false,
+            true,
+        ),
+        (
+            "keys outside the composite range",
+            JobSpec::new(extremes.clone()),
+            common::sorted(&extremes),
+            1,
+            false,
+            false,
+        ),
+        (
+            "transient fault plan",
+            JobSpec::new(keys.clone()).fault_plan(transient),
+            common::sorted(&keys),
+            2,
+            false,
+            false,
+        ),
+    ];
+    for batch_max in [1, 16] {
+        let config = SvcConfig::new(3)
+            .batch_max(batch_max)
+            .batch_flush(window)
+            .recv_timeout(Duration::from_millis(800));
+        let service = SortService::start(config, InProc::new()).expect("service starts");
+        for (what, spec, expected, attempts, traced, shares) in &table {
+            let what = format!("{what}, batch_max {batch_max}");
+            let report = service
+                .submit(spec.clone())
+                .expect("admit")
+                .wait()
+                .unwrap_or_else(|err| panic!("{what}: {err}"));
+            assert_eq!(&report.output, expected, "{what}");
+            assert_eq!(report.attempts, *attempts, "{what}");
+            assert_eq!(
+                report.detections.len(),
+                attempts - 1,
+                "{what}: the fault hits the first attempt only"
+            );
+            assert_eq!(!report.trace.is_empty(), *traced, "{what}");
+            // A job that cannot share (or a service that never batches)
+            // flushes `solo`: at once. Only a job that could have had
+            // company waits for it.
+            let waited = report.latency >= window;
+            assert_eq!(waited, *shares && batch_max > 1, "{what}: {report:?}");
+        }
+        let metrics = service.metrics();
+        assert_eq!(metrics.jobs_completed, table.len() as u64);
+        assert_eq!(metrics.batches_flushed, table.len() as u64);
+        assert_eq!(metrics.jobs_coalesced, 0, "nobody shared a ride");
+        assert_eq!(metrics.retries, 1);
+        service.shutdown();
+    }
+}
+
+/// A permanent fault exhausts the attempt budget loudly — for a lone job
+/// and for every rider of a batch, which re-splits down to lone riders on
+/// the way. No degraded mode and no quarantine, so every attempt runs on
+/// the machine whose node 5 never sends.
+#[test]
+fn a_permanent_fault_exhausts_the_budget_solo_and_batched() {
+    let kill = LinkFault {
+        kill_after: Some(0),
+        ..LinkFault::default()
+    };
+    for (batch_max, jobs) in [(1, 1), (4, 4)] {
+        let transport = FaultyTransport::new(InProc::new(), 0xE4A).fault_sender(5, kill);
+        let config = SvcConfig::new(3)
+            .min_dim(3)
+            .quarantine_after(u32::MAX)
+            .max_attempts(3)
+            .backoff(Duration::ZERO, Duration::ZERO)
+            .batch_max(batch_max)
+            .batch_flush(Duration::from_millis(50))
+            .recv_timeout(Duration::from_millis(200));
+        let service = SortService::start(config, transport).expect("service starts");
+        let handles: Vec<_> = (0..jobs)
+            .map(|i| service.submit(JobSpec::new(job_keys(i))).expect("admit"))
+            .collect();
+        for handle in handles {
+            match handle.wait() {
+                Err(JobError::Exhausted {
+                    attempts,
+                    detections,
+                }) => {
+                    assert_eq!(attempts, 3, "batch_max {batch_max}");
+                    assert_eq!(detections.len(), 3, "batch_max {batch_max}");
+                }
+                other => panic!("batch_max {batch_max}: expected Exhausted, got {other:?}"),
+            }
+        }
+        let metrics = service.metrics();
+        assert_eq!(metrics.jobs_failed, jobs as u64, "every rider is counted");
+        assert_eq!(metrics.jobs_completed, 0);
+        assert_eq!(metrics.retries, 2 * jobs as u64, "two retries per job");
+        assert!(service.quarantined().is_empty());
+        service.shutdown();
     }
 }
