@@ -256,10 +256,11 @@ fn take_snapshot(quick: bool) -> Snapshot {
     metrics.insert("service_job_latency".to_string(), latency);
     metrics.insert("service_job_effort".to_string(), effort);
 
-    // The fixed-pool claim as a gated number: OS threads the mux transport
-    // adds to the process while carrying 8 links of one peer pair — the
-    // servicer pool and the acceptor, 5. Thread-per-link would put 16
-    // here; a regression to that shape fails the gate loudly.
+    // The thread claim as a gated number: OS threads the mux transport
+    // adds to the process while carrying 8 links of one peer pair — 2 tx
+    // servicers, the acceptor and a reader per session end, 5. Threads
+    // grow with sessions, not links: thread-per-link would put 16 here,
+    // and a regression to that shape fails the gate loudly.
     metrics.insert("transport_threads".to_string(), transport_threads(8));
 
     // Mux transport: one-frame round trip over a real loopback socket — a
@@ -466,9 +467,9 @@ fn mux_sockets() -> Metric {
 
 /// OS threads the mux transport adds to the process while carrying
 /// `links` established link pairs of one peer pair — read from
-/// `/proc/self/task`, the kernel's own ledger, with the documented pool
-/// size (2 tx + 2 rx servicers + the acceptor) as the fallback on
-/// platforms without procfs.
+/// `/proc/self/task`, the kernel's own ledger, with the documented count
+/// (2 tx servicers + the acceptor + one reader for each of the pair's two
+/// loopback session ends) as the fallback on platforms without procfs.
 fn transport_threads(links: u8) -> Metric {
     let live = || {
         std::fs::read_dir("/proc/self/task")

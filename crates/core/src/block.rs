@@ -291,11 +291,16 @@ impl FromIterator<Key> for Block {
 impl aoft_net::Wire for Block {
     fn encode(&self, out: &mut Vec<u8>) {
         // Same layout as `Vec<Key>` — a u32 count followed by little-endian
-        // keys — but written in one reserved pass.
+        // keys — but the key region is sized once and filled in one bulk
+        // pass, not grown one key at a time.
         aoft_net::Wire::encode(&(self.keys.len() as u32), out);
-        out.reserve(self.keys.len() * KEY_WIRE_LEN);
-        for key in self.keys.iter() {
-            out.extend_from_slice(&key.to_le_bytes());
+        let start = out.len();
+        out.resize(start + self.keys.len() * KEY_WIRE_LEN, 0);
+        for (slot, key) in out[start..]
+            .chunks_exact_mut(KEY_WIRE_LEN)
+            .zip(self.keys.iter())
+        {
+            slot.copy_from_slice(&key.to_le_bytes());
         }
     }
 

@@ -64,15 +64,18 @@ impl FrameKind {
     }
 }
 
-const fn crc_tables() -> [[u32; 256]; 8] {
-    let mut tables = [[0u32; 256]; 8];
+/// The IEEE 802.3 generator polynomial, bit-reflected.
+const CRC_POLY: u32 = 0xEDB8_8320;
+
+const fn crc_tables() -> [[u32; 256]; 16] {
+    let mut tables = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
         let mut bit = 0;
         while bit < 8 {
             crc = if crc & 1 != 0 {
-                (crc >> 1) ^ 0xEDB8_8320
+                (crc >> 1) ^ CRC_POLY
             } else {
                 crc >> 1
             };
@@ -81,10 +84,10 @@ const fn crc_tables() -> [[u32; 256]; 8] {
         tables[0][i] = crc;
         i += 1;
     }
-    // tables[t][b] = crc of byte b followed by t zero bytes, so eight
-    // lookups can consume eight input bytes per step (slicing-by-8).
+    // tables[t][b] = crc of byte b followed by t zero bytes, so sixteen
+    // lookups can consume sixteen input bytes per step (slicing-by-16).
     let mut t = 1;
-    while t < 8 {
+    while t < 16 {
         let mut i = 0;
         while i < 256 {
             let prev = tables[t - 1][i];
@@ -96,31 +99,144 @@ const fn crc_tables() -> [[u32; 256]; 8] {
     tables
 }
 
-static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+static CRC_TABLES: [[u32; 256]; 16] = crc_tables();
 
-/// CRC-32 (IEEE 802.3) over the concatenation of the given parts,
-/// slicing-by-8: every frame is checksummed on both the encode and the
-/// decode hot path, so the checksum runs eight bytes per table step
-/// instead of one.
+/// `a·b mod P` in GF(2), both operands bit-reflected (bit 31 is `x^0`).
+const fn mul_mod_p(mut a: u32, mut b: u32) -> u32 {
+    let mut product = 0;
+    while a != 0 {
+        if a & (1 << 31) != 0 {
+            product ^= b;
+        }
+        a <<= 1;
+        b = if b & 1 != 0 {
+            (b >> 1) ^ CRC_POLY
+        } else {
+            b >> 1
+        };
+    }
+    product
+}
+
+/// `X2N[k] = x^(2^k) mod P`, the power table the lane merge is built from.
+const fn x2n_table() -> [u32; 32] {
+    let mut table = [0u32; 32];
+    let mut p = 1u32 << 30; // x^1
+    let mut k = 0;
+    while k < 32 {
+        table[k] = p;
+        p = mul_mod_p(p, p);
+        k += 1;
+    }
+    table
+}
+
+static X2N: [u32; 32] = x2n_table();
+
+/// `x^(8·n) mod P`: multiplying a CRC register by it is what running `n`
+/// zero bytes through the register does (zlib's `crc32_combine_gen`).
+fn shift_for_bytes(n: usize) -> u32 {
+    let mut p = 1u32 << 31; // x^0
+    let mut n = n as u64;
+    let mut k = 3; // 8·n = n·2^3
+    while n != 0 {
+        if n & 1 != 0 {
+            p = mul_mod_p(X2N[k & 31], p);
+        }
+        n >>= 1;
+        k += 1;
+    }
+    p
+}
+
+/// Parts at least this long are checksummed as four interleaved lanes.
+const LANE_MIN: usize = 4096;
+
+/// Lane length granule: a lane is whole slicing steps, and rounding it
+/// keeps `x^(8·lane)` a product of few table powers.
+const LANE_GRANULE: usize = 256;
+
+/// One slicing-by-16 step: the raw register after the 16 bytes of `chunk`.
+#[inline(always)]
+fn step16(crc: u32, chunk: &[u8; 16]) -> u32 {
+    let t = &CRC_TABLES;
+    let w = |i: usize| u32::from_le_bytes([chunk[i], chunk[i + 1], chunk[i + 2], chunk[i + 3]]);
+    let (a, b, c, d) = (w(0) ^ crc, w(4), w(8), w(12));
+    t[15][(a & 0xFF) as usize]
+        ^ t[14][((a >> 8) & 0xFF) as usize]
+        ^ t[13][((a >> 16) & 0xFF) as usize]
+        ^ t[12][(a >> 24) as usize]
+        ^ t[11][(b & 0xFF) as usize]
+        ^ t[10][((b >> 8) & 0xFF) as usize]
+        ^ t[9][((b >> 16) & 0xFF) as usize]
+        ^ t[8][(b >> 24) as usize]
+        ^ t[7][(c & 0xFF) as usize]
+        ^ t[6][((c >> 8) & 0xFF) as usize]
+        ^ t[5][((c >> 16) & 0xFF) as usize]
+        ^ t[4][(c >> 24) as usize]
+        ^ t[3][(d & 0xFF) as usize]
+        ^ t[2][((d >> 8) & 0xFF) as usize]
+        ^ t[1][((d >> 16) & 0xFF) as usize]
+        ^ t[0][(d >> 24) as usize]
+}
+
+/// Runs `bytes` through the raw register `crc`, slicing-by-16.
+fn update16(mut crc: u32, bytes: &[u8]) -> u32 {
+    let mut chunks = bytes.chunks_exact(16);
+    for chunk in &mut chunks {
+        crc = step16(crc, chunk.try_into().expect("16-byte chunk"));
+    }
+    for &byte in chunks.remainder() {
+        crc = (crc >> 8) ^ CRC_TABLES[0][((crc ^ byte as u32) & 0xFF) as usize];
+    }
+    crc
+}
+
+/// Runs `bytes` through the raw register `crc` as four lanes of `lane`
+/// bytes each, advanced in one interleaved loop so the four table-lookup
+/// chains overlap, then merged: the register after lanes `A‖B` is
+/// `reg(A)·x^(8·|B|) ^ reg₀(B)`, where `reg₀` starts from zero. The
+/// `len % (4·lane)` tail goes through [`update16`].
+fn update_lanes(crc: u32, bytes: &[u8]) -> u32 {
+    let lane = bytes.len() / 4 / LANE_GRANULE * LANE_GRANULE;
+    let (lanes, tail) = bytes.split_at(4 * lane);
+    let (l0, rest) = lanes.split_at(lane);
+    let (l1, rest) = rest.split_at(lane);
+    let (l2, l3) = rest.split_at(lane);
+    let (mut c0, mut c1, mut c2, mut c3) = (crc, 0u32, 0u32, 0u32);
+    let quads = l0
+        .chunks_exact(16)
+        .zip(l1.chunks_exact(16))
+        .zip(l2.chunks_exact(16).zip(l3.chunks_exact(16)));
+    for ((a, b), (c, d)) in quads {
+        c0 = step16(c0, a.try_into().expect("16-byte chunk"));
+        c1 = step16(c1, b.try_into().expect("16-byte chunk"));
+        c2 = step16(c2, c.try_into().expect("16-byte chunk"));
+        c3 = step16(c3, d.try_into().expect("16-byte chunk"));
+    }
+    let shift = shift_for_bytes(lane);
+    let merged = mul_mod_p(shift, mul_mod_p(shift, mul_mod_p(shift, c0) ^ c1) ^ c2) ^ c3;
+    update16(merged, tail)
+}
+
+/// CRC-32 (IEEE 802.3) over the concatenation of the given parts.
+///
+/// Every frame is checksummed on both the encode and the decode hot path,
+/// so this is the per-byte price of `S_FT`'s longer messages. A part of at
+/// least [`LANE_MIN`] bytes is split into four equal lanes checksummed in
+/// one interleaved slicing-by-16 loop, and the lane registers are merged
+/// by the GF(2) shift `x^(8n) mod P` (zlib's `crc32_combine`, from a
+/// `const`-built table of `x^(2^k) mod P`); shorter parts run plain
+/// slicing-by-16. Either way the value is the one bytewise CRC-32 of the
+/// same bytes, so the frame format — and [`FRAME_VERSION`] — is unchanged.
 pub fn crc32(parts: &[&[u8]]) -> u32 {
     let mut crc = !0u32;
     for part in parts {
-        let mut chunks = part.chunks_exact(8);
-        for chunk in &mut chunks {
-            let lo = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]) ^ crc;
-            let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
-            crc = CRC_TABLES[7][(lo & 0xFF) as usize]
-                ^ CRC_TABLES[6][((lo >> 8) & 0xFF) as usize]
-                ^ CRC_TABLES[5][((lo >> 16) & 0xFF) as usize]
-                ^ CRC_TABLES[4][(lo >> 24) as usize]
-                ^ CRC_TABLES[3][(hi & 0xFF) as usize]
-                ^ CRC_TABLES[2][((hi >> 8) & 0xFF) as usize]
-                ^ CRC_TABLES[1][((hi >> 16) & 0xFF) as usize]
-                ^ CRC_TABLES[0][(hi >> 24) as usize];
-        }
-        for &byte in chunks.remainder() {
-            crc = (crc >> 8) ^ CRC_TABLES[0][((crc ^ byte as u32) & 0xFF) as usize];
-        }
+        crc = if part.len() >= LANE_MIN {
+            update_lanes(crc, part)
+        } else {
+            update16(crc, part)
+        };
     }
     !crc
 }

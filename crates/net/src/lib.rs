@@ -9,8 +9,9 @@
 //! * [`MuxTransport`]: real TCP over loopback (or any reachable address),
 //!   one session per *peer pair* carrying every link between the two
 //!   nodes, with a length-prefixed, checksummed frame codec ([`frame`]),
-//!   pooled wire buffers ([`pool`]), a fixed pool of doorbell-driven
-//!   servicer threads, send retry with capped exponential [`Backoff`], and
+//!   pooled wire buffers ([`pool`]), two doorbell-driven tx servicers and
+//!   one blocking reader per session end, send retry with capped
+//!   exponential [`Backoff`], and
 //!   a heartbeat-based failure detector that surfaces a silent peer as
 //!   [`NetError::PeerDead`] on every link of the session.
 //!

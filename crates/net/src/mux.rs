@@ -12,18 +12,18 @@
 //!   [`crate::pool`] buffer leases, one extra tag per frame;
 //! * all of a pair's links share one tx queue set, drained fairly
 //!   (round-robin across links) into a single `write_vectored`;
-//! * wakeups are **event-driven**, not sleep-polled: a tx doorbell
+//! * wakeups are **event-driven**, never sleep-polled: a tx doorbell
 //!   (`Condvar`) wakes the owning tx servicer the moment a sender enqueues,
-//!   and rx servicers sit in *blocking* reads with a short
-//!   `set_read_timeout` whenever they own a single session. A servicer
-//!   that owns several sessions falls back to a nonblocking sweep on an
-//!   adaptive idle ramp ([`IDLE_SLEEP_MIN`] → [`IDLE_SLEEP_MAX`]), which
-//!   is the honest price of the thread cap;
-//! * heartbeats, silence dead-checks and write-retry backoff are
-//!   **per-session** obligations on the tx servicer's [`TimerWheel`] — one
-//!   timer per peer pair, not one per directed link;
-//! * servicer threads are a fixed pool ([`TX_SERVICERS`] tx +
-//!   [`RX_SERVICERS`] rx + 1 acceptor) regardless of session count.
+//!   and every session end has one reader thread blocked in `read` on its
+//!   own socket, so the first byte of a frame wakes exactly the thread
+//!   that demuxes it. The reader reads straight into a persistent
+//!   per-session buffer ([`RxBuf`]) that grows only with bytes received;
+//! * heartbeats and write-retry backoff are **per-session** obligations on
+//!   the tx servicer's [`TimerWheel`] — one timer per peer pair, not one
+//!   per directed link — and the silence dead-check is the reader's read
+//!   timeout (`heartbeat_interval`);
+//! * threads: [`TX_SERVICERS`] tx + 1 acceptor, plus one reader per
+//!   session end, joined when the transport drops.
 //!
 //! Failure semantics follow the session: when a session dies (silence past
 //! the heartbeat window, EOF, socket error, corrupt stream), **every** link
@@ -43,7 +43,6 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use aoft_obs::Counter;
-use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use parking_lot::{Condvar, Mutex};
 
 use crate::frame::{
@@ -59,10 +58,9 @@ use crate::{Backoff, CancelToken, LinkId, LinkRx, LinkTx, NetError, Transport};
 /// versions the session layer (last byte).
 const MUX_MAGIC: [u8; 8] = *b"AOFTMUX\x01";
 
-/// Read timeout of a single-session rx servicer's blocking reads: the
-/// cadence at which it re-checks its dead-line and intake even when the
-/// peer is silent.
-const READ_SLICE: Duration = Duration::from_millis(5);
+/// The size a session's receive buffer starts at and grows by: one read's
+/// worth of bytes beyond those already held.
+const READ_CHUNK: usize = 64 * 1024;
 
 /// `SO_SNDTIMEO` on session sockets: a write stalled longer than this
 /// parks the session on the retry path instead of freezing its (shared)
@@ -75,9 +73,6 @@ const MAX_TX_COALESCE: usize = 64;
 /// Manifest entries a session preamble may carry; larger claims are
 /// treated as a corrupt dial.
 const MAX_MANIFEST: usize = 1024;
-
-/// Reads one multi-session sweep allows a single session before yielding.
-const READS_PER_PASS: usize = 8;
 
 /// How long the acceptor waits for a dialer's session preamble before
 /// dropping the connection.
@@ -99,18 +94,6 @@ const TX_QUEUE_FRAMES: usize = 1024;
 /// Tx servicer threads; sessions hash onto them round-robin. The doorbell
 /// keeps every count event-driven.
 const TX_SERVICERS: usize = 2;
-
-/// Rx servicer threads. A servicer owning exactly one session uses
-/// blocking reads (lowest latency); owning more it falls back to a
-/// nonblocking sweep on the idle ramp below.
-const RX_SERVICERS: usize = 2;
-
-/// First slice of the multi-session rx sweep's idle ramp; doubles per pass
-/// that makes no progress.
-const IDLE_SLEEP_MIN: Duration = Duration::from_micros(500);
-
-/// Ceiling of that ramp: bounds first-byte latency after an idle period.
-const IDLE_SLEEP_MAX: Duration = Duration::from_millis(2);
 
 /// The liveness clocks of a [`MuxTransport`], per *session* (peer pair).
 /// Everything else about the backend is a constant of this module.
@@ -209,8 +192,11 @@ enum Inbox {
     Attached(Box<dyn MuxSink>, u64),
 }
 
-/// Type-erased delivery target: the rx servicer demuxes raw payload bytes
-/// without knowing the link's message type.
+/// A session's rx demux table, keyed by link.
+type Inboxes = Mutex<HashMap<LinkId, Inbox>>;
+
+/// Type-erased delivery target: the session's reader demuxes raw payload
+/// bytes without knowing the link's message type.
 trait MuxSink: Send {
     fn deliver_data(&self, payload: &[u8]) -> SinkStatus;
     fn fail(&self, err: NetError);
@@ -254,8 +240,8 @@ impl<M: Wire + Send + 'static> MuxSink for TypedMuxSink<M> {
 struct Session {
     id: u64,
     label: String,
-    /// Tx-side socket handle (the rx servicer owns its own clone of the
-    /// same underlying socket).
+    /// The session end's one socket: its tx servicer writes and its reader
+    /// reads through `&TcpStream`.
     stream: TcpStream,
     tx: Mutex<TxInner>,
     /// Wakes senders blocked on a full per-link queue.
@@ -264,16 +250,16 @@ struct Session {
     dead: AtomicBool,
     /// The first terminal error; every later observer fans out this one.
     fate: Mutex<Option<NetError>>,
-    inboxes: Mutex<HashMap<LinkId, Inbox>>,
+    inboxes: Inboxes,
     bytes_sent: Arc<Counter>,
     bytes_received: Arc<Counter>,
 }
 
 impl Session {
     /// Marks the session dead exactly once: records `err` as its fate,
-    /// wakes parked senders, shuts the socket down (which wakes the rx
-    /// servicer) and drops it from the session gauge. Returns `true` for
-    /// the call that performed the kill.
+    /// wakes parked senders, shuts the socket down (which wakes the
+    /// session's reader out of its blocked `read`) and drops it from the
+    /// session gauge. Returns `true` for the call that performed the kill.
     fn kill(&self, err: NetError) -> bool {
         if self.dead.swap(true, Ordering::AcqRel) {
             return false;
@@ -830,200 +816,139 @@ fn pop_batch(session: &Session, now: Instant) -> Option<TxBatch> {
 }
 
 // ---------------------------------------------------------------------------
-// Rx servicers: blocking reads, session demux, failure detection
+// Readers: one blocking read loop per session end, demux, failure detection
 // ---------------------------------------------------------------------------
 
-struct RxAssign {
-    session: Arc<Session>,
+/// A session end's receive buffer. Bytes are read straight into
+/// `buf[end..]` and wait in `buf[start..end]` until they complete a frame;
+/// nothing is copied on the way in and nothing is zero-filled per read.
+///
+/// The buffer starts at [`READ_CHUNK`] and grows by one `READ_CHUNK` only
+/// when it is full of a single partial frame whose length field has
+/// already been validated (≤ [`MAX_FRAME_LEN`]): it never holds more than
+/// the bytes received plus one read, so a length claim backed by no bytes
+/// reserves nothing.
+#[derive(Default)]
+struct RxBuf {
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
 }
 
-struct RxLocal {
-    session: Arc<Session>,
-    acc: Vec<u8>,
-    last_seen: Instant,
-    misses_reported: u64,
-}
-
-enum RxPump {
-    Progress,
-    Idle,
-    Retire(NetError),
-}
-
-struct RxWorker {
-    config: MuxConfig,
-    intake: Receiver<RxAssign>,
-    shutdown: Arc<AtomicBool>,
-}
-
-impl RxWorker {
-    fn run(self) {
-        let mut sessions: Vec<RxLocal> = Vec::new();
-        let mut scratch = vec![0u8; 64 * 1024];
-        let mut idle_sleep = IDLE_SLEEP_MIN;
-        // The socket mode currently applied to every owned session:
-        // blocking short-timeout reads while owning exactly one session,
-        // a nonblocking sweep otherwise.
-        let mut applied_single: Option<bool> = None;
-        loop {
-            if self.shutdown.load(Ordering::Acquire) {
-                return;
-            }
-            let mut admitted = false;
-            loop {
-                match self.intake.try_recv() {
-                    Ok(assign) => {
-                        sessions.push(self.admit(assign));
-                        admitted = true;
-                    }
-                    Err(TryRecvError::Empty) => break,
-                    Err(TryRecvError::Disconnected) => {
-                        if sessions.is_empty() {
-                            return;
-                        }
-                        break;
-                    }
-                }
-            }
-            if sessions.is_empty() {
-                match self.intake.recv_timeout(Duration::from_millis(50)) {
-                    Ok(assign) => {
-                        sessions.push(self.admit(assign));
-                    }
-                    Err(RecvTimeoutError::Timeout) => continue,
-                    Err(RecvTimeoutError::Disconnected) => return,
-                }
-                admitted = true;
-            }
-            let single = sessions.len() == 1;
-            if admitted || applied_single != Some(single) {
-                applied_single = Some(single);
-                for local in &sessions {
-                    set_socket_mode(&local.session.stream, single);
-                }
-            }
-            let mut progress = false;
-            let mut retired: Option<usize> = None;
-            for (idx, local) in sessions.iter_mut().enumerate() {
-                match self.pump(local, &mut scratch, single) {
-                    RxPump::Progress => progress = true,
-                    RxPump::Idle => {}
-                    RxPump::Retire(err) => {
-                        local.session.kill(err);
-                        local.session.fail_inboxes();
-                        retired = Some(idx);
-                        progress = true;
-                        break;
-                    }
-                }
-            }
-            if let Some(idx) = retired {
-                sessions.remove(idx);
-            }
-            if single || progress {
-                idle_sleep = IDLE_SLEEP_MIN;
+impl RxBuf {
+    /// The free tail the next read fills: never empty. A full buffer first
+    /// moves its pending bytes to the front, and grows only if they fill it.
+    fn spare(&mut self) -> &mut [u8] {
+        if self.end == self.buf.len() {
+            if self.start > 0 {
+                self.buf.copy_within(self.start..self.end, 0);
+                self.end -= self.start;
+                self.start = 0;
             } else {
-                // Multi-session sweep made no progress: the adaptive
-                // ramp bounds the idle burn.
-                std::thread::sleep(idle_sleep);
-                idle_sleep = (idle_sleep * 2).min(IDLE_SLEEP_MAX);
+                self.buf.resize(self.end + READ_CHUNK, 0);
             }
         }
+        &mut self.buf[self.end..]
     }
 
-    fn admit(&self, assign: RxAssign) -> RxLocal {
-        RxLocal {
-            session: assign.session,
-            acc: Vec::new(),
-            last_seen: Instant::now(),
-            misses_reported: 0,
-        }
+    /// Records `n` bytes just read into [`RxBuf::spare`].
+    fn filled(&mut self, n: usize) {
+        self.end += n;
     }
 
-    /// One service pass over a session: reads (blocking with a short
-    /// timeout when `single`, nonblocking otherwise), demuxes complete
-    /// frames, and runs the per-session silence dead-check.
-    fn pump(&self, local: &mut RxLocal, scratch: &mut [u8], single: bool) -> RxPump {
-        if local.session.dead.load(Ordering::Acquire) {
-            return RxPump::Retire(local.session.fate());
+    /// Received bytes not yet consumed as frames.
+    fn pending(&self) -> &[u8] {
+        &self.buf[self.start..self.end]
+    }
+
+    fn consume(&mut self, n: usize) {
+        self.start += n;
+        if self.start == self.end {
+            self.start = 0;
+            self.end = 0;
         }
-        let mut made_progress = false;
-        let reads = if single { 1 } else { READS_PER_PASS };
-        for _ in 0..reads {
-            let mut reader: &TcpStream = &local.session.stream;
-            match reader.read(scratch) {
-                Ok(0) => return RxPump::Retire(NetError::Closed),
-                Ok(n) => {
-                    made_progress = true;
-                    local.last_seen = Instant::now();
-                    local.misses_reported = 0;
-                    local.session.bytes_received.add(n as u64);
-                    local.acc.extend_from_slice(&scratch[..n]);
-                    match drain_session_frames(&local.session, &mut local.acc) {
-                        FrameDrain::Continue => {}
-                        FrameDrain::SessionBye => return RxPump::Retire(NetError::Closed),
-                        FrameDrain::Corrupt(detail) => {
-                            return RxPump::Retire(NetError::Codec(detail))
-                        }
-                    }
-                }
-                Err(ref e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(ref e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    break;
-                }
-                Err(e) => return RxPump::Retire(NetError::Io(e.to_string())),
-            }
-        }
-        if !made_progress {
-            // Per-session failure detection: one silence clock covers every
-            // link the session carries.
-            let silent = Instant::now().saturating_duration_since(local.last_seen);
-            if silent > self.config.heartbeat_timeout {
-                aoft_obs::global()
-                    .net_peer_dead
-                    .add(&local.session.label, 1);
-                return RxPump::Retire(NetError::PeerDead { silent_for: silent });
-            }
-            let interval = self.config.heartbeat_interval.max(Duration::from_millis(1));
-            let misses = (silent.as_micros() / interval.as_micros().max(1)) as u64;
-            if misses > local.misses_reported {
-                aoft_obs::global()
-                    .net_heartbeat_misses
-                    .add(&local.session.label, misses - local.misses_reported);
-                local.misses_reported = misses;
-            }
-            return RxPump::Idle;
-        }
-        RxPump::Progress
     }
 }
 
-fn set_socket_mode(stream: &TcpStream, blocking: bool) {
-    if blocking {
-        let _ = stream.set_nonblocking(false);
-        let _ = stream.set_read_timeout(Some(READ_SLICE));
-    } else {
-        let _ = stream.set_nonblocking(true);
+/// A session end's reader thread: pumps the socket until the session ends,
+/// then fans its fate out to every link the session carried.
+fn read_session(session: Arc<Session>, config: MuxConfig) {
+    let fate = pump_session(&session, &config);
+    session.kill(fate);
+    session.fail_inboxes();
+}
+
+/// Blocks in `read` on the session's socket, demuxing every complete frame
+/// as it lands, until the stream ends, errs, turns corrupt or goes silent
+/// past `heartbeat_timeout`. The read timeout is `heartbeat_interval`, the
+/// cadence the silence check needs; a [`Session::kill`] from anywhere wakes
+/// the read by shutting the socket down. Returns the session's fate.
+fn pump_session(session: &Session, config: &MuxConfig) -> NetError {
+    let interval = config.heartbeat_interval.max(Duration::from_millis(1));
+    if let Err(err) = session.stream.set_read_timeout(Some(interval)) {
+        return err.into();
+    }
+    let mut rx = RxBuf::default();
+    let mut last_seen = Instant::now();
+    let mut misses_reported = 0u64;
+    loop {
+        if session.dead.load(Ordering::Acquire) {
+            return session.fate();
+        }
+        let mut reader: &TcpStream = &session.stream;
+        match reader.read(rx.spare()) {
+            Ok(0) => return NetError::Closed,
+            Ok(n) => {
+                rx.filled(n);
+                last_seen = Instant::now();
+                misses_reported = 0;
+                session.bytes_received.add(n as u64);
+                match drain_session_frames(&session.inboxes, &mut rx) {
+                    FrameDrain::Continue => {}
+                    FrameDrain::SessionBye => return NetError::Closed,
+                    FrameDrain::Corrupt(detail) => return NetError::Codec(detail),
+                }
+            }
+            Err(ref e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(ref e)
+                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
+            {
+                // Per-session failure detection: one silence clock covers
+                // every link the session carries.
+                let silent = last_seen.elapsed();
+                if silent > config.heartbeat_timeout {
+                    aoft_obs::global().net_peer_dead.add(&session.label, 1);
+                    return NetError::PeerDead { silent_for: silent };
+                }
+                let misses = (silent.as_micros() / interval.as_micros()) as u64;
+                if misses > misses_reported {
+                    aoft_obs::global()
+                        .net_heartbeat_misses
+                        .add(&session.label, misses - misses_reported);
+                    misses_reported = misses;
+                }
+            }
+            Err(e) => return NetError::Io(e.to_string()),
+        }
     }
 }
 
+#[derive(Debug, PartialEq)]
 enum FrameDrain {
     Continue,
     SessionBye,
     Corrupt(String),
 }
 
-/// Decodes and demuxes every complete frame in `acc`, leaving any trailing
-/// partial frame in place. Data and LinkBye frames route by their 9-byte
-/// demux tag; Heartbeat refreshes liveness implicitly (any bytes do); Bye
-/// ends the whole session.
-fn drain_session_frames(session: &Session, acc: &mut Vec<u8>) -> FrameDrain {
+/// Decodes and demuxes every complete frame pending in `rx`, leaving any
+/// trailing partial frame in place. Data and LinkBye frames route by their
+/// 9-byte demux tag; Heartbeat refreshes liveness implicitly (any bytes
+/// do); Bye ends the whole session.
+fn drain_session_frames(inboxes: &Inboxes, rx: &mut RxBuf) -> FrameDrain {
+    let pending = rx.pending();
     let mut consumed = 0;
     let outcome = loop {
-        let rest = &acc[consumed..];
+        let rest = &pending[consumed..];
         if rest.len() < 4 {
             break FrameDrain::Continue;
         }
@@ -1039,13 +964,13 @@ fn drain_session_frames(session: &Session, acc: &mut Vec<u8>) -> FrameDrain {
                 let Some(tag) = demux_tag(payload) else {
                     break FrameDrain::Corrupt("data frame shorter than its demux tag".into());
                 };
-                deliver(session, tag, &payload[9..]);
+                deliver(inboxes, tag, &payload[9..]);
             }
             Ok((FrameKind::LinkBye, payload)) => {
                 let Some(tag) = demux_tag(payload) else {
                     break FrameDrain::Corrupt("link bye shorter than its demux tag".into());
                 };
-                close_inbox(session, tag);
+                close_inbox(inboxes, tag);
             }
             Ok((FrameKind::Heartbeat, _)) => {}
             Ok((FrameKind::Bye, _)) => break FrameDrain::SessionBye,
@@ -1053,7 +978,7 @@ fn drain_session_frames(session: &Session, acc: &mut Vec<u8>) -> FrameDrain {
         }
         consumed += 4 + len;
     };
-    acc.drain(..consumed);
+    rx.consume(consumed);
     outcome
 }
 
@@ -1066,8 +991,8 @@ fn demux_tag(payload: &[u8]) -> Option<LinkId> {
     Some(LinkId::from_handshake(tag))
 }
 
-fn deliver(session: &Session, link: LinkId, bytes: &[u8]) {
-    let mut inboxes = session.inboxes.lock();
+fn deliver(inboxes: &Inboxes, link: LinkId, bytes: &[u8]) {
+    let mut inboxes = inboxes.lock();
     match inboxes.get_mut(&link) {
         Some(Inbox::Attached(sink, _)) => {
             if sink.deliver_data(bytes) == SinkStatus::Gone {
@@ -1085,8 +1010,8 @@ fn deliver(session: &Session, link: LinkId, bytes: &[u8]) {
     }
 }
 
-fn close_inbox(session: &Session, link: LinkId) {
-    let mut inboxes = session.inboxes.lock();
+fn close_inbox(inboxes: &Inboxes, link: LinkId) {
+    let mut inboxes = inboxes.lock();
     match inboxes.remove(&link) {
         Some(Inbox::Attached(sink, _)) => sink.fail(NetError::Closed),
         // Buffered-but-never-claimed frames drop with the link, exactly as
@@ -1105,19 +1030,21 @@ struct MuxShared {
     accepted: Mutex<HashMap<Pair, Arc<Session>>>,
     accepted_cv: Condvar,
     tx_pool: Vec<Arc<TxDoorbell>>,
-    rx_pool: Vec<Sender<RxAssign>>,
     next_assign: AtomicUsize,
+    /// One reader per session end created so far and not yet seen to
+    /// finish; the transport joins them all when it drops.
+    readers: Mutex<Vec<JoinHandle<()>>>,
     shutdown: Arc<AtomicBool>,
 }
 
 impl MuxShared {
     /// Wraps an established socket as a live session: registers it with a
-    /// tx doorbell and an rx servicer (both round-robin) and counts it on
-    /// the session gauge.
+    /// tx doorbell (round-robin), spawns its reader and counts it on the
+    /// session gauge.
     fn create_session(&self, pair: Pair, stream: TcpStream) -> Result<Arc<Session>, NetError> {
-        // Tx and rx servicers share this one fd (`read`/`write` through
-        // `&TcpStream` are independently safe): one fd per session end is
-        // exactly the resource claim the fd-count tests assert.
+        // The tx servicer and the reader share this one fd (`read`/`write`
+        // through `&TcpStream` are independently safe): one fd per session
+        // end is exactly the resource claim the fd-count tests assert.
         stream.set_nodelay(true)?;
         stream.set_write_timeout(Some(WRITE_SLICE))?;
         let label = pair_label(pair);
@@ -1142,17 +1069,29 @@ impl MuxShared {
             bytes_sent: reg.mux_bytes_sent.with_label(&label),
             bytes_received: reg.mux_bytes_received.with_label(&label),
         });
+        let reader = {
+            let session = Arc::clone(&session);
+            let config = self.config.clone();
+            std::thread::Builder::new()
+                .name(format!("aoft-mux-rx-{label}"))
+                .spawn(move || read_session(session, config))
+                .map_err(|e| NetError::Io(format!("spawn mux reader for {label}: {e}")))?
+        };
         reg.mux_sessions.add(1);
+        {
+            // Reap the readers of sessions that have ended (joining a
+            // finished thread does not block), so the list tracks live ones.
+            let mut readers = self.readers.lock();
+            while let Some(done) = readers.iter().position(JoinHandle::is_finished) {
+                let _ = readers.swap_remove(done).join();
+            }
+            readers.push(reader);
+        }
         {
             let mut state = session.doorbell.state.lock();
             state.intake.push(Arc::clone(&session));
         }
         session.doorbell.bell.notify_one();
-        self.rx_pool[idx % self.rx_pool.len()]
-            .send(RxAssign {
-                session: Arc::clone(&session),
-            })
-            .map_err(|_| NetError::Closed)?;
         Ok(session)
     }
 }
@@ -1243,9 +1182,12 @@ enum DialSlot {
 /// A socket transport that multiplexes every link of a peer pair over one
 /// physical TCP session.
 ///
-/// Socket count is `O(peer pairs)`, not `O(directed links)`, and the
-/// transport runs on five threads (2 tx servicers + 2 rx servicers + the
-/// acceptor) regardless of session count. Every label dials this
+/// Socket count is `O(peer pairs)`, not `O(directed links)`. Threads are
+/// 2 tx servicers + the acceptor, plus one reader blocked on each session
+/// end's socket: 27 for a loopback d=3 cube (24 ends), 387 at d=6 — the
+/// price of a first byte that wakes its reader directly, where a shared
+/// reader pool would sweep. Dropping the transport kills every session and
+/// joins every reader. Every label dials this
 /// transport's own listener unless [`MuxTransport::set_peer`] routes it
 /// elsewhere; both sides of a pair must use `MuxTransport`.
 ///
@@ -1264,9 +1206,8 @@ pub struct MuxTransport {
 }
 
 impl MuxTransport {
-    /// Binds a listener on an ephemeral loopback port and starts the
-    /// servicer pools (tx servicers + rx servicers + 1 acceptor: five
-    /// threads in total, independent of session count).
+    /// Binds a listener on an ephemeral loopback port and starts the tx
+    /// servicers and the acceptor; each session brings its own reader.
     ///
     /// # Errors
     ///
@@ -1296,29 +1237,13 @@ impl MuxTransport {
                     .map_err(|e| NetError::Io(format!("spawn mux tx servicer {idx}: {e}")))?,
             );
         }
-        let mut rx_pool = Vec::new();
-        for idx in 0..RX_SERVICERS {
-            let (assign_tx, assign_rx) = unbounded::<RxAssign>();
-            rx_pool.push(assign_tx);
-            let worker = RxWorker {
-                config: config.clone(),
-                intake: assign_rx,
-                shutdown: Arc::clone(&shutdown),
-            };
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("aoft-mux-rx-{idx}"))
-                    .spawn(move || worker.run())
-                    .map_err(|e| NetError::Io(format!("spawn mux rx servicer {idx}: {e}")))?,
-            );
-        }
         let shared = Arc::new(MuxShared {
             config,
             accepted: Mutex::new(HashMap::new()),
             accepted_cv: Condvar::new(),
             tx_pool,
-            rx_pool,
             next_assign: AtomicUsize::new(0),
+            readers: Mutex::new(Vec::new()),
             shutdown,
         });
         let acceptor_shared = Arc::clone(&shared);
@@ -1604,8 +1529,8 @@ impl<M: Wire + Send + 'static> Transport<M> for MuxTransport {
             }
         }
         if session.dead.load(Ordering::Acquire) {
-            // Raced with the session's death after the rx servicer's
-            // inbox fan-out: fail our own sink so the receiver observes
+            // Raced with the session's death after the reader's inbox
+            // fan-out: fail our own sink so the receiver observes
             // the session's fate instead of a silent timeout.
             let err = session.fate();
             let mut inboxes = session.inboxes.lock();
@@ -1639,7 +1564,8 @@ impl Drop for MuxTransport {
             let _ = handle.join();
         }
         // Account every surviving session off the gauge and fail any
-        // receiver still attached.
+        // receiver still attached; the kill also wakes each reader, so none
+        // outlives the transport.
         let mut accepted = self.shared.accepted.lock();
         for (_, session) in accepted.drain() {
             session.kill(NetError::Closed);
@@ -1652,13 +1578,19 @@ impl Drop for MuxTransport {
                 session.fail_inboxes();
             }
         }
+        let readers = std::mem::take(&mut *self.shared.readers.lock());
+        for handle in readers {
+            let _ = handle.join();
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::encode_frame;
     use crate::mailbox::contract;
+    use proptest::prelude::*;
 
     fn link(from: u32, to: u32, tag: u8) -> LinkId {
         LinkId { from, to, tag }
@@ -1889,6 +1821,67 @@ mod tests {
                 Err(err) => err,
             };
         assert!(matches!(err, NetError::Io(_)), "got {err}");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Peer bytes are hostile input. Any stream — valid frames, garbage,
+        /// length claims up to the maximum backed by a few bytes — cut into
+        /// reads of any size ends only in continue, corrupt or session-bye,
+        /// never a panic, and the receive buffer never holds more than the
+        /// bytes received plus one read.
+        #[test]
+        fn hostile_streams_end_in_continue_corrupt_or_bye(
+            segments in prop::collection::vec(
+                (0u8..8, prop::collection::vec(any::<u8>(), 0..48), any::<u32>()),
+                0..10,
+            ),
+            reads in prop::collection::vec(1usize..100_000, 1..12),
+        ) {
+            let kinds = [FrameKind::Data, FrameKind::LinkBye, FrameKind::Heartbeat, FrameKind::Bye];
+            let mut stream = Vec::new();
+            for (kind, bytes, n) in &segments {
+                let mut payload = link(n % 16, 16, 0).to_handshake().to_vec();
+                payload.extend_from_slice(bytes);
+                match *kind {
+                    k @ 0..=3 => stream.extend(encode_frame(kinds[k as usize], &payload)),
+                    4 => {
+                        // Longer than one read: the buffer has to grow.
+                        payload.resize(9 + *n as usize % (3 * READ_CHUNK), 7);
+                        stream.extend(encode_frame(FrameKind::Data, &payload));
+                    }
+                    5 => {
+                        let claim = HEADER_LEN + *n as usize % (MAX_FRAME_LEN - HEADER_LEN + 1);
+                        stream.extend((claim as u32).to_le_bytes());
+                        stream.extend_from_slice(bytes);
+                    }
+                    // A well-formed frame that may be short of its tag.
+                    6 => stream.extend(encode_frame(kinds[*n as usize % 4], bytes)),
+                    _ => stream.extend_from_slice(bytes),
+                }
+            }
+            let inboxes: Inboxes = Mutex::new(HashMap::new());
+            let mut rx = RxBuf::default();
+            let (mut received, mut outcome) = (0, FrameDrain::Continue);
+            for read in reads.iter().cycle() {
+                if received == stream.len() || outcome != FrameDrain::Continue {
+                    break;
+                }
+                let spare = rx.spare();
+                let n = (*read).min(spare.len()).min(stream.len() - received);
+                spare[..n].copy_from_slice(&stream[received..received + n]);
+                rx.filled(n);
+                received += n;
+                prop_assert!(rx.buf.len() <= received + READ_CHUNK, "{} held", rx.buf.len());
+                outcome = drain_session_frames(&inboxes, &mut rx);
+            }
+            // Frames this codec wrote are never judged corrupt, however the
+            // reads cut them.
+            if segments.iter().all(|(kind, _, _)| *kind <= 4) {
+                prop_assert!(!matches!(outcome, FrameDrain::Corrupt(_)), "{:?}", outcome);
+            }
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! *rejected*, never silently mis-decoded — the codec-level face of
 //! "a faulty message must be detectable".
 
-use aoft_net::frame::{decode_frame, encode_frame, FrameKind};
+use aoft_net::frame::{crc32, decode_frame, encode_frame, FrameKind};
 use aoft_net::wire::{from_bytes, to_bytes, Wire};
 use proptest::prelude::*;
 
@@ -67,6 +67,23 @@ fn sample_strategy() -> impl Strategy<Value = Sample> {
         })
 }
 
+/// The reference implementation: CRC-32 (IEEE 802.3) straight from the
+/// definition, byte by byte and bit by bit — the fast path must agree.
+fn bytewise_crc32(bytes: &[u8]) -> u32 {
+    let mut crc = !0u32;
+    for &byte in bytes {
+        crc ^= u32::from(byte);
+        for _ in 0..8 {
+            crc = if crc & 1 != 0 {
+                (crc >> 1) ^ 0xEDB8_8320
+            } else {
+                crc >> 1
+            };
+        }
+    }
+    !crc
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -90,10 +107,11 @@ proptest! {
         }
     }
 
-    /// Frames round-trip for every kind and payload.
+    /// Frames round-trip for every kind and payload, from a bare header up
+    /// past the lengths whose checksum runs as interleaved lanes.
     #[test]
     fn frame_round_trips(
-        payload in prop::collection::vec(any::<u8>(), 0..256),
+        payload in prop::collection::vec(any::<u8>(), 0..20_000),
         kind_sel in 0u8..3,
     ) {
         let kind = match kind_sel {
@@ -113,7 +131,7 @@ proptest! {
     /// checksum, the version check, or the kind tag — never delivered.
     #[test]
     fn frame_corruption_rejected(
-        payload in prop::collection::vec(any::<u8>(), 1..128),
+        payload in prop::collection::vec(any::<u8>(), 1..20_000),
         pos_seed in any::<usize>(),
         flip in 1u8..=255,
     ) {
@@ -132,6 +150,28 @@ proptest! {
                 "corrupt byte {} delivered as {:?} ({} bytes)", pos, kind, got.len()
             ),
         }
+    }
+
+    /// `crc32` over any split of any bytes is the CRC-32 of their
+    /// concatenation, whichever of its paths each part takes.
+    #[test]
+    fn crc_matches_bytewise_reference(
+        bytes in prop::collection::vec(any::<u8>(), 0..65_537),
+        cut_a in any::<usize>(),
+        cut_b in any::<usize>(),
+        parts in 1usize..=3,
+    ) {
+        let (mut a, mut b) = (cut_a % (bytes.len() + 1), cut_b % (bytes.len() + 1));
+        if a > b {
+            std::mem::swap(&mut a, &mut b);
+        }
+        let expected = bytewise_crc32(&bytes);
+        let got = match parts {
+            1 => crc32(&[&bytes]),
+            2 => crc32(&[&bytes[..a], &bytes[a..]]),
+            _ => crc32(&[&bytes[..a], &bytes[a..b], &bytes[b..]]),
+        };
+        prop_assert_eq!(got, expected);
     }
 
     /// A truncated frame never yields a value: the decoder asks for more

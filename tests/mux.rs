@@ -2,8 +2,9 @@
 //! schedules, fail-stop detection and service recovery as over in-process
 //! links, with every compare-exchange crossing real loopback TCP — one
 //! physical session per *peer pair*, asserted against `/proc/self/fd`,
-//! not taken on faith. (The thread-pool bound is asserted against
-//! `/proc/self/task` in `reactor_threads.rs`, a test binary of its own.)
+//! not taken on faith. (The thread bound — one reader per session end —
+//! is asserted against `/proc/self/task` in `mux_threads.rs`, a test
+//! binary of its own.)
 
 mod common;
 
