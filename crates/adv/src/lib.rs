@@ -35,7 +35,6 @@
 #![warn(missing_docs, missing_debug_implementations)]
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use aoft_faults::{FaultPlan, FaultSpec};
@@ -75,10 +74,9 @@ impl fmt::Debug for FrameInjector {
 impl FrameInjector {
     /// Builds the injector for `spec` on one concrete `link`.
     ///
-    /// The adversary's seed mixes the link identity into `spec.seed`
-    /// (matching [`aoft_faults::FaultyTransport`]'s scheme), so each link
-    /// leaving a faulty node draws an independent, reproducible stream and
-    /// no map iteration order can leak into fault behaviour.
+    /// The adversary's seed mixes the link identity into `spec.seed`, so
+    /// each link leaving a faulty node draws an independent, reproducible
+    /// stream and no map iteration order can leak into fault behaviour.
     pub fn new(spec: &FaultSpec, link: LinkId) -> Self {
         let mix = (u64::from(link.from) << 40) ^ (u64::from(link.to) << 8) ^ u64::from(link.tag);
         Self {
@@ -222,8 +220,6 @@ impl<T: Transport<Packet<Msg>>> Transport<Packet<Msg>> for ByzantineTransport<T>
             Some(injector) => Ok(Box::new(ByzantineTx {
                 inner,
                 injector: Mutex::new(injector),
-                mutations: AtomicU64::new(0),
-                drops: AtomicU64::new(0),
             })),
         }
     }
@@ -240,8 +236,6 @@ impl<T: Transport<Packet<Msg>>> Transport<Packet<Msg>> for ByzantineTransport<T>
 struct ByzantineTx {
     inner: Box<dyn LinkTx<Packet<Msg>>>,
     injector: Mutex<FrameInjector>,
-    mutations: AtomicU64,
-    drops: AtomicU64,
 }
 
 impl LinkTx<Packet<Msg>> for ByzantineTx {
@@ -255,14 +249,12 @@ impl LinkTx<Packet<Msg>> for ByzantineTx {
         };
         let reg = aoft_obs::global();
         if outcome.dropped {
-            self.drops.fetch_add(1, Ordering::Relaxed);
             reg.adv_drops.add(kind, 1);
             // Fail-silent, like a cut wire: the sender sees success and the
             // receiver's deadline does the detecting.
             return Ok(());
         }
         if outcome.mutated {
-            self.mutations.fetch_add(1, Ordering::Relaxed);
             reg.adv_mutations.add(kind, 1);
         }
         for payload in outcome.deliver {
@@ -286,7 +278,7 @@ impl LinkTx<Packet<Msg>> for ByzantineTx {
 #[cfg(test)]
 mod tests {
     use aoft_faults::{FaultKind, Trigger};
-    use aoft_net::{CancelToken, InProc};
+    use aoft_net::{CancelToken, InProc, LinkCache};
     use aoft_sort::{Block, LbsWire};
 
     use super::*;
@@ -379,6 +371,31 @@ mod tests {
         let tx = transport.connect_tx(link(0, 1), DEADLINE).unwrap();
         let rx = transport.connect_rx(link(0, 1), DEADLINE).unwrap();
         tx.send(packet(0, 1, 0, tagged(0, &[1]))).unwrap();
+        let err = recv(rx.as_ref(), Duration::from_millis(30)).unwrap_err();
+        assert!(matches!(err, NetError::Timeout { .. }), "{err:?}");
+    }
+
+    #[test]
+    fn crash_quota_spans_every_handle_a_link_cache_hands_out() {
+        // A resident service reconnects every link per job through its
+        // link cache, so a crash counted from send k must stay dead across
+        // handles: the link carries k frames in total, not k per handle.
+        let plan =
+            FaultPlan::new().with_fault(NodeId::new(0), FaultKind::Crash, Trigger::from_seq(2), 7);
+        let transport = LinkCache::new(ByzantineTransport::new(InProc::new(), plan));
+        let rx = transport.connect_rx(link(0, 1), DEADLINE).unwrap();
+        for job in 0..2 {
+            let tx = transport.connect_tx(link(0, 1), DEADLINE).unwrap();
+            for seq in 0..3 {
+                // Every send reports success, even past the quota: fail-silent.
+                tx.send(packet(0, 1, seq, tagged(0, &[job, seq as i32])))
+                    .unwrap();
+            }
+        }
+        for seq in 0..2 {
+            let got = recv(rx.as_ref(), DEADLINE).unwrap();
+            assert_eq!(got.payload, tagged(0, &[0, seq]));
+        }
         let err = recv(rx.as_ref(), Duration::from_millis(30)).unwrap_err();
         assert!(matches!(err, NetError::Timeout { .. }), "{err:?}");
     }

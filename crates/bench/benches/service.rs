@@ -16,7 +16,9 @@
 
 use std::time::Duration;
 
-use aoft_faults::{FaultyTransport, LinkFault};
+use aoft_adv::ByzantineTransport;
+use aoft_faults::{FaultKind, FaultPlan, Trigger};
+use aoft_hypercube::NodeId;
 use aoft_net::InProc;
 use aoft_svc::{JobSpec, SortService, SvcConfig};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -80,13 +82,13 @@ fn service_throughput(c: &mut Criterion) {
         // One node fail-silent from its first send; the warm-up job eats
         // the detection timeout and quarantines it before measurement.
         let dead = (nodes - 1) as u32;
-        let faulty = FaultyTransport::new(InProc::new(), 0xbe7c).fault_sender(
-            dead,
-            LinkFault {
-                kill_after: Some(0),
-                ..LinkFault::default()
-            },
+        let crash = FaultPlan::new().with_fault(
+            NodeId::new(dead),
+            FaultKind::Crash,
+            Trigger::from_seq(0),
+            0xbe7c,
         );
+        let faulty = ByzantineTransport::new(InProc::new(), crash);
         let service = SortService::start(config(dim), faulty).expect("degraded service");
         let report = service
             .submit(JobSpec::new(job_keys(7)))

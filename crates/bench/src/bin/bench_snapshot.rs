@@ -22,7 +22,8 @@ use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 use std::time::Duration;
 
-use aoft_faults::{FaultyTransport, LinkFault};
+use aoft_adv::ByzantineTransport;
+use aoft_faults::{FaultKind, FaultPlan, Trigger};
 use aoft_hypercube::{NodeId, Subcube};
 use aoft_net::frame::{decode_frame_body, encode_frame, frame_header, FrameKind};
 use aoft_net::wire::from_bytes;
@@ -518,17 +519,16 @@ fn fleet_throughput(jobs: usize, samples: usize, degraded: bool) -> Metric {
         .backoff(Duration::from_millis(1), Duration::from_millis(10))
         .recv_timeout(Duration::from_millis(300));
     let router = FleetRouter::start(FleetConfig::new(cube, 2), |i| {
-        let mut transport = FaultyTransport::new(InProc::new(), 0xBE7C + i as u64);
+        let mut plan = FaultPlan::new();
         if degraded && i == 1 {
-            transport = transport.fault_sender(
-                5,
-                LinkFault {
-                    kill_after: Some(0),
-                    ..LinkFault::default()
-                },
+            plan = plan.with_fault(
+                NodeId::new(5),
+                FaultKind::Crash,
+                Trigger::from_seq(0),
+                0xBE7C + i as u64,
             );
         }
-        Ok(transport)
+        Ok(ByzantineTransport::new(InProc::new(), plan))
     })
     .expect("fleet starts");
     if degraded {

@@ -51,7 +51,6 @@ mod adversaries;
 pub mod campaign;
 mod corrupt;
 mod plan;
-mod transport;
 mod trigger;
 
 pub use adversaries::{
@@ -63,5 +62,4 @@ pub use campaign::{
 };
 pub use corrupt::Corruptible;
 pub use plan::{FaultKind, FaultPlan, FaultSpec};
-pub use transport::{FaultyTransport, LinkFault};
 pub use trigger::Trigger;

@@ -4,9 +4,9 @@
 //! drops the endpoints at the end. That is the right lifecycle for a
 //! one-shot sort, but a resident service sorting a *stream* of jobs would
 //! re-dial every socket per job — and, worse for fault experiments, a
-//! wrapper transport that keeps per-endpoint state (e.g. a kill-after-N
-//! fault counter in `aoft-faults`) would have that state reset on every
-//! reconnect. [`LinkCache`] sits between the engine and any backend and
+//! wrapper transport that keeps per-endpoint state (e.g. the per-link send
+//! counter a crash fault in `aoft-adv` fires on) would lose that state on
+//! every reconnect. [`LinkCache`] sits between the engine and any backend and
 //! hands out shared handles to endpoints it establishes at most once per
 //! [`LinkId`], so links — and whatever state their endpoints carry — live
 //! for the cache's lifetime, not a run's.

@@ -31,9 +31,9 @@ pub struct JobSpec {
     /// clean. Retries run without it, modeling a transient fault: the
     /// paper's recovery loop re-runs on a machine the fault has left (a
     /// deterministic model fault would otherwise defeat every retry).
-    /// Persistent faults belong to the transport layer
-    /// (`aoft_faults::FaultyTransport`), which the service's link cache
-    /// keeps alive across jobs.
+    /// A fault that outlives one run is the same kind of plan mounted on
+    /// the wire (`aoft_adv::ByzantineTransport`), whose per-link state the
+    /// service's link cache keeps alive across jobs.
     pub fault_plan: Option<FaultPlan>,
     /// Capture the simulator's event trace of the successful attempt into
     /// [`JobReport::trace`] — the raw material `aoft-replay` records

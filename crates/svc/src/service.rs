@@ -631,7 +631,6 @@ fn panic_message(payload: Box<dyn Any + Send>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aoft_faults::{FaultyTransport, LinkFault};
     use aoft_net::InProc;
     use aoft_sort::Algorithm;
 
@@ -702,109 +701,6 @@ mod tests {
             handle.wait().expect("admitted jobs still complete");
         }
         assert!(service.metrics().jobs_rejected >= 3);
-    }
-
-    #[test]
-    fn recovers_from_a_crashed_node_and_quarantines_it() {
-        // Node 5 is fail-silent from its very first send. Every node
-        // downstream of the dead links stalls within one stage, and the
-        // starved recv deadlines land microseconds apart — which stalled
-        // node reports first is scheduler roulette, so the diagnosis
-        // implicates *some* dead link on the stalled wavefront, not
-        // necessarily one incident to node 5 (attribution determinism for
-        // synthetic reports lives in the recovery module's tests). The
-        // service-level guarantee is what this test pins down: the job
-        // fail-stops instead of lying, the implicated pair is quarantined,
-        // and the retry completes correctly on a degraded cube.
-        let faulty = FaultyTransport::new(InProc::new(), 0xdead).fault_sender(
-            5,
-            LinkFault {
-                kill_after: Some(0),
-                ..LinkFault::default()
-            },
-        );
-        let config = SvcConfig::new(3)
-            .max_attempts(4)
-            .quarantine_after(1)
-            .backoff(Duration::ZERO, Duration::ZERO)
-            .recv_timeout(Duration::from_millis(300));
-        let service = SortService::start(config, faulty).expect("start");
-
-        let input = keys(32, 7);
-        let report = service
-            .submit(JobSpec::new(input.clone()))
-            .expect("admit")
-            .wait()
-            .expect("job recovers");
-        assert_eq!(report.output, sorted(input), "never silently wrong");
-        assert!(report.recovered(), "first attempt must fail-stop");
-        assert!(report.dim < 3, "retry runs degraded");
-        assert!(
-            report.effort > report.metrics.effort(),
-            "effort bills the fail-stopped attempt on top of the successful one"
-        );
-        let quarantined = service.quarantined();
-        assert!(
-            !quarantined.is_empty(),
-            "the fail-stop must quarantine the implicated link endpoints"
-        );
-        assert!(
-            quarantined.iter().all(|&n| n < 8),
-            "quarantine holds physical cube labels, got {quarantined:?}"
-        );
-
-        // Follow-up jobs avoid the quarantined node from the start.
-        let input = keys(32, 11);
-        let report = service
-            .submit(JobSpec::new(input.clone()))
-            .expect("admit")
-            .wait()
-            .expect("follow-up completes");
-        assert_eq!(report.output, sorted(input));
-        assert_eq!(report.attempts, 1, "no re-detection once quarantined");
-
-        let snap = service.metrics();
-        assert_eq!(snap.jobs_completed, 2);
-        assert!(snap.retries >= 1);
-        assert_eq!(snap.recovered_jobs, 1);
-        assert!(snap.effort > 0, "service-wide effort accumulates");
-    }
-
-    #[test]
-    fn cube_exhaustion_fails_loudly() {
-        // Every node's links die immediately; min_dim 2 leaves no fallback.
-        let mut faulty = FaultyTransport::new(InProc::new(), 1);
-        for node in 0..4 {
-            faulty = faulty.fault_sender(
-                node,
-                LinkFault {
-                    kill_after: Some(0),
-                    ..LinkFault::default()
-                },
-            );
-        }
-        let config = SvcConfig::new(2)
-            .min_dim(2)
-            .max_attempts(3)
-            .quarantine_after(1)
-            .backoff(Duration::ZERO, Duration::ZERO)
-            .recv_timeout(Duration::from_millis(200));
-        let service = SortService::start(config, faulty).expect("start");
-        let err = service
-            .submit(JobSpec::new(keys(8, 3)))
-            .expect("admit")
-            .wait()
-            .expect_err("no healthy cube can remain");
-        // Retries are billed as made: a retry the cube could no longer
-        // host never started.
-        let retries_made = match err {
-            JobError::CubeExhausted { .. } => 0,
-            JobError::Exhausted { attempts, .. } => attempts as u64 - 1,
-            other => panic!("loud failure, got {other}"),
-        };
-        let snap = service.metrics();
-        assert_eq!(snap.jobs_failed, 1);
-        assert_eq!(snap.retries, retries_made, "billed for {err}");
     }
 
     #[test]

@@ -26,7 +26,9 @@ mod common;
 
 use std::time::Duration;
 
-use aoft::faults::{FaultyTransport, LinkFault};
+use aoft::adv::ByzantineTransport;
+use aoft::faults::{FaultKind, FaultPlan, Trigger};
+use aoft::hypercube::NodeId;
 use aoft::net::MuxTransport;
 use aoft::svc::{FleetConfig, FleetRouter, JobSpec, SvcConfig};
 use common::{demo_keys, sorted};
@@ -46,17 +48,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // a few jobs in, mid-stream (a d=3 job puts ~3 frames on the busiest
     // outgoing link of a node).
     let router = FleetRouter::start(config, |i| {
-        let mut faulty = FaultyTransport::new(MuxTransport::loopback(8)?, 0xf1ee7 + i as u64);
+        let mut plan = FaultPlan::new();
         if i == 1 {
-            faulty = faulty.fault_sender(
-                5,
-                LinkFault {
-                    kill_after: Some(10),
-                    ..LinkFault::default()
-                },
+            plan = plan.with_fault(
+                NodeId::new(5),
+                FaultKind::Crash,
+                Trigger::from_seq(10),
+                0xf1ee7 + i as u64,
             );
         }
-        Ok(faulty)
+        Ok(ByzantineTransport::new(MuxTransport::loopback(8)?, plan))
     })?;
 
     println!("fleet: 2 active d=3 cubes + 1 spare, mux sessions over loopback TCP");

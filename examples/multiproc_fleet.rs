@@ -30,7 +30,9 @@ use std::net::SocketAddr;
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
-use aoft::faults::{FaultyTransport, LinkFault};
+use aoft::adv::ByzantineTransport;
+use aoft::faults::{FaultKind, FaultPlan, Trigger};
+use aoft::hypercube::NodeId;
 use aoft::net::{MuxConfig, MuxTransport};
 use aoft::svc::{CubeHost, RemoteFleet, SvcConfig};
 use common::sorted;
@@ -68,17 +70,16 @@ fn cube_host(
         .max_attempts(1)
         .quarantine_after(1)
         .recv_timeout(Duration::from_millis(800));
-    let mut faulty = FaultyTransport::new(cube, 0xBEEF + u64::from(label));
+    let mut plan = FaultPlan::new();
     if let Some(node) = kill_node {
-        faulty = faulty.fault_sender(
-            node,
-            LinkFault {
-                kill_after: Some(8),
-                ..LinkFault::default()
-            },
+        plan = plan.with_fault(
+            NodeId::new(node),
+            FaultKind::Crash,
+            Trigger::from_seq(8),
+            0xBEEF + u64::from(label),
         );
     }
-    CubeHost::serve(label, parent, svc, faulty)?;
+    CubeHost::serve(label, parent, svc, ByzantineTransport::new(cube, plan))?;
     Ok(())
 }
 

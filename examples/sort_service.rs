@@ -24,20 +24,25 @@ mod common;
 
 use std::time::Duration;
 
-use aoft::faults::{FaultyTransport, LinkFault};
+use aoft::adv::ByzantineTransport;
+use aoft::faults::{FaultKind, FaultPlan, Trigger};
+use aoft::hypercube::NodeId;
 use aoft::net::MuxTransport;
 use aoft::svc::{JobSpec, SortService, SvcConfig};
 use common::{demo_keys, sorted};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Node 5 dies fail-silent once each of its links has carried 40 frames
-    // — a handful of jobs in. The kill counters live in the service's link
-    // cache, so the node stays dead across jobs until quarantined.
-    let kill = LinkFault {
-        kill_after: Some(40),
-        ..LinkFault::default()
-    };
-    let transport = FaultyTransport::new(MuxTransport::loopback(8)?, 0x5e7c).fault_sender(5, kill);
+    // — a handful of jobs in. The per-link send counts live in the
+    // service's link cache, so the node stays dead across jobs until
+    // quarantined.
+    let crash = FaultPlan::new().with_fault(
+        NodeId::new(5),
+        FaultKind::Crash,
+        Trigger::from_seq(40),
+        0x5e7c,
+    );
+    let transport = ByzantineTransport::new(MuxTransport::loopback(8)?, crash);
 
     let config = SvcConfig::new(3)
         .max_attempts(4)

@@ -19,7 +19,9 @@
 
 mod common;
 
-use aoft::faults::{FaultyTransport, LinkFault};
+use aoft::adv::ByzantineTransport;
+use aoft::faults::{FaultKind, FaultPlan, Trigger};
+use aoft::hypercube::NodeId;
 use aoft::net::MuxTransport;
 use aoft::sort::SortError;
 use common::{demo_keys, sft_builder, sorted};
@@ -41,11 +43,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Run 2: cut every link out of node 5 after its second send — the node
     // keeps computing and believes its sends succeed, but the wire is dead.
-    let kill = LinkFault {
-        kill_after: Some(2),
-        ..LinkFault::default()
-    };
-    let faulty = FaultyTransport::new(MuxTransport::loopback(8)?, 0xA0F7).fault_sender(5, kill);
+    let crash = FaultPlan::new().with_fault(
+        NodeId::new(5),
+        FaultKind::Crash,
+        Trigger::from_seq(2),
+        0xA0F7,
+    );
+    let faulty = ByzantineTransport::new(MuxTransport::loopback(8)?, crash);
     match sft_builder(keys, 8).run_on(faulty) {
         Ok(_) => unreachable!("a silenced peer must not yield a sorted result"),
         Err(SortError::Detected { reports, .. }) => {

@@ -9,8 +9,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use aoft::adv::FrameInjector;
-use aoft::faults::{FaultKind, FaultPlan, FaultyTransport, LinkFault, Trigger};
+use aoft::adv::{ByzantineTransport, FrameInjector};
+use aoft::faults::{FaultKind, FaultPlan, Trigger};
 use aoft::hypercube::NodeId;
 use aoft::net::{LinkId, LinkRx, LinkTx, NetError, Transport};
 use aoft::sim::{InProc, Packet};
@@ -144,13 +144,7 @@ fn burst_coalesces_into_multi_job_attempts() {
 /// the degraded subcube.
 #[test]
 fn mid_batch_node_death_quarantines_and_completes_every_rider() {
-    let faulty = FaultyTransport::new(InProc::new(), 0xBA7C4).fault_sender(
-        5,
-        LinkFault {
-            kill_after: Some(0),
-            ..LinkFault::default()
-        },
-    );
+    let faulty = ByzantineTransport::new(InProc::new(), common::crash(5, 0, 0xBA7C4));
     let config = batched_config(8)
         .max_attempts(4)
         .quarantine_after(1)

@@ -1,6 +1,9 @@
 //! Helpers shared across the integration-test binaries.
 #![allow(dead_code)] // not every test binary uses every helper
 
+use aoft::faults::{FaultKind, FaultPlan, Trigger};
+use aoft::hypercube::NodeId;
+
 /// A sorted copy of `keys` — the expected output every sort run is checked
 /// against. Hoisted here so individual tests don't each re-spell the
 /// clone-and-sort dance.
@@ -20,4 +23,17 @@ pub fn scattered_keys(count: usize, seed: u64) -> Vec<i32> {
             (mixed % 65_536 - 32_768) as i32
         })
         .collect()
+}
+
+/// A plan in which `node` goes fail-silent on each of its links from that
+/// link's send number `from_send` (counted from 0). Mounted on the wire by
+/// `ByzantineTransport`, the crash outlives one run: the service's link
+/// cache keeps each link's count across jobs.
+pub fn crash(node: u32, from_send: u64, seed: u64) -> FaultPlan {
+    FaultPlan::new().with_fault(
+        NodeId::new(node),
+        FaultKind::Crash,
+        Trigger::from_seq(from_send),
+        seed,
+    )
 }

@@ -8,7 +8,8 @@ mod common;
 
 use std::time::Duration;
 
-use aoft::faults::{FaultKind, FaultPlan, FaultyTransport, LinkFault, Trigger};
+use aoft::adv::ByzantineTransport;
+use aoft::faults::{FaultKind, FaultPlan, Trigger};
 use aoft::hypercube::NodeId;
 use aoft::sim::InProc;
 use aoft::svc::{FleetConfig, FleetRouter, JobSpec, SubmitError, SvcConfig};
@@ -118,17 +119,12 @@ fn exhausted_cube_fails_over_to_a_healthy_one() {
     // single attempt, so its failure surfaces at the fleet layer.
     let cube = cube_config().max_attempts(1);
     let router = FleetRouter::start(FleetConfig::new(cube, 2), |i| {
-        let mut faulty = FaultyTransport::new(InProc::new(), 0xFA11 + i as u64);
-        if i == 1 {
-            faulty = faulty.fault_sender(
-                5,
-                LinkFault {
-                    kill_after: Some(0),
-                    ..LinkFault::default()
-                },
-            );
-        }
-        Ok(faulty)
+        let plan = if i == 1 {
+            common::crash(5, 0, 0xFA11 + i as u64)
+        } else {
+            FaultPlan::new()
+        };
+        Ok(ByzantineTransport::new(InProc::new(), plan))
     })
     .expect("fleet starts");
 

@@ -12,7 +12,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use aoft::faults::{FaultyTransport, LinkFault};
+use aoft::adv::ByzantineTransport;
+use aoft::faults::FaultPlan;
 use aoft::hypercube::NodeSet;
 use aoft::net::{CancelToken, MuxConfig, MuxTransport};
 use aoft::sim::{Packet, Transport};
@@ -140,11 +141,7 @@ fn session_count_is_per_pair_not_per_link() {
 #[test]
 fn killed_peer_fail_stops_with_error_report_over_mux() {
     let keys: Vec<i32> = (0..32).collect();
-    let kill = LinkFault {
-        kill_after: Some(2),
-        ..LinkFault::default()
-    };
-    let faulty = FaultyTransport::new(mux(8), 3).fault_sender(5, kill);
+    let faulty = ByzantineTransport::new(mux(8), common::crash(5, 2, 3));
     match builder(keys, 8).run_on(faulty) {
         Ok(_) => panic!("a silenced peer must not produce a sorted result"),
         Err(SortError::Detected { reports, .. }) => {
@@ -163,11 +160,7 @@ fn killed_peer_fail_stops_with_error_report_over_mux() {
 /// across attempts (that persistence is the transport's perf win).
 #[test]
 fn service_recovers_dead_node_over_mux() {
-    let kill = LinkFault {
-        kill_after: Some(0),
-        ..LinkFault::default()
-    };
-    let faulty = FaultyTransport::new(mux(8), 0xDEAD5).fault_sender(5, kill);
+    let faulty = ByzantineTransport::new(mux(8), common::crash(5, 0, 0xDEAD5));
     let config = SvcConfig::new(3)
         .max_attempts(4)
         .quarantine_after(1)
@@ -223,17 +216,15 @@ fn snr_also_runs_over_mux() {
 #[test]
 fn retry_over_fresh_mux_transports_recovers_with_diagnoses() {
     let keys: Vec<i32> = (0..32i32).map(|x| x.wrapping_mul(-73) % 40).collect();
-    let kill = LinkFault {
-        kill_after: Some(0),
-        ..LinkFault::default()
-    };
     let mut detections = Vec::new();
     let mut sorted = None;
     for attempt in 0..3 {
-        let mut transport = FaultyTransport::new(mux(8), attempt as u64 + 11);
-        if attempt < 2 {
-            transport = transport.fault_sender(5, kill);
-        }
+        let plan = if attempt < 2 {
+            common::crash(5, 0, attempt as u64 + 11)
+        } else {
+            FaultPlan::new()
+        };
+        let transport = ByzantineTransport::new(mux(8), plan);
         match builder(keys.clone(), 8).run_on(transport) {
             Ok(report) => {
                 sorted = Some((attempt + 1, report));
@@ -277,11 +268,7 @@ fn retry_over_fresh_mux_transports_recovers_with_diagnoses() {
 #[test]
 fn detection_latency_is_bounded_by_recv_timeout() {
     let keys: Vec<i32> = (0..32).collect();
-    let kill = LinkFault {
-        kill_after: Some(0),
-        ..LinkFault::default()
-    };
-    let faulty = FaultyTransport::new(mux(8), 9).fault_sender(2, kill);
+    let faulty = ByzantineTransport::new(mux(8), common::crash(2, 0, 9));
     let start = Instant::now();
     let result = builder(keys, 8).run_on(faulty);
     assert!(matches!(result, Err(SortError::Detected { .. })));

@@ -6,7 +6,8 @@ mod common;
 
 use std::time::Duration;
 
-use aoft::faults::{FaultKind, FaultPlan, FaultyTransport, LinkFault, Trigger};
+use aoft::adv::ByzantineTransport;
+use aoft::faults::{FaultKind, FaultPlan, Trigger};
 use aoft::hypercube::NodeId;
 use aoft::net::MuxTransport;
 use aoft::sim::InProc;
@@ -30,14 +31,10 @@ fn job_keys(salt: i64) -> Vec<i32> {
 #[test]
 fn service_survives_mid_stream_node_death_over_tcp() {
     // Each of node 5's outgoing links goes fail-silent after 25 frames —
-    // a few jobs into the stream. The service's link cache keeps the kill
-    // counters alive across jobs, so the node stays dead until the
+    // a few jobs into the stream. The service's link cache keeps each
+    // link's send count alive across jobs, so the node stays dead until the
     // diagnosis loop quarantines it.
-    let kill = LinkFault {
-        kill_after: Some(25),
-        ..LinkFault::default()
-    };
-    let transport = FaultyTransport::new(loopback(8), 0xACCE97).fault_sender(5, kill);
+    let transport = ByzantineTransport::new(loopback(8), common::crash(5, 25, 0xACCE97));
     let config = SvcConfig::new(3)
         .max_attempts(4)
         .quarantine_after(1)
@@ -150,15 +147,11 @@ fn admission_control_rejects_past_queue_depth() {
 /// The observability acceptance demo: a service with the Prometheus
 /// endpoint enabled, scraped live while a faulted stream runs. The
 /// exposition must parse, carry every advertised metric family, and show
-/// the fault as a nonzero Φ-violation or quarantine counter alongside
-/// nonzero job, link, and predicate activity.
+/// the fault as a nonzero Φ-violation or quarantine counter and as
+/// adversary drops, alongside nonzero job, link, and predicate activity.
 #[test]
 fn metrics_endpoint_serves_prometheus_exposition() {
-    let kill = LinkFault {
-        kill_after: Some(25),
-        ..LinkFault::default()
-    };
-    let transport = FaultyTransport::new(loopback(8), 0x0B5E7).fault_sender(5, kill);
+    let transport = ByzantineTransport::new(loopback(8), common::crash(5, 25, 0x0B5E7));
     let config = SvcConfig::new(3)
         .max_attempts(4)
         .quarantine_after(1)
@@ -238,6 +231,10 @@ fn metrics_endpoint_serves_prometheus_exposition() {
     assert!(
         samples["aoft_violations_total"] > 0.0 || samples["aoft_quarantine_total"] > 0.0,
         "the injected kill must surface as a Φ violation or a quarantine"
+    );
+    assert!(
+        samples["aoft_adv_drops_total"] > 0.0,
+        "the crashed node's silenced sends must count as adversary drops"
     );
     service.shutdown();
 }
@@ -406,12 +403,8 @@ fn a_lone_rider_keeps_every_per_job_feature() {
 /// the machine whose node 5 never sends.
 #[test]
 fn a_permanent_fault_exhausts_the_budget_solo_and_batched() {
-    let kill = LinkFault {
-        kill_after: Some(0),
-        ..LinkFault::default()
-    };
     for (batch_max, jobs) in [(1, 1), (4, 4)] {
-        let transport = FaultyTransport::new(InProc::new(), 0xE4A).fault_sender(5, kill);
+        let transport = ByzantineTransport::new(InProc::new(), common::crash(5, 0, 0xE4A));
         let config = SvcConfig::new(3)
             .min_dim(3)
             .quarantine_after(u32::MAX)
