@@ -32,7 +32,7 @@
 //! edition).
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs, missing_debug_implementations)]
+#![warn(missing_docs, missing_debug_implementations, unreachable_pub)]
 
 use std::fmt;
 use std::time::Duration;
@@ -150,7 +150,7 @@ pub struct InterceptOutcome {
     /// The payloads to put on the wire, in order (empty = suppressed).
     pub deliver: Vec<Msg>,
     /// `true` if the delivery differs from the original single payload.
-    pub mutated: bool,
+    pub(crate) mutated: bool,
     /// `true` if nothing is delivered (the receiver's deadline is the only
     /// witness — assumption 4 makes the absence detectable).
     pub dropped: bool,
@@ -185,18 +185,13 @@ impl<T> ByzantineTransport<T> {
         &self.inner
     }
 
-    /// The driving fault plan.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     /// The injector this transport would mount on `link`, if its sending
     /// endpoint is faulty — the hook the property tests drive directly.
     ///
     /// Host-bound links are never injected, matching the engine-level
     /// adversaries: environmental assumption 2 makes host I/O reliable, so
     /// the fault surface is the cube's links, not the result gather.
-    pub fn injector_for(&self, link: LinkId) -> Option<FrameInjector> {
+    pub(crate) fn injector_for(&self, link: LinkId) -> Option<FrameInjector> {
         if link.to == aoft_sim::HOST_ID.raw() {
             return None;
         }

@@ -102,7 +102,7 @@ pub fn is_circular_bitonic(seq: &[Key]) -> bool {
 /// compares, and the chunk boundary gives early exit on unsorted input. The
 /// predicates run this over every collected subcube each stage (Lemma 8's
 /// `O(2^i · m)` term), so the large-`m` throughput matters.
-pub fn is_monotone(seq: &[Key], ascending: bool) -> bool {
+pub(crate) fn is_monotone(seq: &[Key], ascending: bool) -> bool {
     if ascending {
         monotone_by(seq, |prev, next| prev <= next)
     } else {
@@ -197,18 +197,6 @@ pub fn bitonic_sort(seq: &mut [Key], ascending: bool) {
     bitonic_sort(&mut seq[..half], true);
     bitonic_sort(&mut seq[half..], false);
     bitonic_merge(seq, ascending);
-}
-
-/// Number of comparisons the bitonic network performs on `len` keys:
-/// `len/2 · s(s+1)/2` with `s = log₂ len` — the `O(log² N)` parallel step
-/// count of Section 2 multiplied out sequentially.
-pub fn network_comparisons(len: usize) -> usize {
-    assert!(len.is_power_of_two(), "power-of-two length");
-    if len <= 1 {
-        return 0;
-    }
-    let stages = len.trailing_zeros() as usize;
-    len / 2 * (stages * (stages + 1) / 2)
 }
 
 #[cfg(test)]
@@ -342,13 +330,5 @@ mod tests {
     #[should_panic(expected = "power-of-two")]
     fn sort_rejects_non_power_of_two() {
         bitonic_sort(&mut [1, 2, 3], true);
-    }
-
-    #[test]
-    fn comparison_count_formula() {
-        assert_eq!(network_comparisons(1), 0);
-        assert_eq!(network_comparisons(2), 1);
-        assert_eq!(network_comparisons(4), 6); // 2 * (2*3/2)
-        assert_eq!(network_comparisons(8), 24); // 4 * (3*4/2)
     }
 }

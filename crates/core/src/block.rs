@@ -129,7 +129,7 @@ impl Block {
     /// `(min(x,y), max(x,y))` compare-exchange.
     ///
     /// The cost is `2m` comparisons and `2m` moves; callers charge it via
-    /// [`merge_split_cost`](Block::merge_split_cost).
+    /// `merge_split_cost`.
     ///
     /// # Panics
     ///
@@ -199,7 +199,7 @@ impl Block {
 
     /// Comparison and move counts charged for one merge-split of blocks of
     /// `m` keys: `(compares, moves)`.
-    pub fn merge_split_cost(m: usize) -> (usize, usize) {
+    pub(crate) fn merge_split_cost(m: usize) -> (usize, usize) {
         (2 * m, 2 * m)
     }
 }

@@ -42,12 +42,12 @@ impl CompositeCodec {
     }
 
     /// Bits left for the biased key.
-    pub fn key_bits(&self) -> u32 {
+    pub(crate) fn key_bits(&self) -> u32 {
         31 - self.seq_bits
     }
 
     /// Largest job sequence number this codec can tag.
-    pub fn max_seq(&self) -> u32 {
+    pub(crate) fn max_seq(&self) -> u32 {
         (1u32 << self.seq_bits) - 1
     }
 
@@ -64,7 +64,7 @@ impl CompositeCodec {
 
     /// Tags `key` with `seq`. The caller guarantees `seq <= max_seq()` and
     /// `fits(key)`; both are debug-asserted.
-    pub fn encode(&self, seq: u32, key: Key) -> Key {
+    pub(crate) fn encode(&self, seq: u32, key: Key) -> Key {
         debug_assert!(seq <= self.max_seq(), "seq {seq} exceeds the tag space");
         debug_assert!(self.fits(key), "key {key} outside the composite range");
         let biased = (i64::from(key) + self.bias()) as u32;
@@ -72,7 +72,7 @@ impl CompositeCodec {
     }
 
     /// Splits a composite back into `(seq, key)`.
-    pub fn decode(&self, composite: Key) -> (u32, Key) {
+    pub(crate) fn decode(&self, composite: Key) -> (u32, Key) {
         let raw = composite as u32;
         let seq = raw >> self.key_bits();
         let key = i64::from(raw & ((1u32 << self.key_bits()) - 1)) - self.bias();

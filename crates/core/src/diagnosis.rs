@@ -59,11 +59,6 @@ impl Diagnosis {
     pub fn is_consistent(&self) -> bool {
         self.exact
     }
-
-    /// `true` if the reports pin down a single node.
-    pub fn is_pinpointed(&self) -> bool {
-        self.exact && self.suspects.len() == 1
-    }
 }
 
 impl std::fmt::Display for Diagnosis {
@@ -218,7 +213,7 @@ mod tests {
     fn corroborating_reports_pinpoint_a_crashed_node() {
         // Two independent neighbors report P5 silent: {5,4} ∩ {5,7} = {5}.
         let d = diagnose(&[report(4, None, Some(5)), report(7, None, Some(5))], 3);
-        assert!(d.is_pinpointed());
+        assert!(d.is_consistent() && d.suspects().len() == 1);
         assert!(d.suspects().contains(NodeId::new(5)));
     }
 
@@ -231,14 +226,13 @@ mod tests {
             assert!(d.suspects().contains(NodeId::new(n)));
         }
         assert!(d.is_consistent());
-        assert!(!d.is_pinpointed());
     }
 
     #[test]
     fn intersection_narrows_regions() {
         // P5's stage-1 region {4..7} ∩ accusation {6, 0} = {6}.
         let d = diagnose(&[report(5, Some(1), None), report(0, None, Some(6))], 3);
-        assert!(d.is_pinpointed());
+        assert!(d.is_consistent() && d.suspects().len() == 1);
         assert!(d.suspects().contains(NodeId::new(6)));
         assert_eq!(d.candidates().len(), 2);
     }
@@ -270,7 +264,7 @@ mod tests {
     fn value_accusation_intersects_with_corroboration() {
         // A second detector's accusation of the same node pins it down.
         let d = diagnose(&[value_report(5, 1, 0), value_report(2, 0, 0)], 3);
-        assert!(d.is_pinpointed());
+        assert!(d.is_consistent() && d.suspects().len() == 1);
         assert!(d.suspects().contains(NodeId::new(0)));
     }
 

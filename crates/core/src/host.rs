@@ -2,11 +2,11 @@
 //!
 //! The paper weighs `S_FT` against two host-centred alternatives:
 //!
-//! * [`sequential`] — "send all the data to the host, let the host sort the
+//! * `sequential` — "send all the data to the host, let the host sort the
 //!   data, and return the final result to the node processors": `O(N)`
 //!   communication over the (expensive) host links plus the theoretical
 //!   minimum `N·log₂N` host comparisons;
-//! * [`verified`] — "send all the data to the host, sort the data in the
+//! * `verified` — "send all the data to the host, sort the data in the
 //!   node processors, and send the results to the host for verification":
 //!   the nodes run `S_NR` while the host applies Theorem 1 afterwards.
 //!
@@ -17,7 +17,7 @@ use aoft_sim::{AdversarySet, HostCtx, NodeCtx, Program, RunReport, SimError, Sim
 
 use crate::snr::take_data;
 use crate::theorem1;
-use crate::{block, Block, Key, Msg, SnrProgram, Violation};
+use crate::{Block, Key, Msg, SnrProgram, Violation};
 
 fn check_blocks<E: Simulator<Msg>>(blocks: &[Block], engine: &E) {
     assert_eq!(
@@ -58,21 +58,7 @@ impl Program<Msg> for UploadDownload {
 ///
 /// Panics if `blocks` does not supply exactly one equally-sized, non-empty
 /// block per node.
-///
-/// # Examples
-///
-/// ```
-/// use aoft_hypercube::Hypercube;
-/// use aoft_sim::{Engine, SimConfig};
-/// use aoft_sort::{block, host};
-///
-/// let engine = Engine::new(Hypercube::new(2)?, SimConfig::default());
-/// let report = host::sequential(&engine, block::distribute(&[4, 1, 3, 2], 4));
-/// let outputs = report.into_outputs().expect("reliable host");
-/// assert_eq!(block::collect(&outputs), vec![1, 2, 3, 4]);
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-pub fn sequential<E: Simulator<Msg>>(engine: &E, blocks: Vec<Block>) -> RunReport<Block> {
+pub(crate) fn sequential<E: Simulator<Msg>>(engine: &E, blocks: Vec<Block>) -> RunReport<Block> {
     check_blocks(&blocks, engine);
     let nodes = engine.cube().len();
     let m = blocks[0].len();
@@ -137,7 +123,7 @@ impl Program<Msg> for SortAndUpload {
 ///
 /// Panics if `blocks` does not supply exactly one equally-sized, non-empty
 /// block per node.
-pub fn verified<E: Simulator<Msg>>(
+pub(crate) fn verified<E: Simulator<Msg>>(
     engine: &E,
     blocks: Vec<Block>,
     adversaries: AdversarySet<Msg>,
@@ -178,24 +164,21 @@ pub fn verified<E: Simulator<Msg>>(
     report
 }
 
-/// Convenience wrapper: fully sorted keys from a completed baseline run.
-///
-/// # Panics
-///
-/// Panics if the run fail-stopped.
-pub fn sorted_keys(report: RunReport<Block>) -> Vec<Key> {
-    let outputs = report
-        .into_outputs()
-        .expect("run completed; check reports() before collecting");
-    block::collect(&outputs)
-}
-
 #[cfg(test)]
 mod tests {
     use aoft_hypercube::{Hypercube, NodeId};
     use aoft_sim::{CostModel, Engine, SimConfig};
 
     use super::*;
+    use crate::block;
+
+    /// Fully sorted keys from a completed baseline run.
+    fn sorted_keys(report: RunReport<Block>) -> Vec<Key> {
+        let outputs = report
+            .into_outputs()
+            .expect("run completed; check reports() before collecting");
+        block::collect(&outputs)
+    }
 
     fn engine(dim: u32) -> Engine {
         Engine::new(

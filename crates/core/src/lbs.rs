@@ -44,11 +44,6 @@ impl LbsBuffer {
         self.block_len
     }
 
-    /// The mask of held entries (the paper's `lmask`).
-    pub fn held(&self) -> &NodeSet {
-        &self.held
-    }
-
     /// The entry owned by `node`, if held.
     pub fn get(&self, node: NodeId) -> Option<&Block> {
         self.entries[node.index()].as_ref()
@@ -66,23 +61,14 @@ impl LbsBuffer {
     }
 
     /// `true` if `node`'s entry is held.
-    pub fn holds(&self, node: NodeId) -> bool {
+    pub(crate) fn holds(&self, node: NodeId) -> bool {
         self.held.contains(node)
-    }
-
-    /// `true` if every entry of `span` is held.
-    ///
-    /// A subcube is a contiguous label range, so this is one word-masked
-    /// scan of the held mask rather than a per-node probe loop.
-    pub fn covers(&self, span: Subcube) -> bool {
-        let start = span.start().index();
-        self.held.contains_range(start..start + span.len())
     }
 
     /// Drops everything and re-seeds with this node's own entry — the
     /// paper's end-of-stage `LBS[node] := a; lmask := 2^node`. Letting go
     /// of an entry frees its keys if this was the last node holding them.
-    pub fn reset_to_self(&mut self, me: NodeId, own: Block) {
+    pub(crate) fn reset_to_self(&mut self, me: NodeId, own: Block) {
         for node in self.held.iter() {
             self.entries[node.index()] = None;
         }
@@ -112,8 +98,8 @@ impl LbsBuffer {
         }
     }
 
-    /// Flattens the entries of `span` into one ascending key sequence,
-    /// honouring the subcube's sort direction.
+    /// Flattens the entries of `span` into `out` as one ascending key
+    /// sequence, honouring the subcube's sort direction.
     ///
     /// After its stage completes, `span` is monotone *at block granularity*
     /// (every key of one node bounds every key of the next), with each block
@@ -123,18 +109,11 @@ impl LbsBuffer {
     /// the distributed sequence satisfied its invariant — which is how the
     /// predicates check Φ_P.
     ///
-    /// Returns `None` if any entry of the span is missing.
-    pub fn flatten_ascending(&self, span: Subcube) -> Option<Vec<Key>> {
-        let mut out = Vec::with_capacity(span.len() * self.block_len as usize);
-        self.flatten_ascending_into(span, &mut out).then_some(out)
-    }
-
-    /// [`flatten_ascending`](LbsBuffer::flatten_ascending) into a caller
-    /// buffer — `out` is cleared and filled; returns `false` (leaving a
-    /// partial fill behind) if any entry of the span is missing. Reusing one
-    /// buffer across predicate checks keeps the verification path free of
-    /// per-step allocations.
-    pub fn flatten_ascending_into(&self, span: Subcube, out: &mut Vec<Key>) -> bool {
+    /// `out` is cleared and filled; returns `false` (leaving a partial fill
+    /// behind) if any entry of the span is missing. Reusing one buffer
+    /// across predicate checks keeps the verification path free of per-step
+    /// allocations.
+    pub(crate) fn flatten_ascending_into(&self, span: Subcube, out: &mut Vec<Key>) -> bool {
         out.clear();
         out.reserve(span.len() * self.block_len as usize);
         let ascending = subcube_ascending(span);
@@ -158,7 +137,7 @@ impl LbsBuffer {
     /// `LLBS[m] := LBS[m]` copy loop): a second set of handles to the same
     /// entries. Later writes to either buffer replace handles, never keys,
     /// so the two stay independent.
-    pub fn snapshot(&self) -> LbsBuffer {
+    pub(crate) fn snapshot(&self) -> LbsBuffer {
         self.clone()
     }
 }
@@ -178,18 +157,8 @@ mod tests {
         buf.set(NodeId::new(3), block(&[7]));
         assert!(buf.holds(NodeId::new(3)));
         assert_eq!(buf.get(NodeId::new(3)).unwrap().keys(), &[7]);
-        assert_eq!(buf.held().len(), 1);
+        assert_eq!(buf.held.len(), 1);
         assert_eq!(buf.block_len(), 1);
-    }
-
-    #[test]
-    fn covers_span() {
-        let mut buf = LbsBuffer::new(8, 1);
-        let span = Subcube::home(1, NodeId::new(2)); // {2, 3}
-        buf.set(NodeId::new(2), block(&[1]));
-        assert!(!buf.covers(span));
-        buf.set(NodeId::new(3), block(&[2]));
-        assert!(buf.covers(span));
     }
 
     #[test]
@@ -198,13 +167,13 @@ mod tests {
         buf.set(NodeId::new(0), block(&[1]));
         buf.set(NodeId::new(1), block(&[2]));
         buf.reset_to_self(NodeId::new(2), block(&[9]));
-        assert_eq!(buf.held().len(), 1);
+        assert_eq!(buf.held.len(), 1);
         assert!(buf.holds(NodeId::new(2)));
         assert_eq!(buf.get(NodeId::new(2)).unwrap().keys(), &[9]);
         assert!(buf.get(NodeId::new(0)).is_none());
         assert!(!buf.holds(NodeId::new(0)));
         let wire = buf.to_wire(Subcube::home(2, NodeId::new(0)));
-        assert_eq!(wire.filled(), 1);
+        assert_eq!(wire.slots.iter().flatten().count(), 1);
         assert!(wire.get(NodeId::new(0)).is_none());
         // A reset buffer is indistinguishable from a freshly seeded one.
         let mut fresh = LbsBuffer::new(4, 1);
@@ -236,7 +205,7 @@ mod tests {
         let wire = buf.to_wire(span);
         assert_eq!(wire.span_start, 4);
         assert_eq!(wire.slots.len(), 4);
-        assert_eq!(wire.filled(), 2);
+        assert_eq!(wire.slots.iter().flatten().count(), 2);
         assert_eq!(wire.get(NodeId::new(6)).unwrap().keys(), &[3, 4]);
         assert!(wire.get(NodeId::new(5)).is_none());
     }
@@ -247,6 +216,11 @@ mod tests {
         LbsBuffer::new(4, 1).to_wire(Subcube::home(3, NodeId::new(0)));
     }
 
+    fn flatten(buf: &LbsBuffer, span: Subcube) -> Option<Vec<Key>> {
+        let mut out = Vec::new();
+        buf.flatten_ascending_into(span, &mut out).then_some(out)
+    }
+
     #[test]
     fn flatten_ascending_subcube() {
         // SC(dim=1) starting at node 0: bit 1 of start = 0 -> ascending.
@@ -254,7 +228,7 @@ mod tests {
         buf.set(NodeId::new(0), block(&[1, 3]));
         buf.set(NodeId::new(1), block(&[5, 9]));
         let span = Subcube::home(1, NodeId::new(0));
-        assert_eq!(buf.flatten_ascending(span).unwrap(), vec![1, 3, 5, 9]);
+        assert_eq!(flatten(&buf, span).unwrap(), vec![1, 3, 5, 9]);
     }
 
     #[test]
@@ -266,16 +240,14 @@ mod tests {
         buf.set(NodeId::new(2), block(&[5, 9]));
         buf.set(NodeId::new(3), block(&[1, 3]));
         let span = Subcube::home(1, NodeId::new(2));
-        assert_eq!(buf.flatten_ascending(span).unwrap(), vec![1, 3, 5, 9]);
+        assert_eq!(flatten(&buf, span).unwrap(), vec![1, 3, 5, 9]);
     }
 
     #[test]
     fn flatten_missing_entry_is_none() {
         let mut buf = LbsBuffer::new(4, 1);
         buf.set(NodeId::new(0), block(&[1]));
-        assert!(buf
-            .flatten_ascending(Subcube::home(1, NodeId::new(0)))
-            .is_none());
+        assert!(flatten(&buf, Subcube::home(1, NodeId::new(0))).is_none());
     }
 
     #[test]

@@ -52,7 +52,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs, missing_debug_implementations)]
+#![warn(missing_docs, missing_debug_implementations, unreachable_pub)]
 
 pub mod bitonic;
 pub mod block;
@@ -65,14 +65,14 @@ pub mod predicates;
 mod runner;
 mod sft;
 mod snr;
-pub mod theorem1;
+mod theorem1;
 mod violation;
 
 pub use bitonic::{is_bitonic, is_circular_bitonic};
 pub use block::{Block, MergeScratch};
 pub use composite::{demux, mux, CompositeCodec, DemuxError};
 pub use lbs::LbsBuffer;
-pub use msg::{BlockView, LbsWire, LbsWireView, Msg, MsgView};
+pub use msg::{LbsWire, Msg};
 pub use runner::{Algorithm, SortBuilder, SortDirection, SortError, SortReport};
 pub use sft::{SftProgram, Shipping};
 pub use snr::SnrProgram;

@@ -14,7 +14,6 @@ use aoft_sim::Payload;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::block::KEY_WIRE_LEN;
 use crate::{Block, Key};
 
 /// The piggybacked `LBS` array as transmitted: one slot per node of the
@@ -50,13 +49,8 @@ impl LbsWire {
         self.slots.get_mut(idx)?.take()
     }
 
-    /// Number of filled slots.
-    pub fn filled(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
-    }
-
     /// Words on the wire: header plus the full span at `m` words per slot.
-    pub fn wire_words(&self) -> usize {
+    pub(crate) fn wire_words(&self) -> usize {
         2 + self.slots.len() * self.block_len.max(1) as usize
     }
 }
@@ -133,186 +127,6 @@ impl Wire for Msg {
             }),
             2 => Ok(Msg::Lbs(LbsWire::decode(input)?)),
             other => Err(CodecError::msg(format!("bad Msg tag {other:#04x}"))),
-        }
-    }
-}
-
-/// A zero-copy parse of one encoded [`Block`]: the key bytes stay in the
-/// input buffer and are read in place, little-endian chunk by chunk.
-///
-/// Every byte is *validated* at parse time (the length claim is bounds
-/// checked against the buffer), but no key is copied until the caller
-/// materializes with [`to_block`](BlockView::to_block).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BlockView<'a> {
-    bytes: &'a [u8],
-}
-
-impl<'a> BlockView<'a> {
-    fn decode(input: &mut &'a [u8]) -> Result<Self, CodecError> {
-        let len = u32::decode(input)? as usize;
-        let bytes = aoft_net::wire::take(input, len.saturating_mul(KEY_WIRE_LEN))?;
-        Ok(Self { bytes })
-    }
-
-    /// Number of keys in the viewed block.
-    pub fn len(&self) -> usize {
-        self.bytes.len() / KEY_WIRE_LEN
-    }
-
-    /// `true` if the viewed block holds no keys.
-    pub fn is_empty(&self) -> bool {
-        self.bytes.is_empty()
-    }
-
-    /// The keys, decoded on the fly without materializing a `Vec`.
-    pub fn keys(&self) -> impl ExactSizeIterator<Item = Key> + 'a {
-        self.bytes
-            .chunks_exact(KEY_WIRE_LEN)
-            .map(|chunk| Key::from_le_bytes(chunk.try_into().expect("sized chunk")))
-    }
-
-    /// `true` if the viewed keys are ascending — the check predicates run
-    /// first, here without any allocation.
-    pub fn is_sorted(&self) -> bool {
-        let mut keys = self.keys();
-        match keys.next() {
-            None => true,
-            Some(first) => {
-                let mut prev = first;
-                keys.all(|k| {
-                    let ok = prev <= k;
-                    prev = k;
-                    ok
-                })
-            }
-        }
-    }
-
-    /// Materializes an owned [`Block`] (via `from_wire` — sortedness is the
-    /// predicates' judgement, not the codec's).
-    pub fn to_block(&self) -> Block {
-        Block::from_wire(self.keys().collect())
-    }
-}
-
-/// A zero-copy parse of an encoded [`LbsWire`]: slot key bytes stay
-/// borrowed from the input buffer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LbsWireView<'a> {
-    /// First node label of the span.
-    pub span_start: u32,
-    /// Keys per block (`m`).
-    pub block_len: u32,
-    slots: Vec<Option<BlockView<'a>>>,
-}
-
-impl<'a> LbsWireView<'a> {
-    fn decode(input: &mut &'a [u8]) -> Result<Self, CodecError> {
-        let span_start = u32::decode(input)?;
-        let block_len = u32::decode(input)?;
-        let len = u32::decode(input)? as usize;
-        if len > input.len() {
-            return Err(CodecError::msg(format!(
-                "sequence length {len} exceeds remaining {} bytes",
-                input.len()
-            )));
-        }
-        let mut slots = Vec::with_capacity(len);
-        for _ in 0..len {
-            slots.push(match u8::decode(input)? {
-                0 => None,
-                1 => Some(BlockView::decode(input)?),
-                other => return Err(CodecError::msg(format!("bad option tag {other:#04x}"))),
-            });
-        }
-        Ok(Self {
-            span_start,
-            block_len,
-            slots,
-        })
-    }
-
-    /// The slot view for `node`, if it lies in the span and is filled.
-    pub fn get(&self, node: NodeId) -> Option<BlockView<'a>> {
-        let idx = node.raw().checked_sub(self.span_start)? as usize;
-        *self.slots.get(idx)?
-    }
-
-    /// Number of filled slots.
-    pub fn filled(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
-    }
-
-    /// Materializes the owned wire form, copying keys once.
-    pub fn to_lbs_wire(&self) -> LbsWire {
-        LbsWire {
-            span_start: self.span_start,
-            block_len: self.block_len,
-            slots: self
-                .slots
-                .iter()
-                .map(|slot| slot.map(|view| view.to_block()))
-                .collect(),
-        }
-    }
-}
-
-/// A zero-copy parse of one encoded [`Msg`], borrowing all key bytes from
-/// the input buffer — the decode counterpart of the pooled single-pass
-/// encode. Validation (tags, lengths, bounds) happens at parse time;
-/// copying happens only where the caller materializes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MsgView<'a> {
-    /// View of [`Msg::Data`].
-    Data(BlockView<'a>),
-    /// View of [`Msg::Tagged`].
-    Tagged {
-        /// The compare-exchange operand.
-        data: BlockView<'a>,
-        /// The piggybacked sequence.
-        lbs: LbsWireView<'a>,
-    },
-    /// View of [`Msg::Lbs`].
-    Lbs(LbsWireView<'a>),
-}
-
-impl<'a> MsgView<'a> {
-    /// Parses exactly one message from `bytes`, rejecting trailing garbage —
-    /// the borrowing analogue of [`aoft_net::wire::from_bytes`].
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError`] on truncation, malformed data, or leftover bytes.
-    pub fn parse(bytes: &'a [u8]) -> Result<Self, CodecError> {
-        let mut input = bytes;
-        let view = match u8::decode(&mut input)? {
-            0 => MsgView::Data(BlockView::decode(&mut input)?),
-            1 => MsgView::Tagged {
-                data: BlockView::decode(&mut input)?,
-                lbs: LbsWireView::decode(&mut input)?,
-            },
-            2 => MsgView::Lbs(LbsWireView::decode(&mut input)?),
-            other => return Err(CodecError::msg(format!("bad Msg tag {other:#04x}"))),
-        };
-        if !input.is_empty() {
-            return Err(CodecError::msg(format!(
-                "{} trailing bytes after value",
-                input.len()
-            )));
-        }
-        Ok(view)
-    }
-
-    /// Materializes the owned message, copying keys exactly once.
-    pub fn to_msg(&self) -> Msg {
-        match self {
-            MsgView::Data(block) => Msg::Data(block.to_block()),
-            MsgView::Tagged { data, lbs } => Msg::Tagged {
-                data: data.to_block(),
-                lbs: lbs.to_lbs_wire(),
-            },
-            MsgView::Lbs(lbs) => Msg::Lbs(lbs.to_lbs_wire()),
         }
     }
 }
@@ -486,7 +300,7 @@ mod tests {
         assert_eq!(w.get(NodeId::new(6)).unwrap().keys(), &[9]);
         assert!(w.get(NodeId::new(3)).is_none(), "below span");
         assert!(w.get(NodeId::new(8)).is_none(), "past span");
-        assert_eq!(w.filled(), 2);
+        assert_eq!(w.slots.iter().flatten().count(), 2);
     }
 
     #[test]
@@ -510,93 +324,6 @@ mod tests {
         };
         assert_eq!(Msg::Lbs(lbs.clone()).wire_size(), 1 + 2 + 6);
         assert_eq!(Msg::Tagged { data: block, lbs }.wire_size(), 1 + 3 + 2 + 6);
-    }
-
-    #[test]
-    fn view_parse_matches_owned_decode() {
-        use aoft_net::wire::{from_bytes, to_bytes};
-        let msgs = [
-            Msg::Data(Block::new(vec![1, 2, 3])),
-            Msg::Data(Block::new(vec![])),
-            Msg::Tagged {
-                data: Block::new(vec![-5, 0, 5]),
-                lbs: wire(
-                    2,
-                    vec![
-                        Some(Block::new(vec![7])),
-                        None,
-                        Some(Block::from_wire(vec![9, 1])),
-                    ],
-                ),
-            },
-            Msg::Lbs(wire(0, vec![None, None])),
-        ];
-        for msg in msgs {
-            let bytes = to_bytes(&msg);
-            let view = MsgView::parse(&bytes).unwrap();
-            assert_eq!(view.to_msg(), msg);
-            assert_eq!(view.to_msg(), from_bytes::<Msg>(&bytes).unwrap());
-        }
-    }
-
-    #[test]
-    fn view_reads_keys_in_place() {
-        use aoft_net::wire::to_bytes;
-        let msg = Msg::Tagged {
-            data: Block::new(vec![10, 20, 30]),
-            lbs: wire(4, vec![Some(Block::new(vec![5])), None]),
-        };
-        let bytes = to_bytes(&msg);
-        let MsgView::Tagged { data, lbs } = MsgView::parse(&bytes).unwrap() else {
-            panic!("variant preserved");
-        };
-        assert_eq!(data.len(), 3);
-        assert!(!data.is_empty());
-        assert!(data.is_sorted());
-        assert_eq!(data.keys().collect::<Vec<_>>(), vec![10, 20, 30]);
-        assert_eq!(lbs.filled(), 1);
-        assert_eq!(
-            lbs.get(NodeId::new(4)).unwrap().keys().collect::<Vec<_>>(),
-            vec![5]
-        );
-        assert!(lbs.get(NodeId::new(5)).is_none());
-        assert!(lbs.get(NodeId::new(3)).is_none(), "below span");
-    }
-
-    #[test]
-    fn view_detects_unsorted_without_copying() {
-        use aoft_net::wire::to_bytes;
-        let bytes = to_bytes(&Msg::Data(Block::from_wire(vec![9, 1])));
-        let MsgView::Data(view) = MsgView::parse(&bytes).unwrap() else {
-            panic!("variant preserved");
-        };
-        assert!(!view.is_sorted());
-    }
-
-    #[test]
-    fn view_rejects_what_owned_decode_rejects() {
-        use aoft_net::wire::{from_bytes, to_bytes};
-        let bytes = to_bytes(&Msg::Tagged {
-            data: Block::new(vec![1, 2]),
-            lbs: wire(0, vec![Some(Block::new(vec![3])), None]),
-        });
-        // Every truncation must fail identically in both decoders.
-        for cut in 0..bytes.len() {
-            assert!(MsgView::parse(&bytes[..cut]).is_err(), "cut at {cut}");
-            assert!(from_bytes::<Msg>(&bytes[..cut]).is_err(), "cut at {cut}");
-        }
-        // Trailing garbage and bad tags too.
-        let mut long = bytes.clone();
-        long.push(0);
-        assert!(MsgView::parse(&long).is_err());
-        assert!(MsgView::parse(&[9]).is_err(), "bad msg tag");
-        // Hostile slot count claim backed by nothing.
-        let mut hostile = vec![2u8]; // Msg::Lbs
-        hostile.extend_from_slice(&0u32.to_le_bytes()); // span_start
-        hostile.extend_from_slice(&1u32.to_le_bytes()); // block_len
-        hostile.extend_from_slice(&u32::MAX.to_le_bytes()); // slot count
-        assert!(MsgView::parse(&hostile).is_err());
-        assert!(from_bytes::<Msg>(&hostile).is_err());
     }
 
     #[test]

@@ -55,7 +55,7 @@ pub fn bit_compare_stage(
 /// # Panics
 ///
 /// As for [`bit_compare_stage`].
-pub fn bit_compare_stage_with(
+pub(crate) fn bit_compare_stage_with(
     lbs: &LbsBuffer,
     llbs: &LbsBuffer,
     me: NodeId,
@@ -69,7 +69,8 @@ pub fn bit_compare_stage_with(
     phi_f_with(lbs, llbs, my_half, stage, scratch)
 }
 
-/// The final check after the pure-exchange verification stage.
+/// The final check after the pure-exchange verification stage, running Φ_P
+/// and Φ_F through caller-owned scratch.
 ///
 /// `lbs` holds the final output distributed over the whole cube (dimension
 /// `n`); `llbs` holds the sequence that entered the last stage, over the
@@ -84,24 +85,6 @@ pub fn bit_compare_stage_with(
 /// # Panics
 ///
 /// Panics if `n` is 0 (a one-node machine exchanges nothing).
-pub fn bit_compare_final(
-    lbs: &LbsBuffer,
-    llbs: &LbsBuffer,
-    me: NodeId,
-    n: u32,
-) -> Result<(), Violation> {
-    bit_compare_final_with(lbs, llbs, me, n, &mut PredicateScratch::new())
-}
-
-/// [`bit_compare_final`] running Φ_P and Φ_F through caller-owned scratch.
-///
-/// # Errors
-///
-/// As for [`bit_compare_final`].
-///
-/// # Panics
-///
-/// As for [`bit_compare_final`].
 pub fn bit_compare_final_with(
     lbs: &LbsBuffer,
     llbs: &LbsBuffer,
@@ -118,7 +101,7 @@ pub fn bit_compare_final_with(
 /// Comparison-operation count of one `bit_compare` at stage `i` with blocks
 /// of `m` keys: `O(2^i · m)` — Lemma 8's bound, used for virtual-time
 /// charging.
-pub fn bit_compare_cost(stage: u32, block_len: usize) -> usize {
+pub(crate) fn bit_compare_cost(stage: u32, block_len: usize) -> usize {
     // Φ_P scans the full span (2^{stage+1} blocks), Φ_F scans the half span
     // plus both reference runs (2 · 2^{stage} blocks).
     (1usize << (stage + 1)) * block_len * 2
@@ -201,13 +184,22 @@ mod tests {
         for (i, v) in [(0u32, 2), (1, 3), (2, 8), (3, 9)] {
             lbs.set(NodeId::new(i), Block::new(vec![v]));
         }
-        assert_eq!(bit_compare_final(&lbs, &llbs, NodeId::new(2), 2), Ok(()));
+        assert_eq!(
+            bit_compare_final_with(&lbs, &llbs, NodeId::new(2), 2, &mut PredicateScratch::new()),
+            Ok(())
+        );
 
         // Unsorted final output fails Φ_P.
         let mut unsorted = lbs.clone();
         unsorted.set(NodeId::new(0), Block::new(vec![10]));
         assert_eq!(
-            bit_compare_final(&unsorted, &llbs, NodeId::new(0), 2),
+            bit_compare_final_with(
+                &unsorted,
+                &llbs,
+                NodeId::new(0),
+                2,
+                &mut PredicateScratch::new()
+            ),
             Err(Violation::NonBitonic { stage: 2 })
         );
 
@@ -215,7 +207,13 @@ mod tests {
         let mut wrong = lbs.clone();
         wrong.set(NodeId::new(0), Block::new(vec![1]));
         assert_eq!(
-            bit_compare_final(&wrong, &llbs, NodeId::new(0), 2),
+            bit_compare_final_with(
+                &wrong,
+                &llbs,
+                NodeId::new(0),
+                2,
+                &mut PredicateScratch::new()
+            ),
             Err(Violation::NotPermutation { stage: 2 })
         );
     }

@@ -89,7 +89,7 @@ pub fn phi_p_stage(buf: &LbsBuffer, span: Subcube, stage: u32) -> Result<(), Vio
 /// # Panics
 ///
 /// As for [`phi_p_stage`].
-pub fn phi_p_stage_with(
+pub(crate) fn phi_p_stage_with(
     buf: &LbsBuffer,
     span: Subcube,
     stage: u32,
@@ -104,22 +104,13 @@ pub fn phi_p_stage_with(
 /// (= the whole cube) must be sorted ascending.
 ///
 /// This is the `if (i ≠ n)` branch of Figure 4a: at the last check there is
-/// no descending half.
+/// no descending half. As with `phi_p_stage_with` the scratch is unused —
+/// the walk is in place.
 ///
 /// # Errors
 ///
 /// As for [`phi_p_stage`], with [`Violation::NonBitonic`] reported when the
 /// output is not fully sorted.
-pub fn phi_p_final(buf: &LbsBuffer, span: Subcube, stage: u32) -> Result<(), Violation> {
-    phi_p_final_with(buf, span, stage, &mut PredicateScratch::new())
-}
-
-/// [`phi_p_final`] in the hot-path calling convention; as with
-/// [`phi_p_stage_with`] the scratch is unused — the walk is in place.
-///
-/// # Errors
-///
-/// As for [`phi_p_final`].
 pub fn phi_p_final_with(
     buf: &LbsBuffer,
     span: Subcube,
@@ -220,7 +211,7 @@ mod tests {
         buf.set(NodeId::new(1), Block::new(vec![3])); // one key short
         let span = Subcube::home(1, NodeId::new(0));
         assert_eq!(
-            phi_p_final(&buf, span, 0),
+            phi_p_final_with(&buf, span, 0, &mut PredicateScratch::new()),
             Err(Violation::MalformedBlock {
                 stage: 0,
                 expected: 2,
@@ -233,12 +224,15 @@ mod tests {
     fn final_check_demands_full_sort() {
         let sorted = buffer(&[&[1], &[2], &[3], &[4]]);
         let span = Subcube::home(2, NodeId::new(0));
-        assert_eq!(phi_p_final(&sorted, span, 2), Ok(()));
+        assert_eq!(
+            phi_p_final_with(&sorted, span, 2, &mut PredicateScratch::new()),
+            Ok(())
+        );
 
         // A perfectly bitonic (but unsorted) final sequence must fail.
         let bitonic = buffer(&[&[1], &[5], &[9], &[4]]);
         assert_eq!(
-            phi_p_final(&bitonic, span, 2),
+            phi_p_final_with(&bitonic, span, 2, &mut PredicateScratch::new()),
             Err(Violation::NonBitonic { stage: 2 })
         );
     }
@@ -248,6 +242,9 @@ mod tests {
         let buf = buffer(&[&[2], &[2], &[2], &[2]]);
         let span = Subcube::home(2, NodeId::new(0));
         assert_eq!(phi_p_stage(&buf, span, 1), Ok(()));
-        assert_eq!(phi_p_final(&buf, span, 2), Ok(()));
+        assert_eq!(
+            phi_p_final_with(&buf, span, 2, &mut PredicateScratch::new()),
+            Ok(())
+        );
     }
 }

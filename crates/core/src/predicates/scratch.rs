@@ -13,9 +13,9 @@ use aoft_hypercube::NodeSet;
 use crate::Key;
 
 /// Scratch space threaded through the `_with` predicate variants
-/// ([`phi_p_stage_with`](super::phi_p_stage_with),
+/// (`phi_p_stage_with`,
 /// [`phi_f_with`](super::phi_f_with),
-/// [`bit_compare_stage_with`](super::bit_compare_stage_with), …).
+/// `bit_compare_stage_with`, …).
 ///
 /// One instance per node program; construct with
 /// [`for_machine`](PredicateScratch::for_machine) so the buffers start at

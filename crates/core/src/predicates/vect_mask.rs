@@ -135,7 +135,13 @@ pub fn vect_mask_before(nodes: usize, stage: u32, step: u32, node: NodeId) -> No
 /// # Panics
 ///
 /// As for [`vect_mask`].
-pub fn vect_mask_before_into(nodes: usize, stage: u32, step: u32, node: NodeId, out: &mut NodeSet) {
+pub(crate) fn vect_mask_before_into(
+    nodes: usize,
+    stage: u32,
+    step: u32,
+    node: NodeId,
+    out: &mut NodeSet,
+) {
     assert!(step <= stage, "step {step} beyond stage {stage}");
     if step == stage {
         reset_mask(out, nodes);

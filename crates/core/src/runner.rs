@@ -173,7 +173,6 @@ pub struct SortBuilder {
     algorithm: Algorithm,
     keys: Vec<Key>,
     nodes: Option<usize>,
-    block_size: Option<usize>,
     cost: CostModel,
     timeout: Duration,
     plan: FaultPlan,
@@ -189,7 +188,6 @@ impl SortBuilder {
             algorithm,
             keys: Vec::new(),
             nodes: None,
-            block_size: None,
             cost: CostModel::default(),
             timeout: Duration::from_secs(2),
             plan: FaultPlan::new(),
@@ -199,8 +197,8 @@ impl SortBuilder {
         }
     }
 
-    /// The keys to sort. With neither [`nodes`](SortBuilder::nodes) nor
-    /// [`block_size`](SortBuilder::block_size) set, one key per node.
+    /// The keys to sort. Without [`nodes`](SortBuilder::nodes) set, one key
+    /// per node.
     pub fn keys(mut self, keys: Vec<Key>) -> Self {
         self.keys = keys;
         self
@@ -210,12 +208,6 @@ impl SortBuilder {
     /// count).
     pub fn nodes(mut self, nodes: usize) -> Self {
         self.nodes = Some(nodes);
-        self
-    }
-
-    /// Keys per node (`m` of the block bitonic sort/merge).
-    pub fn block_size(mut self, m: usize) -> Self {
-        self.block_size = Some(m);
         self
     }
 
@@ -267,31 +259,15 @@ impl SortBuilder {
         if len == 0 {
             return Err(SortError::InvalidInput("no keys to sort".into()));
         }
-        let (nodes, m) = match (self.nodes, self.block_size) {
-            (None, None) => (len, 1),
-            (Some(n), None) => {
+        let (nodes, m) = match self.nodes {
+            None => (len, 1),
+            Some(n) => {
                 if n == 0 || len % n != 0 {
                     return Err(SortError::InvalidInput(format!(
                         "{len} keys do not divide over {n} nodes"
                     )));
                 }
                 (n, len / n)
-            }
-            (None, Some(m)) => {
-                if m == 0 || len % m != 0 {
-                    return Err(SortError::InvalidInput(format!(
-                        "{len} keys do not divide into blocks of {m}"
-                    )));
-                }
-                (len / m, m)
-            }
-            (Some(n), Some(m)) => {
-                if n.checked_mul(m) != Some(len) {
-                    return Err(SortError::InvalidInput(format!(
-                        "{n} nodes × {m} keys ≠ {len} keys"
-                    )));
-                }
-                (n, m)
             }
         };
         if !nodes.is_power_of_two() {
@@ -490,16 +466,11 @@ mod tests {
     fn block_shapes() {
         let keys: Vec<Key> = (0..32).rev().collect();
         let by_nodes = SortBuilder::new(Algorithm::FaultTolerant)
-            .keys(keys.clone())
+            .keys(keys)
             .nodes(8)
             .run()
             .unwrap();
-        let by_block = SortBuilder::new(Algorithm::FaultTolerant)
-            .keys(keys.clone())
-            .block_size(4)
-            .run()
-            .unwrap();
-        assert_eq!(by_nodes.output(), by_block.output());
+        assert_eq!(by_nodes.output(), (0..32).collect::<Vec<Key>>());
         assert_eq!(by_nodes.blocks().len(), 8);
         assert_eq!(by_nodes.blocks()[0].len(), 4);
     }
@@ -525,11 +496,6 @@ mod tests {
                     .nodes(3))
                 .contains("divide")
         );
-        assert!(err(SortBuilder::new(Algorithm::NonRedundant)
-            .keys(vec![1, 2, 3, 4])
-            .nodes(2)
-            .block_size(3))
-        .contains('≠'));
         assert!(err(SortBuilder::new(Algorithm::NonRedundant)
             .keys(vec![1, 2])
             .fault_plan(FaultPlan::new().with_fault(

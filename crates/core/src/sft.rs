@@ -93,16 +93,6 @@ impl SftProgram {
         self
     }
 
-    /// The configured shipping mode.
-    pub fn shipping(&self) -> Shipping {
-        self.shipping
-    }
-
-    /// Initial block of `node`.
-    pub fn input(&self, node: NodeId) -> &Block {
-        &self.blocks[node.index()]
-    }
-
     /// Keys per node.
     pub fn block_len(&self) -> usize {
         self.blocks[0].len()
@@ -655,7 +645,6 @@ mod tests {
         let piggy = SftProgram::new(block::distribute(&keys, 8));
         let separate =
             SftProgram::new(block::distribute(&keys, 8)).with_shipping(Shipping::Separate);
-        assert_eq!(separate.shipping(), Shipping::Separate);
 
         let piggy_report = engine(3).run(&piggy);
         let sep_report = engine(3).run(&separate);

@@ -73,7 +73,7 @@ impl SnrProgram {
     }
 
     /// Initial block of `node`.
-    pub fn input(&self, node: aoft_hypercube::NodeId) -> &Block {
+    pub(crate) fn input(&self, node: aoft_hypercube::NodeId) -> &Block {
         &self.blocks[node.index()]
     }
 

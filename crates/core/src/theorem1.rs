@@ -11,7 +11,7 @@ use crate::Key;
 
 /// Why a Theorem 1 verification rejected the output.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Theorem1Failure {
+pub(crate) enum Theorem1Failure {
     /// `O_j > O_{j+1}` for some `j` (condition 2).
     NotSorted {
         /// First out-of-order index.
@@ -41,17 +41,7 @@ impl std::error::Error for Theorem1Failure {}
 /// # Errors
 ///
 /// Returns the first failed condition.
-///
-/// # Examples
-///
-/// ```
-/// use aoft_sort::theorem1::verify;
-///
-/// assert!(verify(&[3, 1, 2], &[1, 2, 3]).is_ok());
-/// assert!(verify(&[3, 1, 2], &[1, 3, 2]).is_err());
-/// assert!(verify(&[3, 1, 2], &[1, 2, 4]).is_err());
-/// ```
-pub fn verify(input: &[Key], output: &[Key]) -> Result<(), Theorem1Failure> {
+pub(crate) fn verify(input: &[Key], output: &[Key]) -> Result<(), Theorem1Failure> {
     if let Some(at) = output.windows(2).position(|w| w[0] > w[1]) {
         return Err(Theorem1Failure::NotSorted { at });
     }
@@ -70,7 +60,7 @@ pub fn verify(input: &[Key], output: &[Key]) -> Result<(), Theorem1Failure> {
 /// keys: matching the ordered and unordered lists is equivalent to finding
 /// the permutation, `O(N·log₂ N)` (Section 5), plus the `O(N)` sortedness
 /// scan.
-pub fn verification_compares(n: usize) -> usize {
+pub(crate) fn verification_compares(n: usize) -> usize {
     if n <= 1 {
         return n;
     }

@@ -111,7 +111,7 @@ impl Violation {
     }
 
     /// A directly implicated node, when the violation names one.
-    pub fn suspect_hint(&self) -> Option<NodeId> {
+    pub(crate) fn suspect_hint(&self) -> Option<NodeId> {
         match self {
             Violation::MessageLost { from } => Some(*from),
             _ => None,
@@ -120,7 +120,7 @@ impl Violation {
 
     /// ASCII key for the predicate family, suitable as a metric label value
     /// (`aoft_violations_total{predicate="..."}`).
-    pub fn family(&self) -> &'static str {
+    pub(crate) fn family(&self) -> &'static str {
         match self {
             Violation::NonBitonic { .. } => "phi_p",
             Violation::NotPermutation { .. } => "phi_f",
@@ -130,20 +130,6 @@ impl Violation {
             Violation::MalformedBlock { .. } | Violation::UnexpectedMessage { .. } => "structure",
             Violation::MessageLost { .. } => "timeout",
             Violation::OutputRejected => "theorem1",
-        }
-    }
-
-    /// The predicate (or mechanism) that fired.
-    pub fn predicate(&self) -> &'static str {
-        match self {
-            Violation::NonBitonic { .. } => "progress (Φ_P)",
-            Violation::NotPermutation { .. } => "feasibility (Φ_F)",
-            Violation::Inconsistent { .. }
-            | Violation::MissingEntry { .. }
-            | Violation::IncompleteSequence { .. } => "consistency (Φ_C)",
-            Violation::MalformedBlock { .. } | Violation::UnexpectedMessage { .. } => "structure",
-            Violation::MessageLost { .. } => "timeout",
-            Violation::OutputRejected => "theorem-1",
         }
     }
 }
@@ -252,15 +238,10 @@ mod tests {
     }
 
     #[test]
-    fn display_and_predicate() {
+    fn display() {
         for v in all() {
             assert!(!v.to_string().is_empty());
-            assert!(!v.predicate().is_empty());
         }
-        assert_eq!(
-            Violation::NonBitonic { stage: 1 }.predicate(),
-            "progress (Φ_P)"
-        );
         assert!(Violation::MessageLost {
             from: NodeId::new(7)
         }

@@ -5,9 +5,7 @@
 //! simulator.
 
 use aoft_hypercube::{NodeId, Subcube};
-use aoft_sort::predicates::{
-    bit_compare_final, bit_compare_final_with, bit_compare_stage, PredicateScratch,
-};
+use aoft_sort::predicates::{bit_compare_final_with, bit_compare_stage, PredicateScratch};
 use aoft_sort::{block, subcube_ascending, Block, LbsBuffer, Violation};
 use proptest::prelude::*;
 
@@ -64,8 +62,14 @@ fn run_pipeline(keys: Vec<i32>, nodes: usize) -> Result<(), String> {
         let lbs = to_buffer(&snapshots[n as usize]);
         let llbs = to_buffer(&snapshots[n as usize - 1]);
         for node in 0..nodes as u32 {
-            bit_compare_final(&lbs, &llbs, NodeId::new(node), n)
-                .map_err(|v| format!("final, node {node}: {v}"))?;
+            bit_compare_final_with(
+                &lbs,
+                &llbs,
+                NodeId::new(node),
+                n,
+                &mut PredicateScratch::new(),
+            )
+            .map_err(|v| format!("final, node {node}: {v}"))?;
         }
     }
 

@@ -11,14 +11,14 @@ use crate::{Corruptible, Trigger};
 /// Models a processor computing the wrong value or a link damaging the data
 /// in flight — by Definition 3 both are attributed to the sending node.
 #[derive(Debug)]
-pub struct ValueCorruptor {
+pub(crate) struct ValueCorruptor {
     trigger: Trigger,
     rng: ChaCha8Rng,
 }
 
 impl ValueCorruptor {
     /// Creates a corruptor firing per `trigger`, seeded for reproducibility.
-    pub fn new(trigger: Trigger, seed: u64) -> Self {
+    pub(crate) fn new(trigger: Trigger, seed: u64) -> Self {
         Self {
             trigger,
             rng: ChaCha8Rng::seed_from_u64(seed),
@@ -89,14 +89,14 @@ impl<M: Corruptible> Adversary<M> for TwoFaced {
 /// owner, so the detection evidence names the equivocator directly and
 /// recovery can quarantine it without collateral.
 #[derive(Debug)]
-pub struct Equivocator {
+pub(crate) struct Equivocator {
     trigger: Trigger,
     rng: ChaCha8Rng,
 }
 
 impl Equivocator {
     /// Creates an equivocator firing per `trigger`.
-    pub fn new(trigger: Trigger, seed: u64) -> Self {
+    pub(crate) fn new(trigger: Trigger, seed: u64) -> Self {
         Self {
             trigger,
             rng: ChaCha8Rng::seed_from_u64(seed),
@@ -125,14 +125,14 @@ impl<M: Corruptible> Adversary<M> for Equivocator {
 /// a checker to survive, because the data path alone would accept every
 /// message ([`Corruptible::corrupt_meta`]).
 #[derive(Debug)]
-pub struct LbsCorruptor {
+pub(crate) struct LbsCorruptor {
     trigger: Trigger,
     rng: ChaCha8Rng,
 }
 
 impl LbsCorruptor {
     /// Creates an LBS corruptor firing per `trigger`.
-    pub fn new(trigger: Trigger, seed: u64) -> Self {
+    pub(crate) fn new(trigger: Trigger, seed: u64) -> Self {
         Self {
             trigger,
             rng: ChaCha8Rng::seed_from_u64(seed),
@@ -159,14 +159,14 @@ impl<M: Corruptible> Adversary<M> for LbsCorruptor {
 /// The receiver's timeout makes the absence detectable (environmental
 /// assumption 4).
 #[derive(Debug)]
-pub struct MessageDropper {
+pub(crate) struct MessageDropper {
     trigger: Trigger,
     rng: ChaCha8Rng,
 }
 
 impl MessageDropper {
     /// Creates a dropper firing per `trigger`.
-    pub fn new(trigger: Trigger, seed: u64) -> Self {
+    pub(crate) fn new(trigger: Trigger, seed: u64) -> Self {
         Self {
             trigger,
             rng: ChaCha8Rng::seed_from_u64(seed),
@@ -268,7 +268,7 @@ impl<M: Corruptible> Adversary<M> for StuckStale<M> {
 /// node's last send is lost (the paper's absence detection covers that
 /// tail).
 #[derive(Debug)]
-pub struct Delayer<M> {
+pub(crate) struct Delayer<M> {
     trigger: Trigger,
     rng: ChaCha8Rng,
     buffer: Vec<(aoft_hypercube::NodeId, M)>,
@@ -276,7 +276,7 @@ pub struct Delayer<M> {
 
 impl<M> Delayer<M> {
     /// Creates a delayer firing per `trigger`.
-    pub fn new(trigger: Trigger, seed: u64) -> Self {
+    pub(crate) fn new(trigger: Trigger, seed: u64) -> Self {
         Self {
             trigger,
             rng: ChaCha8Rng::seed_from_u64(seed),

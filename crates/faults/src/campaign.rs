@@ -40,7 +40,7 @@ pub enum TrialOutcome {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TrialRecord {
     /// The injected faults.
-    pub plan: FaultPlan,
+    pub(crate) plan: FaultPlan,
     /// The classified outcome.
     pub outcome: TrialOutcome,
 }
@@ -74,7 +74,7 @@ impl KindStats {
     /// Fraction of manifested faults that were caught:
     /// `detected / (detected + silently_wrong)`; 1.0 when no fault
     /// manifested in observable state.
-    pub fn coverage(&self) -> f64 {
+    pub(crate) fn coverage(&self) -> f64 {
         let manifested = self.detected + self.silently_wrong;
         if manifested == 0 {
             1.0
@@ -88,7 +88,7 @@ impl KindStats {
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct CampaignResult {
     /// Stats per sweep label (usually the fault kind name).
-    pub per_label: BTreeMap<String, KindStats>,
+    pub(crate) per_label: BTreeMap<String, KindStats>,
     /// Every trial, in execution order.
     pub trials: Vec<TrialRecord>,
 }

@@ -13,23 +13,23 @@ use crate::{Corruptible, Trigger};
 /// The fault classes exercised by the coverage campaign, one per adversary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum FaultKind {
-    /// Data corruption on outgoing messages ([`ValueCorruptor`]).
+    /// Data corruption on outgoing messages (`ValueCorruptor`).
     CorruptValue,
     /// Inconsistent Byzantine sends ([`TwoFaced`]).
     TwoFaced,
-    /// Message omission ([`MessageDropper`]).
+    /// Message omission (`MessageDropper`).
     DropMessages,
     /// Fail-silent from the trigger origin ([`Crash`]).
     Crash,
     /// Stale replay of the previous payload ([`StuckStale`]).
     StuckStale,
-    /// Delayed (but eventually delivered) messages ([`Delayer`]).
+    /// Delayed (but eventually delivered) messages (`Delayer`).
     DelayMessages,
     /// Seeded mix of all misbehaviours ([`RandomByzantine`]).
     RandomByzantine,
-    /// Targeted equivocation about the sender's own entry ([`Equivocator`]).
+    /// Targeted equivocation about the sender's own entry (`Equivocator`).
     Equivocate,
-    /// Check-metadata (LBS) corruption over intact data ([`LbsCorruptor`]).
+    /// Check-metadata (LBS) corruption over intact data (`LbsCorruptor`).
     CorruptLbs,
 }
 
@@ -157,7 +157,7 @@ impl FaultPlan {
     /// # Panics
     ///
     /// Panics if the spec's node already has a fault in this plan.
-    pub fn push(&mut self, spec: FaultSpec) {
+    pub(crate) fn push(&mut self, spec: FaultSpec) {
         assert!(
             !self.is_faulty(spec.node),
             "{} already has a fault in this plan",
@@ -174,11 +174,6 @@ impl FaultPlan {
     /// Number of faulty nodes.
     pub fn fault_count(&self) -> usize {
         self.specs.len()
-    }
-
-    /// `true` if no faults are planned.
-    pub fn is_honest(&self) -> bool {
-        self.specs.is_empty()
     }
 
     /// `true` if `node` has a planned fault.

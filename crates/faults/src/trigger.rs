@@ -17,14 +17,10 @@ use serde::{Deserialize, Serialize};
 ///
 /// ```
 /// use aoft_faults::Trigger;
-/// use rand::SeedableRng;
-/// use rand_chacha::ChaCha8Rng;
 ///
-/// let mut rng = ChaCha8Rng::seed_from_u64(1);
+/// // Armed on sends 2, 3 and 4, every time.
 /// let t = Trigger::window(2, 5);
-/// assert!(!t.fires(1, &mut rng));
-/// assert!(t.fires(2, &mut rng));
-/// assert!(!t.fires(5, &mut rng));
+/// assert_eq!((t.from, t.until, t.probability), (2, 5, 1.0));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Trigger {
@@ -73,21 +69,6 @@ impl Trigger {
         }
     }
 
-    /// Fault on each send independently with probability `p` (intermittent
-    /// fault).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0.0 <= p <= 1.0`.
-    pub fn with_probability(p: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "probability {p} out of [0, 1]");
-        Self {
-            from: 0,
-            until: u64::MAX,
-            probability: p,
-        }
-    }
-
     /// Restricts an existing trigger to probability `p`.
     ///
     /// # Panics
@@ -103,7 +84,7 @@ impl Trigger {
     ///
     /// Probabilistic triggers draw from `rng`, so trials are reproducible
     /// under a fixed seed.
-    pub fn fires<R: Rng + ?Sized>(&self, seq: u64, rng: &mut R) -> bool {
+    pub(crate) fn fires<R: Rng + ?Sized>(&self, seq: u64, rng: &mut R) -> bool {
         if seq < self.from || seq >= self.until {
             return false;
         }
@@ -174,13 +155,13 @@ mod tests {
     #[test]
     fn probability_zero_never_fires() {
         let mut r = rng();
-        let t = Trigger::with_probability(0.0);
+        let t = Trigger::from_seq(0).probability(0.0);
         assert!((0..100).all(|seq| !t.fires(seq, &mut r)));
     }
 
     #[test]
     fn probability_is_seed_deterministic() {
-        let t = Trigger::with_probability(0.5);
+        let t = Trigger::from_seq(0).probability(0.5);
         let run = |seed: u64| -> Vec<bool> {
             let mut r = ChaCha8Rng::seed_from_u64(seed);
             (0..64).map(|seq| t.fires(seq, &mut r)).collect()
@@ -194,6 +175,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of [0, 1]")]
     fn invalid_probability_panics() {
-        Trigger::with_probability(1.5);
+        Trigger::from_seq(0).probability(1.5);
     }
 }

@@ -16,11 +16,6 @@ impl DimensionError {
     pub(crate) fn new(requested: u32) -> Self {
         Self { requested }
     }
-
-    /// The dimension that was requested.
-    pub fn requested(&self) -> u32 {
-        self.requested
-    }
 }
 
 impl fmt::Display for DimensionError {
@@ -45,10 +40,5 @@ mod tests {
         let msg = err.to_string();
         assert!(msg.contains("99"));
         assert!(msg.contains(&MAX_DIMENSION.to_string()));
-    }
-
-    #[test]
-    fn requested_round_trips() {
-        assert_eq!(DimensionError::new(7).requested(), 7);
     }
 }

@@ -1,10 +1,8 @@
-//! Binary-reflected Gray codes and standard hypercube embeddings.
+//! Binary-reflected Gray codes and the hypercube ring embedding.
 //!
 //! Hypercube multicomputers of the Ncube era were routinely used through
-//! ring and mesh embeddings built from Gray codes; the experiment harness
-//! uses the ring embedding to lay out "presorted" and "reverse-sorted"
-//! adversarial workloads in physical node order, and the sequential host
-//! baseline gathers data in embedding order.
+//! ring embeddings built from Gray codes; `examples/jacobi_aoft.rs` lays its
+//! one-dimensional grid out along this ring.
 
 use crate::NodeId;
 
@@ -12,34 +10,23 @@ use crate::NodeId;
 ///
 /// Adjacent codewords differ in exactly one bit, so the sequence
 /// `gray(0) .. gray(2^n − 1)` walks a Hamiltonian path of the hypercube.
-///
-/// # Examples
-///
-/// ```
-/// use aoft_hypercube::gray;
-///
-/// let ring: Vec<u32> = (0..8).map(gray::gray).collect();
-/// assert_eq!(ring, vec![0, 1, 3, 2, 6, 7, 5, 4]);
-/// ```
-pub fn gray(i: u32) -> u32 {
+pub(crate) fn gray(i: u32) -> u32 {
     i ^ (i >> 1)
-}
-
-/// Inverse of [`gray`]: the rank of a codeword in the Gray sequence.
-pub fn gray_rank(code: u32) -> u32 {
-    let mut rank = code;
-    let mut shift = 1;
-    while (code >> shift) != 0 {
-        rank ^= code >> shift;
-        shift += 1;
-    }
-    rank
 }
 
 /// The Hamiltonian ring of a `dim`-dimensional hypercube, as node ids.
 ///
 /// Position `k` of the returned vector is the node holding ring rank `k`;
 /// consecutive positions (cyclically) are hypercube neighbors.
+///
+/// # Examples
+///
+/// ```
+/// use aoft_hypercube::gray;
+///
+/// let ring: Vec<u32> = gray::ring_embedding(3).iter().map(|n| n.raw()).collect();
+/// assert_eq!(ring, vec![0, 1, 3, 2, 6, 7, 5, 4]);
+/// ```
 ///
 /// # Panics
 ///
@@ -50,30 +37,6 @@ pub fn ring_embedding(dim: u32) -> Vec<NodeId> {
         "dimension {dim} exceeds MAX_DIMENSION"
     );
     (0..1u32 << dim).map(|i| NodeId::new(gray(i))).collect()
-}
-
-/// A `2^r × 2^c` mesh embedding of the `(r+c)`-dimensional hypercube.
-///
-/// Entry `[row][col]` is the node holding mesh coordinate `(row, col)`;
-/// horizontally and vertically adjacent entries are hypercube neighbors.
-///
-/// # Panics
-///
-/// Panics if `rows_dim + cols_dim` exceeds
-/// [`MAX_DIMENSION`](crate::MAX_DIMENSION).
-pub fn mesh_embedding(rows_dim: u32, cols_dim: u32) -> Vec<Vec<NodeId>> {
-    assert!(
-        rows_dim + cols_dim <= crate::MAX_DIMENSION,
-        "dimension {} exceeds MAX_DIMENSION",
-        rows_dim + cols_dim
-    );
-    (0..1u32 << rows_dim)
-        .map(|r| {
-            (0..1u32 << cols_dim)
-                .map(|c| NodeId::new(gray(r) << cols_dim | gray(c)))
-                .collect()
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -87,13 +50,6 @@ mod tests {
             let a = gray(i);
             let b = gray(i + 1);
             assert_eq!((a ^ b).count_ones(), 1, "gray({i}) vs gray({})", i + 1);
-        }
-    }
-
-    #[test]
-    fn gray_rank_inverts_gray() {
-        for i in 0u32..4096 {
-            assert_eq!(gray_rank(gray(i)), i);
         }
     }
 
@@ -112,31 +68,6 @@ mod tests {
                 "ring wraps around"
             );
         }
-    }
-
-    #[test]
-    fn mesh_neighbors() {
-        let mesh = mesh_embedding(2, 3);
-        assert_eq!(mesh.len(), 4);
-        assert_eq!(mesh[0].len(), 8);
-        for r in 0..mesh.len() {
-            for c in 0..mesh[r].len() {
-                if c + 1 < mesh[r].len() {
-                    assert!(mesh[r][c].is_neighbor_of(mesh[r][c + 1]));
-                }
-                if r + 1 < mesh.len() {
-                    assert!(mesh[r][c].is_neighbor_of(mesh[r + 1][c]));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn mesh_covers_all_nodes_once() {
-        let mesh = mesh_embedding(2, 2);
-        let all: HashSet<u32> = mesh.iter().flatten().map(|n| n.raw()).collect();
-        assert_eq!(all.len(), 16);
-        assert_eq!(all.iter().max(), Some(&15));
     }
 
     #[test]

@@ -14,10 +14,7 @@
 //!   paper's `1 << node` masks (which only work for `N ≤` word size).
 //! * [`routing`] — e-cube routing and the vertex-disjoint path families that
 //!   justify the consistency predicate Φ_C (Lemma 6).
-//! * [`gray`] — binary-reflected Gray codes and ring/mesh embeddings, the
-//!   standard hypercube embedding toolkit.
-//! * [`broadcast`] — binomial spanning trees (recursive doubling), the
-//!   classical one-to-all schedule.
+//! * [`gray`] — binary-reflected Gray codes and the ring embedding.
 //!
 //! # Examples
 //!
@@ -29,7 +26,7 @@
 //!
 //! // Node 5 = 0b101 has neighbors across each of the three dimensions.
 //! let five = NodeId::new(5);
-//! let neighbors: Vec<u64> = cube.neighbors(five).map(|p| p.index() as u64).collect();
+//! let neighbors: Vec<u32> = (0..cube.dim()).map(|d| five.neighbor(d).raw()).collect();
 //! assert_eq!(neighbors, vec![4, 7, 1]);
 //!
 //! // The home subcube SC_{2,5} covers nodes 4..=7.
@@ -39,9 +36,8 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs, missing_debug_implementations)]
+#![warn(missing_docs, missing_debug_implementations, unreachable_pub)]
 
-pub mod broadcast;
 mod error;
 pub mod gray;
 mod node_id;
@@ -55,7 +51,7 @@ pub use node_id::NodeId;
 pub use nodeset::NodeSet;
 pub use routing::{DisjointPaths, Path};
 pub use subcube::Subcube;
-pub use topology::{Edge, Hypercube};
+pub use topology::Hypercube;
 
 /// Maximum hypercube dimension this crate supports.
 ///

@@ -54,15 +54,6 @@ impl NodeId {
         (self.0 >> dim) & 1 == 1
     }
 
-    /// Returns a copy of this id with bit `dim` set to `value`.
-    pub const fn with_bit(self, dim: u32, value: bool) -> Self {
-        if value {
-            Self(self.0 | (1 << dim))
-        } else {
-            Self(self.0 & !(1 << dim))
-        }
-    }
-
     /// Number of bit positions in which `self` and `other` differ.
     ///
     /// This is the graph distance between the two nodes in the hypercube.
@@ -151,15 +142,12 @@ mod tests {
     }
 
     #[test]
-    fn bit_and_with_bit() {
+    fn bit_reads_each_dimension() {
         let node = NodeId::new(0b0110);
         assert!(!node.bit(0));
         assert!(node.bit(1));
         assert!(node.bit(2));
         assert!(!node.bit(3));
-        assert_eq!(node.with_bit(0, true), NodeId::new(0b0111));
-        assert_eq!(node.with_bit(1, false), NodeId::new(0b0100));
-        assert_eq!(node.with_bit(2, true), node, "setting an already-set bit");
     }
 
     #[test]

@@ -71,7 +71,7 @@ impl NodeSet {
     /// # Panics
     ///
     /// Panics if the range end exceeds `capacity`.
-    pub fn from_range(capacity: usize, range: std::ops::RangeInclusive<usize>) -> Self {
+    pub(crate) fn from_range(capacity: usize, range: std::ops::RangeInclusive<usize>) -> Self {
         let mut set = Self::empty(capacity);
         for index in range {
             set.insert(NodeId::new(index as u32));
@@ -170,37 +170,6 @@ impl NodeSet {
         self.words[last] |= tail;
     }
 
-    /// `true` if every index in `range` is in the set — the word-masked
-    /// counterpart of [`insert_range`](NodeSet::insert_range), used to test
-    /// whole-subcube coverage without iterating nodes.
-    ///
-    /// An empty range is vacuously covered.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range end exceeds `capacity`.
-    pub fn contains_range(&self, range: std::ops::Range<usize>) -> bool {
-        assert!(
-            range.end <= self.capacity,
-            "range end {} out of NodeSet capacity {}",
-            range.end,
-            self.capacity
-        );
-        if range.is_empty() {
-            return true;
-        }
-        let (first, last) = (range.start / WORD_BITS, (range.end - 1) / WORD_BITS);
-        let head = !0u64 << (range.start % WORD_BITS);
-        let tail = !0u64 >> (WORD_BITS - 1 - (range.end - 1) % WORD_BITS);
-        if first == last {
-            let mask = head & tail;
-            return self.words[first] & mask == mask;
-        }
-        self.words[first] & head == head
-            && self.words[first + 1..last].iter().all(|&w| w == !0)
-            && self.words[last] & tail == tail
-    }
-
     /// `true` if every node of `self` is also in `other`.
     ///
     /// # Panics
@@ -212,16 +181,6 @@ impl NodeSet {
             .iter()
             .zip(&other.words)
             .all(|(a, b)| a & !b == 0)
-    }
-
-    /// `true` if the two sets share no node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if capacities differ.
-    pub fn is_disjoint_from(&self, other: &NodeSet) -> bool {
-        self.check_same_capacity(other);
-        self.words.iter().zip(&other.words).all(|(a, b)| a & b == 0)
     }
 
     /// Iterates over member nodes in increasing label order.
@@ -435,14 +394,11 @@ mod tests {
     }
 
     #[test]
-    fn subset_and_disjoint() {
+    fn subset() {
         let small = NodeSet::from_range(64, 2..=4);
         let big = NodeSet::from_range(64, 0..=8);
-        let other = NodeSet::from_range(64, 20..=30);
         assert!(small.is_subset_of(&big));
         assert!(!big.is_subset_of(&small));
-        assert!(small.is_disjoint_from(&other));
-        assert!(!small.is_disjoint_from(&big));
     }
 
     #[test]
@@ -475,7 +431,7 @@ mod tests {
     #[test]
     fn range_ops_match_per_node_ops_exhaustively() {
         // Every (start, end) over capacities that straddle word boundaries:
-        // the masked forms must agree with the bit-at-a-time reference.
+        // the masked insert must agree with the bit-at-a-time reference.
         for capacity in [1usize, 63, 64, 65, 130] {
             let mut reference = NodeSet::empty(capacity);
             for start in 0..=capacity {
@@ -487,24 +443,8 @@ mod tests {
                         reference.insert(NodeId::new(i as u32));
                     }
                     assert_eq!(masked, reference, "insert {start}..{end} cap {capacity}");
-                    assert!(masked.contains_range(start..end));
-                    if start > 0 {
-                        assert!(!masked.contains_range(start - 1..end.max(start)));
-                    }
                 }
             }
         }
-    }
-
-    #[test]
-    fn contains_range_spots_interior_holes() {
-        let mut set = NodeSet::empty(256);
-        set.insert_range(0..256);
-        set.remove(NodeId::new(130));
-        assert!(!set.contains_range(0..256));
-        assert!(!set.contains_range(128..192));
-        assert!(set.contains_range(0..130));
-        assert!(set.contains_range(131..256));
-        assert!(set.contains_range(10..10), "empty range is vacuous");
     }
 }

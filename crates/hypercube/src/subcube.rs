@@ -85,29 +85,10 @@ impl Subcube {
         NodeId::new(self.start + (self.len() as u32 - 1))
     }
 
-    /// The node splitting the subcube in half: `SC^S + 2^{i-1}`.
-    ///
-    /// For a bitonic sequence laid out over the subcube this is the first
-    /// node of the descending run.
-    ///
-    /// # Panics
-    ///
-    /// Panics for a zero-dimensional subcube, which has no midpoint.
-    pub fn midpoint(&self) -> NodeId {
-        assert!(self.dim > 0, "a 0-dimensional subcube has no midpoint");
-        NodeId::new(self.start + (1 << (self.dim - 1)))
-    }
-
     /// `true` if `node`'s label lies within the subcube span.
     pub fn contains(&self, node: NodeId) -> bool {
         let n = node.raw();
         n >= self.start && n < self.start + self.len() as u32
-    }
-
-    /// The position of `node` within the subcube (`0..len`), if contained.
-    pub fn offset_of(&self, node: NodeId) -> Option<usize> {
-        self.contains(node)
-            .then(|| (node.raw() - self.start) as usize)
     }
 
     /// Iterates over the member nodes in increasing label order.
@@ -147,11 +128,6 @@ impl Subcube {
     /// The enclosing home subcube one dimension up.
     pub fn parent(&self) -> Subcube {
         Subcube::home(self.dim + 1, self.start())
-    }
-
-    /// `true` if `other` lies entirely within `self`.
-    pub fn contains_subcube(&self, other: &Subcube) -> bool {
-        other.dim <= self.dim && self.contains(other.start()) && self.contains(other.end())
     }
 
     /// Members as a [`NodeSet`] with the given capacity.
@@ -218,7 +194,6 @@ mod tests {
         let (low, high) = sc.halves();
         assert_eq!(low.len() + high.len(), sc.len());
         assert_eq!(low.end().raw() + 1, high.start().raw());
-        assert_eq!(high.start(), sc.midpoint());
         for member in sc.iter() {
             assert!(low.contains(member) ^ high.contains(member));
         }
@@ -230,17 +205,6 @@ mod tests {
         let buddy = sc.buddy();
         assert_eq!(buddy.buddy(), sc);
         assert_eq!(sc.parent(), buddy.parent());
-        assert!(sc.parent().contains_subcube(&sc));
-        assert!(sc.parent().contains_subcube(&buddy));
-    }
-
-    #[test]
-    fn offsets() {
-        let sc = Subcube::home(2, NodeId::new(6));
-        assert_eq!(sc.offset_of(NodeId::new(4)), Some(0));
-        assert_eq!(sc.offset_of(NodeId::new(7)), Some(3));
-        assert_eq!(sc.offset_of(NodeId::new(8)), None);
-        assert_eq!(sc.offset_of(NodeId::new(3)), None);
     }
 
     #[test]
@@ -249,12 +213,6 @@ mod tests {
         assert_eq!(sc.len(), 1);
         assert_eq!(sc.start(), sc.end());
         assert!(!sc.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "no midpoint")]
-    fn zero_dim_midpoint_panics() {
-        Subcube::home(0, NodeId::new(5)).midpoint();
     }
 
     #[test]

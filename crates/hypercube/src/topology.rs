@@ -2,66 +2,7 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::{DimensionError, NodeId, Subcube, MAX_DIMENSION};
-
-/// An undirected hypercube link between two adjacent nodes.
-///
-/// Stored in canonical form: `low` is the endpoint with the smaller label, so
-/// a link can be used as a map key regardless of traversal direction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct Edge {
-    low: NodeId,
-    dim: u32,
-}
-
-impl Edge {
-    /// The canonical link between `a` and `b`.
-    ///
-    /// Returns `None` if the nodes are not hypercube-adjacent.
-    pub fn between(a: NodeId, b: NodeId) -> Option<Self> {
-        let dim = a.adjacency_dim(b)?;
-        Some(Self {
-            low: if a < b { a } else { b },
-            dim,
-        })
-    }
-
-    /// The lower-labelled endpoint.
-    pub fn low(&self) -> NodeId {
-        self.low
-    }
-
-    /// The higher-labelled endpoint.
-    pub fn high(&self) -> NodeId {
-        self.low.neighbor(self.dim)
-    }
-
-    /// The dimension this link crosses.
-    pub fn dim(&self) -> u32 {
-        self.dim
-    }
-
-    /// Given one endpoint, the other.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `from` is not an endpoint of this link.
-    pub fn other_end(&self, from: NodeId) -> NodeId {
-        if from == self.low() {
-            self.high()
-        } else if from == self.high() {
-            self.low()
-        } else {
-            panic!("{from} is not an endpoint of {self}");
-        }
-    }
-}
-
-impl fmt::Display for Edge {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "e({},{})", self.low(), self.high())
-    }
-}
+use crate::{DimensionError, NodeId, MAX_DIMENSION};
 
 /// The hypercube graph `G(P, E)` of Section 1.
 ///
@@ -76,7 +17,6 @@ impl fmt::Display for Edge {
 ///
 /// let cube = Hypercube::new(4)?;
 /// assert_eq!(cube.len(), 16);
-/// assert_eq!(cube.edge_count(), 32); // n * 2^(n-1)
 /// assert!(cube.contains(NodeId::new(15)));
 /// assert!(!cube.contains(NodeId::new(16)));
 /// # Ok::<(), aoft_hypercube::DimensionError>(())
@@ -99,17 +39,6 @@ impl Hypercube {
         Ok(Self { dim })
     }
 
-    /// The smallest hypercube with at least `nodes` nodes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DimensionError`] if the required dimension exceeds
-    /// [`MAX_DIMENSION`].
-    pub fn with_at_least(nodes: usize) -> Result<Self, DimensionError> {
-        let dim = nodes.next_power_of_two().trailing_zeros();
-        Self::new(dim)
-    }
-
     /// The cube's dimension `n`.
     pub fn dim(&self) -> u32 {
         self.dim
@@ -125,15 +54,6 @@ impl Hypercube {
         false
     }
 
-    /// Number of undirected links, `n · 2^{n−1}`.
-    pub fn edge_count(&self) -> usize {
-        if self.dim == 0 {
-            0
-        } else {
-            self.dim as usize * (1usize << (self.dim - 1))
-        }
-    }
-
     /// `true` if `node`'s label is a valid node of this cube.
     pub fn contains(&self, node: NodeId) -> bool {
         node.index() < self.len()
@@ -142,77 +62,6 @@ impl Hypercube {
     /// Iterates over all nodes in label order.
     pub fn nodes(&self) -> impl DoubleEndedIterator<Item = NodeId> + ExactSizeIterator + use<> {
         (0..self.len() as u32).map(NodeId::new)
-    }
-
-    /// Iterates over `node`'s `n` neighbors, dimension 0 first.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is not a member of this cube.
-    pub fn neighbors(
-        &self,
-        node: NodeId,
-    ) -> impl DoubleEndedIterator<Item = NodeId> + ExactSizeIterator + use<> {
-        assert!(self.contains(node), "{node} outside {self}");
-        (0..self.dim).map(move |d| node.neighbor(d))
-    }
-
-    /// Iterates over every undirected link of the cube.
-    pub fn edges(&self) -> impl Iterator<Item = Edge> + use<> {
-        let dim = self.dim;
-        let len = self.len() as u32;
-        (0..dim).flat_map(move |d| {
-            (0..len)
-                .filter(move |low| (low >> d) & 1 == 0)
-                .map(move |low| {
-                    Edge::between(NodeId::new(low), NodeId::new(low).neighbor(d))
-                        .expect("constructed adjacent pair")
-                })
-        })
-    }
-
-    /// Graph distance (Hamming distance) between two member nodes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either node lies outside the cube.
-    pub fn distance(&self, a: NodeId, b: NodeId) -> u32 {
-        assert!(self.contains(a), "{a} outside {self}");
-        assert!(self.contains(b), "{b} outside {self}");
-        a.hamming_distance(b)
-    }
-
-    /// The home subcube `SC_{sub_dim,node}` clamped to this cube.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sub_dim > n` or `node` lies outside the cube.
-    pub fn home_subcube(&self, sub_dim: u32, node: NodeId) -> Subcube {
-        assert!(
-            sub_dim <= self.dim,
-            "subcube dim {sub_dim} exceeds cube dim {}",
-            self.dim
-        );
-        assert!(self.contains(node), "{node} outside {self}");
-        Subcube::home(sub_dim, node)
-    }
-
-    /// All aligned subcubes of dimension `sub_dim`, in label order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sub_dim > n`.
-    pub fn subcubes(&self, sub_dim: u32) -> impl Iterator<Item = Subcube> + use<> {
-        assert!(
-            sub_dim <= self.dim,
-            "subcube dim {sub_dim} exceeds cube dim {}",
-            self.dim
-        );
-        let size = 1u32 << sub_dim;
-        let len = self.len() as u32;
-        (0..len)
-            .step_by(size as usize)
-            .map(move |start| Subcube::home(sub_dim, NodeId::new(start)))
     }
 }
 
@@ -225,14 +74,12 @@ impl fmt::Display for Hypercube {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
 
     #[test]
-    fn node_and_edge_counts() {
+    fn node_counts() {
         for dim in 0..=8 {
             let cube = Hypercube::new(dim).unwrap();
             assert_eq!(cube.len(), 1 << dim);
-            assert_eq!(cube.edges().count(), cube.edge_count());
             assert_eq!(cube.nodes().len(), cube.len());
         }
     }
@@ -241,89 +88,18 @@ mod tests {
     fn dimension_limit() {
         assert!(Hypercube::new(MAX_DIMENSION).is_ok());
         let err = Hypercube::new(MAX_DIMENSION + 1).unwrap_err();
-        assert_eq!(err.requested(), MAX_DIMENSION + 1);
-    }
-
-    #[test]
-    fn with_at_least_rounds_up() {
-        assert_eq!(Hypercube::with_at_least(1).unwrap().dim(), 0);
-        assert_eq!(Hypercube::with_at_least(2).unwrap().dim(), 1);
-        assert_eq!(Hypercube::with_at_least(5).unwrap().dim(), 3);
-        assert_eq!(Hypercube::with_at_least(8).unwrap().dim(), 3);
-    }
-
-    #[test]
-    fn every_node_has_n_distinct_neighbors() {
-        let cube = Hypercube::new(5).unwrap();
-        for node in cube.nodes() {
-            let nbrs: HashSet<NodeId> = cube.neighbors(node).collect();
-            assert_eq!(nbrs.len(), 5);
-            for nb in &nbrs {
-                assert!(cube.contains(*nb));
-                assert_eq!(cube.distance(node, *nb), 1);
-            }
-        }
-    }
-
-    #[test]
-    fn edges_are_unique_and_canonical() {
-        let cube = Hypercube::new(4).unwrap();
-        let edges: Vec<Edge> = cube.edges().collect();
-        let set: HashSet<Edge> = edges.iter().copied().collect();
-        assert_eq!(set.len(), edges.len(), "no duplicate edges");
-        for e in &edges {
-            assert!(e.low() < e.high());
-            assert_eq!(e.low().hamming_distance(e.high()), 1);
-            assert_eq!(e.other_end(e.low()), e.high());
-            assert_eq!(e.other_end(e.high()), e.low());
-        }
-    }
-
-    #[test]
-    fn edge_between_rejects_non_adjacent() {
-        assert!(Edge::between(NodeId::new(0), NodeId::new(3)).is_none());
-        assert!(Edge::between(NodeId::new(2), NodeId::new(2)).is_none());
-        let e = Edge::between(NodeId::new(6), NodeId::new(4)).unwrap();
-        assert_eq!(e.low(), NodeId::new(4));
-        assert_eq!(e.dim(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "is not an endpoint")]
-    fn other_end_panics_for_stranger() {
-        let e = Edge::between(NodeId::new(0), NodeId::new(1)).unwrap();
-        e.other_end(NodeId::new(5));
-    }
-
-    #[test]
-    fn subcubes_partition_cube() {
-        let cube = Hypercube::new(4).unwrap();
-        for sub_dim in 0..=4 {
-            let subcubes: Vec<Subcube> = cube.subcubes(sub_dim).collect();
-            assert_eq!(subcubes.len(), cube.len() >> sub_dim);
-            let mut seen = HashSet::new();
-            for sc in &subcubes {
-                for node in sc.iter() {
-                    assert!(seen.insert(node), "{node} appears in two subcubes");
-                }
-            }
-            assert_eq!(seen.len(), cube.len());
-        }
+        assert_eq!(err, DimensionError::new(MAX_DIMENSION + 1));
     }
 
     #[test]
     fn display() {
         assert_eq!(Hypercube::new(3).unwrap().to_string(), "Q3 (8 nodes)");
-        let e = Edge::between(NodeId::new(0), NodeId::new(4)).unwrap();
-        assert_eq!(e.to_string(), "e(P0,P4)");
     }
 
     #[test]
     fn zero_dimensional_cube() {
         let cube = Hypercube::new(0).unwrap();
         assert_eq!(cube.len(), 1);
-        assert_eq!(cube.edge_count(), 0);
         assert!(!cube.is_empty());
-        assert_eq!(cube.neighbors(NodeId::new(0)).count(), 0);
     }
 }

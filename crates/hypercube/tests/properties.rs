@@ -60,7 +60,6 @@ proptest! {
         prop_assert!(check(&sa & &sb, a.intersection(&b).copied().collect()));
         prop_assert!(check(&sa ^ &sb, a.symmetric_difference(&b).copied().collect()));
         prop_assert_eq!(sa.is_subset_of(&sb), a.is_subset(&b));
-        prop_assert_eq!(sa.is_disjoint_from(&sb), a.is_disjoint(&b));
     }
 
     /// Disjoint path families exist and verify for arbitrary pairs in
@@ -100,12 +99,6 @@ proptest! {
         }
     }
 
-    /// Gray rank inverts gray for arbitrary inputs.
-    #[test]
-    fn gray_inverse(i in 0u32..1_000_000) {
-        prop_assert_eq!(gray::gray_rank(gray::gray(i)), i);
-    }
-
     /// Home subcubes nest: SC_{i,j} ⊆ SC_{i+1,j}, and all members agree on
     /// their shared home subcube.
     #[test]
@@ -113,7 +106,7 @@ proptest! {
         let node = NodeId::new(node_raw % (1 << 12));
         let sub = Subcube::home(dim, node);
         let parent = Subcube::home(dim + 1, node);
-        prop_assert!(parent.contains_subcube(&sub));
+        prop_assert!(parent.contains(sub.start()) && parent.contains(sub.end()));
         for member in sub.iter().take(64) {
             prop_assert_eq!(Subcube::home(dim, member), sub);
         }

@@ -27,17 +27,17 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ModelConstants {
     /// `S_FT` communication: coefficient of `log₂²N`.
-    pub sft_comm_log2: f64,
+    pub(crate) sft_comm_log2: f64,
     /// `S_FT` communication: coefficient of `log₂N` (0 in the paper's form).
-    pub sft_comm_log: f64,
+    pub(crate) sft_comm_log: f64,
     /// `S_FT` communication: coefficient of `N·log₂N`.
-    pub sft_comm_nlogn: f64,
+    pub(crate) sft_comm_nlogn: f64,
     /// `S_FT` computation: coefficient of `N`.
-    pub sft_comp_n: f64,
+    pub(crate) sft_comp_n: f64,
     /// Sequential communication: coefficient of `N`.
-    pub seq_comm_n: f64,
+    pub(crate) seq_comm_n: f64,
     /// Sequential computation: coefficient of `N·log₂N`.
-    pub seq_comp_nlogn: f64,
+    pub(crate) seq_comp_nlogn: f64,
 }
 
 impl ModelConstants {
@@ -52,13 +52,13 @@ impl ModelConstants {
     };
 
     /// `S_FT` communication time for an `N`-node machine.
-    pub fn sft_comm(&self, n: f64) -> f64 {
+    pub(crate) fn sft_comm(&self, n: f64) -> f64 {
         let log = n.log2();
         self.sft_comm_log2 * log * log + self.sft_comm_log * log + self.sft_comm_nlogn * n * log
     }
 
     /// `S_FT` computation time.
-    pub fn sft_comp(&self, n: f64) -> f64 {
+    pub(crate) fn sft_comp(&self, n: f64) -> f64 {
         self.sft_comp_n * n
     }
 
@@ -68,29 +68,29 @@ impl ModelConstants {
     }
 
     /// Sequential (host) communication time.
-    pub fn seq_comm(&self, n: f64) -> f64 {
+    pub(crate) fn seq_comm(&self, n: f64) -> f64 {
         self.seq_comm_n * n
     }
 
     /// Sequential computation time.
-    pub fn seq_comp(&self, n: f64) -> f64 {
+    pub(crate) fn seq_comp(&self, n: f64) -> f64 {
         self.seq_comp_nlogn * n * n.log2()
     }
 
     /// Total sequential time.
-    pub fn seq_total(&self, n: f64) -> f64 {
+    pub(crate) fn seq_total(&self, n: f64) -> f64 {
         self.seq_comm(n) + self.seq_comp(n)
     }
 
     /// The asymptotic cost ratio `S_FT / sequential` — the coefficient
     /// ratio of the two `N·log₂N` terms (≈ 0.11 for the paper's constants).
-    pub fn limit_ratio(&self) -> f64 {
+    pub(crate) fn limit_ratio(&self) -> f64 {
         self.sft_comm_nlogn / self.seq_comp_nlogn
     }
 
     /// Smallest power-of-two machine size (≥ 2) where `S_FT` beats
     /// sequential host sorting, or `None` if it never does up to `2^30`.
-    pub fn crossover(&self) -> Option<u64> {
+    pub(crate) fn crossover(&self) -> Option<u64> {
         (1..=30u32)
             .map(|p| 1u64 << p)
             .find(|&n| self.sft_total(n as f64) < self.seq_total(n as f64))
@@ -117,12 +117,6 @@ impl BlockModel {
         self.base.sft_comm_log2 * log * log * self.m.max(1.0).log2().max(1.0)
             + self.base.sft_comm_nlogn * n * log * self.m
             + self.base.sft_comp_n * n * self.m
-    }
-
-    /// Total sequential time sorting `N·m` keys through the host.
-    pub fn seq_total(&self, n: f64) -> f64 {
-        let keys = n * self.m;
-        self.base.seq_comm_n * keys + self.base.seq_comp_nlogn * keys * keys.log2()
     }
 }
 
@@ -180,8 +174,11 @@ mod tests {
             m: 64.0,
         };
         let n = 32.0;
+        // The host sorts all N·m keys.
+        let keys = n * block.m;
+        let block_seq = scalar.seq_comm_n * keys + scalar.seq_comp_nlogn * keys * keys.log2();
         let scalar_ratio = scalar.sft_total(n) / scalar.seq_total(n);
-        let block_ratio = block.sft_total(n) / block.seq_total(n);
+        let block_ratio = block.sft_total(n) / block_seq;
         assert!(
             block_ratio < scalar_ratio,
             "blocks favour S_FT: {block_ratio} vs {scalar_ratio}"

@@ -27,20 +27,20 @@ use crate::workload::Workload;
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Coverage {
     /// `S_FT` under single faults within the environmental assumptions.
-    pub sft: CampaignResult,
+    pub(crate) sft: CampaignResult,
     /// `S_FT` under pairs of Byzantine nodes (up to `n−1` faults).
-    pub sft_multi: CampaignResult,
+    pub(crate) sft_multi: CampaignResult,
     /// `S_FT` with faults from the very first exchange (assumption 5
     /// violated) — outside the theorem's hypotheses.
-    pub sft_beyond: CampaignResult,
+    pub(crate) sft_beyond: CampaignResult,
     /// `S_NR` under the same single faults: the unprotected contrast.
-    pub snr: CampaignResult,
+    pub(crate) snr: CampaignResult,
     /// The host-verified baseline under the same single faults: Section 5's
     /// "another possibility" — also never silently wrong, but detection is
     /// centralized and strictly post-hoc (the whole sort runs before the
     /// host's Theorem 1 check can object), unlike `S_FT`'s in-flight,
     /// distributed checks.
-    pub host_verified: CampaignResult,
+    pub(crate) host_verified: CampaignResult,
     /// The guarantee's boundary: a *consistent input lie* — one node's
     /// initial value silently replaced before the run. `S_FT` faithfully
     /// sorts what it was given, so every one of these trials is
@@ -48,7 +48,7 @@ pub struct Coverage {
     /// predicate verifies *computation* integrity, not *input* integrity —
     /// which is exactly what environmental assumption 5 (trusted first
     /// exchange) formalizes.
-    pub input_lie: CampaignResult,
+    pub(crate) input_lie: CampaignResult,
 }
 
 impl Coverage {

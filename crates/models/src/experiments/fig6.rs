@@ -21,15 +21,15 @@ pub struct Fig6Row {
     /// Machine size `N`.
     pub nodes: usize,
     /// Measured `S_NR` makespan, ticks.
-    pub snr_ticks: f64,
+    pub(crate) snr_ticks: f64,
     /// Measured `S_FT` makespan, ticks.
     pub sft_ticks: f64,
     /// Measured host-sequential makespan, ticks.
-    pub seq_ticks: f64,
+    pub(crate) seq_ticks: f64,
     /// Paper-model `S_FT` prediction, ticks.
-    pub theory_sft: f64,
+    pub(crate) theory_sft: f64,
     /// Paper-model sequential prediction, ticks.
-    pub theory_seq: f64,
+    pub(crate) theory_seq: f64,
 }
 
 /// The regenerated Figure 6.
@@ -38,21 +38,7 @@ pub struct Fig6 {
     /// One row per machine size.
     pub rows: Vec<Fig6Row>,
     /// Full per-run records backing the rows.
-    pub records: Vec<RunRecord>,
-}
-
-impl Fig6 {
-    /// `true` if the measured curves have the paper's shape: `S_NR` fastest
-    /// everywhere and `S_FT`'s overhead growing no faster than the
-    /// sequential baseline.
-    pub fn shape_holds(&self) -> bool {
-        self.rows.iter().all(|r| r.snr_ticks <= r.sft_ticks)
-            && self.rows.windows(2).all(|w| {
-                let growth_sft = w[1].sft_ticks / w[0].sft_ticks;
-                let growth_seq = w[1].seq_ticks / w[0].seq_ticks;
-                growth_sft <= growth_seq * 1.5
-            })
-    }
+    pub(crate) records: Vec<RunRecord>,
 }
 
 /// Runs the Figure 6 measurements for machine sizes `4..=2^max_dim`.
@@ -122,13 +108,25 @@ impl fmt::Display for Fig6 {
 mod tests {
     use super::*;
 
+    /// `true` if the measured curves have the paper's shape: `S_NR` fastest
+    /// everywhere and `S_FT`'s overhead growing no faster than the
+    /// sequential baseline.
+    fn shape_holds(fig: &Fig6) -> bool {
+        fig.rows.iter().all(|r| r.snr_ticks <= r.sft_ticks)
+            && fig.rows.windows(2).all(|w| {
+                let growth_sft = w[1].sft_ticks / w[0].sft_ticks;
+                let growth_seq = w[1].seq_ticks / w[0].seq_ticks;
+                growth_sft <= growth_seq * 1.5
+            })
+    }
+
     #[test]
     fn fig6_runs_and_has_shape() {
         let fig = run(4, 42);
         assert_eq!(fig.rows.len(), 3); // dims 2..=4
         assert_eq!(fig.records.len(), 9);
         assert!(fig.records.iter().all(|r| r.output_correct));
-        assert!(fig.shape_holds(), "{fig}");
+        assert!(shape_holds(&fig), "{fig}");
         let text = fig.to_string();
         assert!(text.contains("Figure 6"));
         assert!(text.contains("16"));

@@ -30,7 +30,7 @@ pub struct Fig7Row {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Fig7 {
     /// The constants being projected.
-    pub constants: ModelConstants,
+    pub(crate) constants: ModelConstants,
     /// Label for the constants ("paper" or "fitted").
     pub label: String,
     /// One row per projected size.

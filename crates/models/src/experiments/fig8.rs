@@ -25,7 +25,7 @@ pub struct Fig8Row {
     /// Measured `S_FT` makespan, ticks.
     pub sft_ticks: f64,
     /// Measured host-sequential makespan, ticks.
-    pub seq_ticks: f64,
+    pub(crate) seq_ticks: f64,
     /// `S_FT / sequential`.
     pub ratio: f64,
 }
@@ -36,12 +36,12 @@ pub struct Fig8 {
     /// One row per `(N, m)` pair, block-size-major.
     pub rows: Vec<Fig8Row>,
     /// Full per-run records backing the rows.
-    pub records: Vec<RunRecord>,
+    pub(crate) records: Vec<RunRecord>,
 }
 
 impl Fig8 {
     /// The rows for one block size.
-    pub fn for_block(&self, m: usize) -> Vec<&Fig8Row> {
+    pub(crate) fn for_block(&self, m: usize) -> Vec<&Fig8Row> {
         self.rows.iter().filter(|r| r.block == m).collect()
     }
 

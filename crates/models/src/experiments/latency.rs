@@ -24,14 +24,14 @@ pub struct LatencyRow {
     /// Fault class name.
     pub kind: String,
     /// Trials in which `S_FT` detected the fault.
-    pub sft_detections: u32,
+    pub(crate) sft_detections: u32,
     /// Mean `S_FT` detection time as a fraction of the honest makespan.
-    pub sft_mean_fraction: f64,
+    pub(crate) sft_mean_fraction: f64,
     /// Trials in which the host-verified baseline detected the fault.
-    pub host_detections: u32,
+    pub(crate) host_detections: u32,
     /// Mean host-verified detection time as a fraction of *its* honest
     /// makespan.
-    pub host_mean_fraction: f64,
+    pub(crate) host_mean_fraction: f64,
 }
 
 /// The detection-latency comparison.
@@ -40,9 +40,9 @@ pub struct Latency {
     /// One row per fault class.
     pub rows: Vec<LatencyRow>,
     /// Honest `S_FT` makespan (ticks) used for normalization.
-    pub sft_baseline_ticks: f64,
+    pub(crate) sft_baseline_ticks: f64,
     /// Honest host-verified makespan (ticks) used for normalization.
-    pub host_baseline_ticks: f64,
+    pub(crate) host_baseline_ticks: f64,
 }
 
 impl Latency {
@@ -53,7 +53,7 @@ impl Latency {
     /// schemes catch those with timeouts, whose virtual timestamps are not
     /// comparable across schemes (the starved node's clock simply stops
     /// advancing).
-    pub fn sft_detects_earlier(&self) -> bool {
+    pub(crate) fn sft_detects_earlier(&self) -> bool {
         self.rows
             .iter()
             .filter(|r| r.sft_detections > 0 && r.host_detections > 0 && r.host_mean_fraction > 0.9)

@@ -28,17 +28,17 @@ pub struct OverheadRow {
     /// Machine size `N`.
     pub nodes: usize,
     /// Total `S_NR` messages.
-    pub snr_msgs: u64,
+    pub(crate) snr_msgs: u64,
     /// Total `S_FT` messages.
-    pub sft_msgs: u64,
+    pub(crate) sft_msgs: u64,
     /// Total separate-shipping messages.
-    pub separate_msgs: u64,
+    pub(crate) separate_msgs: u64,
     /// Total `S_NR` payload words.
-    pub snr_words: u64,
+    pub(crate) snr_words: u64,
     /// Total `S_FT` payload words.
-    pub sft_words: u64,
+    pub(crate) sft_words: u64,
     /// `S_FT` words / `S_NR` words.
-    pub word_ratio: f64,
+    pub(crate) word_ratio: f64,
 }
 
 /// The regenerated message-complexity comparison.

@@ -30,11 +30,11 @@ pub struct Table1 {
     /// Constants fitted to our measurements.
     pub fitted: ModelConstants,
     /// The paper's constants, for side-by-side comparison.
-    pub paper: ModelConstants,
+    pub(crate) paper: ModelConstants,
     /// `R²` of each fit: (sft comm, sft comp, seq comm, seq comp).
-    pub r_squared: [f64; 4],
+    pub(crate) r_squared: [f64; 4],
     /// The measurements backing the fits.
-    pub records: Vec<RunRecord>,
+    pub(crate) records: Vec<RunRecord>,
 }
 
 /// Measures machine sizes `4..=2^max_dim` and fits the paper's forms.

@@ -9,23 +9,11 @@
 
 /// A fit result: coefficients (one per basis function) and goodness of fit.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Fit {
+pub(crate) struct Fit {
     /// Coefficients, one per basis column.
-    pub coefficients: Vec<f64>,
+    pub(crate) coefficients: Vec<f64>,
     /// Coefficient of determination `R²` (1.0 = perfect).
-    pub r_squared: f64,
-}
-
-impl Fit {
-    /// Evaluates the fitted model on one basis row.
-    pub fn predict(&self, basis_row: &[f64]) -> f64 {
-        assert_eq!(basis_row.len(), self.coefficients.len());
-        basis_row
-            .iter()
-            .zip(&self.coefficients)
-            .map(|(x, c)| x * c)
-            .sum()
-    }
+    pub(crate) r_squared: f64,
 }
 
 /// Fits `y ≈ Σ c_k · basis[k]` by ordinary least squares.
@@ -37,7 +25,7 @@ impl Fit {
 /// Panics if shapes disagree, there are fewer observations than
 /// coefficients, or the normal equations are singular (e.g. collinear basis
 /// functions).
-pub fn least_squares(rows: &[Vec<f64>], y: &[f64]) -> Fit {
+pub(crate) fn least_squares(rows: &[Vec<f64>], y: &[f64]) -> Fit {
     assert_eq!(rows.len(), y.len(), "one observation per basis row");
     assert!(!rows.is_empty(), "no observations");
     let k = rows[0].len();
@@ -129,7 +117,6 @@ mod tests {
         assert!((fit.coefficients[0] - 3.0).abs() < 1e-9);
         assert!((fit.coefficients[1] - 2.0).abs() < 1e-9);
         assert!((fit.r_squared - 1.0).abs() < 1e-9);
-        assert!((fit.predict(&[10.0, 1.0]) - 32.0).abs() < 1e-9);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! | Figure 8 | [`experiments::fig8`] | block bitonic sort/merge vs host sorting |
 //! | Section 4 | [`experiments::coverage`] | error-coverage campaign (Theorem 3, empirically) |
 //!
-//! Supporting machinery: [`workload`] generators, a tiny [`fitting`]
+//! Supporting machinery: [`workload`] generators, a tiny `fitting`
 //! least-squares solver, the paper's closed-form cost models
 //! ([`complexity`]), single-run measurement ([`measure`]) and plain-text
 //! table rendering ([`tables`]).
@@ -23,11 +23,11 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs, missing_debug_implementations)]
+#![warn(missing_docs, missing_debug_implementations, unreachable_pub)]
 
 pub mod complexity;
 pub mod experiments;
-pub mod fitting;
+mod fitting;
 pub mod measure;
 pub mod tables;
 pub mod workload;

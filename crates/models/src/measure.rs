@@ -44,49 +44,41 @@ pub struct RunRecord {
 
 /// Measurement configuration.
 #[derive(Debug, Clone)]
-pub struct Measurement {
+pub(crate) struct Measurement {
     /// Algorithm under test.
-    pub algorithm: Algorithm,
+    pub(crate) algorithm: Algorithm,
     /// Hypercube nodes.
-    pub nodes: usize,
+    pub(crate) nodes: usize,
     /// Keys per node.
-    pub block: usize,
-    /// Input distribution.
-    pub workload: Workload,
+    pub(crate) block: usize,
     /// Workload seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Cost model.
-    pub cost: CostModel,
+    pub(crate) cost: CostModel,
 }
 
 impl Measurement {
     /// A default-configured measurement of `algorithm` at `nodes` nodes,
-    /// one key per node, uniform input, the Ncube cost model.
-    pub fn new(algorithm: Algorithm, nodes: usize) -> Self {
+    /// one key per node, the Ncube cost model. Every measurement sorts
+    /// uniform random input.
+    pub(crate) fn new(algorithm: Algorithm, nodes: usize) -> Self {
         Self {
             algorithm,
             nodes,
             block: 1,
-            workload: Workload::UniformRandom,
             seed: 0x5EED,
             cost: CostModel::ncube_1989(),
         }
     }
 
     /// Sets the block size.
-    pub fn block(mut self, m: usize) -> Self {
+    pub(crate) fn block(mut self, m: usize) -> Self {
         self.block = m;
         self
     }
 
-    /// Sets the workload.
-    pub fn workload(mut self, workload: Workload) -> Self {
-        self.workload = workload;
-        self
-    }
-
     /// Sets the seed.
-    pub fn seed(mut self, seed: u64) -> Self {
+    pub(crate) fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
     }
@@ -98,8 +90,9 @@ impl Measurement {
     /// Propagates [`SortError`] — an honest run of any algorithm should
     /// never fail-stop, so an error here is a measurement-infrastructure
     /// bug.
-    pub fn run(&self) -> Result<RunRecord, SortError> {
-        let keys = self.workload.generate(self.nodes * self.block, self.seed);
+    pub(crate) fn run(&self) -> Result<RunRecord, SortError> {
+        let workload = Workload::UniformRandom;
+        let keys = workload.generate(self.nodes * self.block, self.seed);
         let mut expected = keys.clone();
         expected.sort_unstable();
 
@@ -116,7 +109,7 @@ impl Measurement {
             algorithm: self.algorithm.name().to_string(),
             nodes: self.nodes,
             block: self.block,
-            workload: self.workload.name().to_string(),
+            workload: workload.name().to_string(),
             elapsed_ticks: metrics.elapsed().as_ticks_f64(),
             comm_ticks: metrics.max_node_send_time().as_ticks_f64(),
             idle_ticks: metrics
@@ -168,12 +161,11 @@ mod tests {
     fn block_measurement() {
         let record = Measurement::new(Algorithm::NonRedundant, 4)
             .block(8)
-            .workload(Workload::Reversed)
             .run()
             .expect("honest run");
         assert!(record.output_correct);
         assert_eq!(record.block, 8);
-        assert_eq!(record.workload, "reversed");
+        assert_eq!(record.workload, Workload::UniformRandom.name());
     }
 
     #[test]

@@ -93,12 +93,12 @@ impl fmt::Display for TextTable {
 }
 
 /// Formats a tick count with one decimal.
-pub fn ticks(value: f64) -> String {
+pub(crate) fn ticks(value: f64) -> String {
     format!("{value:.1}")
 }
 
 /// Formats a ratio as a percentage with one decimal.
-pub fn percent(value: f64) -> String {
+pub(crate) fn percent(value: f64) -> String {
     format!("{:.1}%", value * 100.0)
 }
 

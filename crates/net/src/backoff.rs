@@ -33,7 +33,7 @@ impl Backoff {
     }
 
     /// Restarts the sequence (after a successful operation).
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.current = self.initial;
     }
 }

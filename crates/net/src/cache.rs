@@ -54,7 +54,7 @@ impl<T> LinkCache<T> {
     }
 
     /// Wraps an already-shared backend.
-    pub fn from_shared(inner: Arc<T>) -> Self {
+    pub(crate) fn from_shared(inner: Arc<T>) -> Self {
         Self {
             inner,
             entries: Mutex::new(HashMap::new()),
@@ -67,7 +67,7 @@ impl<T> LinkCache<T> {
     }
 
     /// Number of links with at least one cached endpoint.
-    pub fn cached_links(&self) -> usize {
+    pub(crate) fn cached_links(&self) -> usize {
         self.entries.lock().len()
     }
 

@@ -18,15 +18,15 @@
 use crate::wire::CodecError;
 
 /// Current wire-format version.
-pub const FRAME_VERSION: u8 = 1;
+pub(crate) const FRAME_VERSION: u8 = 1;
 
 /// Upper bound on the post-length-field frame size; larger claims are
 /// rejected before any allocation (they are corruption in this system,
 /// whose messages are a few KiB).
-pub const MAX_FRAME_LEN: usize = 64 * 1024 * 1024;
+pub(crate) const MAX_FRAME_LEN: usize = 64 * 1024 * 1024;
 
 /// Bytes between the length field and the payload.
-pub const HEADER_LEN: usize = 6;
+pub(crate) const HEADER_LEN: usize = 6;
 
 /// What a frame carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -228,7 +228,7 @@ fn update_lanes(crc: u32, bytes: &[u8]) -> u32 {
 /// by the GF(2) shift `x^(8n) mod P` (zlib's `crc32_combine`, from a
 /// `const`-built table of `x^(2^k) mod P`); shorter parts run plain
 /// slicing-by-16. Either way the value is the one bytewise CRC-32 of the
-/// same bytes, so the frame format — and [`FRAME_VERSION`] — is unchanged.
+/// same bytes, so the frame format — and `FRAME_VERSION` — is unchanged.
 pub fn crc32(parts: &[&[u8]]) -> u32 {
     let mut crc = !0u32;
     for part in parts {
@@ -250,7 +250,7 @@ pub fn encode_frame(kind: FrameKind, payload: &[u8]) -> Vec<u8> {
 
 /// Appends one complete frame to `out` without allocating a fresh buffer —
 /// the pooled-buffer variant of [`encode_frame`].
-pub fn encode_frame_into(kind: FrameKind, payload: &[u8], out: &mut Vec<u8>) {
+pub(crate) fn encode_frame_into(kind: FrameKind, payload: &[u8], out: &mut Vec<u8>) {
     encode_frame_with(kind, out, |buf| buf.extend_from_slice(payload));
 }
 
@@ -261,7 +261,7 @@ pub fn encode_frame_into(kind: FrameKind, payload: &[u8], out: &mut Vec<u8>) {
 /// The length and CRC fields are written as placeholders, the payload is
 /// encoded in place, and both fields are patched afterwards; the CRC is
 /// computed over the split parts exactly as [`decode_frame_body`] checks it.
-pub fn encode_frame_with(
+pub(crate) fn encode_frame_with(
     kind: FrameKind,
     out: &mut Vec<u8>,
     write_payload: impl FnOnce(&mut Vec<u8>),

@@ -29,7 +29,7 @@
 //! sleeps until its deadline without periodic wake-ups.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
 mod backoff;
 mod cache;
@@ -49,12 +49,11 @@ pub use backoff::Backoff;
 pub use cache::LinkCache;
 pub use cancel::CancelToken;
 pub use error::NetError;
-pub use frame::{FrameKind, FRAME_VERSION, MAX_FRAME_LEN};
+pub use frame::FrameKind;
 pub use inproc::InProc;
 pub use link::{LinkId, LinkRx, LinkTx, Transport};
 pub use mailbox::{mailbox, MailboxRx, MailboxTx};
 pub use mux::{MuxConfig, MuxTransport};
 pub use pool::BufPool;
 pub use remap::MappedTransport;
-pub use timer::TimerWheel;
 pub use wire::{CodecError, Wire};

@@ -27,7 +27,7 @@ impl LinkId {
     /// the session key of the multiplexed backend: every link whose
     /// endpoints are the same pair of peers, in either direction and under
     /// any tag, rides one physical session.
-    pub fn peer_pair(self) -> (u32, u32) {
+    pub(crate) fn peer_pair(self) -> (u32, u32) {
         (self.from.min(self.to), self.from.max(self.to))
     }
 

@@ -65,11 +65,6 @@ impl BufPool {
         }
     }
 
-    /// Buffers currently sitting idle in the pool.
-    pub fn idle_count(&self) -> usize {
-        self.idle.lock().len()
-    }
-
     fn give_back(&self, mut buf: Vec<u8>) {
         buf.clear();
         if buf.capacity() <= MAX_RETAINED_CAPACITY {
@@ -106,16 +101,6 @@ pub struct Lease<'a> {
     buf: Option<Vec<u8>>,
 }
 
-impl Lease<'_> {
-    /// Detaches the buffer from the pool: the caller keeps the allocation
-    /// and the lease accounting closes as if the buffer were returned.
-    pub fn detach(mut self) -> Vec<u8> {
-        let buf = self.buf.take().expect("buffer present until drop");
-        aoft_obs::global().buf_pool_outstanding.add(-1);
-        buf
-    }
-}
-
 impl std::ops::Deref for Lease<'_> {
     type Target = Vec<u8>;
 
@@ -149,11 +134,9 @@ mod tests {
             let mut lease = pool.lease();
             lease.extend_from_slice(&[1, 2, 3, 4]);
         }
-        assert_eq!(pool.idle_count(), 1);
         let lease = pool.lease();
         assert!(lease.is_empty(), "returned buffers come back cleared");
         assert!(lease.capacity() >= 4, "capacity survives the round trip");
-        assert_eq!(pool.idle_count(), 0);
     }
 
     #[test]
@@ -165,19 +148,6 @@ mod tests {
         b.push(2);
         assert_eq!(a[0], 1);
         assert_eq!(b[0], 2);
-        drop(a);
-        drop(b);
-        assert_eq!(pool.idle_count(), 2);
-    }
-
-    #[test]
-    fn detach_keeps_the_allocation() {
-        let pool = BufPool::new();
-        let mut lease = pool.lease();
-        lease.extend_from_slice(b"kept");
-        let owned = lease.detach();
-        assert_eq!(owned, b"kept");
-        assert_eq!(pool.idle_count(), 0, "detached buffers never come back");
     }
 
     #[test]
@@ -187,7 +157,11 @@ mod tests {
             let mut lease = pool.lease();
             lease.reserve(MAX_RETAINED_CAPACITY + 1);
         }
-        assert_eq!(pool.idle_count(), 0);
+        assert_eq!(
+            pool.lease().capacity(),
+            0,
+            "a fresh buffer, not the big one"
+        );
     }
 
     #[test]

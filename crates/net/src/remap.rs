@@ -59,11 +59,6 @@ impl<T> MappedTransport<T> {
         self
     }
 
-    /// The logical-to-physical label map.
-    pub fn map(&self) -> &[u32] {
-        &self.map
-    }
-
     /// The wrapped physical transport.
     pub fn inner(&self) -> &Arc<T> {
         &self.inner

@@ -44,7 +44,7 @@ impl<T> Ord for Entry<T> {
 }
 
 /// Deadline-ordered timer store for one event-driven loop.
-pub struct TimerWheel<T> {
+pub(crate) struct TimerWheel<T> {
     heap: BinaryHeap<Entry<T>>,
 }
 
@@ -58,12 +58,12 @@ impl<T> Default for TimerWheel<T> {
 
 impl<T> TimerWheel<T> {
     /// An empty wheel.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Schedules `timer` to fire at `at`.
-    pub fn schedule(&mut self, at: Instant, timer: T) {
+    pub(crate) fn schedule(&mut self, at: Instant, timer: T) {
         self.heap.push(Entry {
             at: Reverse(at),
             timer,
@@ -71,7 +71,7 @@ impl<T> TimerWheel<T> {
     }
 
     /// Pops the earliest timer whose deadline is at or before `now`, if any.
-    pub fn pop_expired(&mut self, now: Instant) -> Option<T> {
+    pub(crate) fn pop_expired(&mut self, now: Instant) -> Option<T> {
         if self.heap.peek().is_some_and(|e| e.at.0 <= now) {
             self.heap.pop().map(|e| e.timer)
         } else {
@@ -81,18 +81,8 @@ impl<T> TimerWheel<T> {
 
     /// The earliest pending deadline — the latest instant the owner may
     /// sleep until without missing an obligation.
-    pub fn next_deadline(&self) -> Option<Instant> {
+    pub(crate) fn next_deadline(&self) -> Option<Instant> {
         self.heap.peek().map(|e| e.at.0)
-    }
-
-    /// Timers currently pending.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// `true` when no timers are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
     }
 }
 
@@ -116,16 +106,18 @@ mod tests {
         assert_eq!(wheel.pop_expired(late), Some(1));
         assert_eq!(wheel.pop_expired(late), Some(2));
         assert_eq!(wheel.pop_expired(late), None, "timer 3 is not yet due");
-        assert_eq!(wheel.len(), 1);
+        assert_eq!(
+            wheel.next_deadline(),
+            Some(base + Duration::from_millis(30))
+        );
     }
 
     #[test]
     fn nothing_expires_before_its_deadline() {
         let base = Instant::now();
         let mut wheel: TimerWheel<&'static str> = TimerWheel::new();
-        assert!(wheel.is_empty());
+        assert_eq!(wheel.next_deadline(), None);
         wheel.schedule(base + Duration::from_secs(60), "flush");
-        assert!(!wheel.is_empty());
         assert_eq!(wheel.pop_expired(base), None);
         assert_eq!(
             wheel.pop_expired(base + Duration::from_secs(61)),

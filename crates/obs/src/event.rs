@@ -37,7 +37,7 @@ pub struct Event {
     pub ts_us: u64,
     /// Wall-clock milliseconds since the Unix epoch (for cross-process
     /// correlation in postmortems).
-    pub unix_ms: u64,
+    pub(crate) unix_ms: u64,
     /// Event kind (`job_submitted`, `attempt_failstop`, `violation`, …).
     pub kind: String,
     /// Job id, when the event belongs to a job span.
@@ -46,15 +46,11 @@ pub struct Event {
     pub attempt: Option<u32>,
     /// Sort stage `i`, when known.
     pub stage: Option<u32>,
-    /// Exchange step `j` within the stage, when known.
-    pub step: Option<u32>,
     /// Reporting or affected node label.
     pub node: Option<u32>,
-    /// Link identity (`from→to#tag`) for transport events.
-    pub link: Option<String>,
     /// Predicate family (`phi_p`, `phi_f`, `phi_c`, `structure`,
     /// `timeout`, `theorem1`) for detection events.
-    pub predicate: Option<String>,
+    pub(crate) predicate: Option<String>,
     /// Stable violation code, when the event carries one.
     pub code: Option<u32>,
     /// Duration of the span the event closes, in microseconds.
@@ -82,9 +78,7 @@ impl Event {
             job: None,
             attempt: None,
             stage: None,
-            step: None,
             node: None,
-            link: None,
             predicate: None,
             code: None,
             elapsed_us: None,
@@ -112,26 +106,14 @@ impl Event {
         self
     }
 
-    /// Sets the step coordinate.
-    pub fn step(mut self, step: u32) -> Self {
-        self.step = Some(step);
-        self
-    }
-
     /// Sets the node coordinate.
     pub fn node(mut self, node: u32) -> Self {
         self.node = Some(node);
         self
     }
 
-    /// Sets the link identity.
-    pub fn link(mut self, link: &str) -> Self {
-        self.link = Some(link.to_string());
-        self
-    }
-
     /// Sets the predicate family.
-    pub fn predicate(mut self, predicate: &str) -> Self {
+    pub(crate) fn predicate(mut self, predicate: &str) -> Self {
         self.predicate = Some(predicate.to_string());
         self
     }
@@ -208,11 +190,6 @@ pub fn install_journal(path: impl AsRef<Path>) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Whether a JSONL journal file is currently installed.
-pub fn journal_installed() -> bool {
-    journal().file_installed.load(Ordering::Acquire)
-}
-
 /// Flushes the journal file, if one is installed.
 pub fn flush_journal() {
     if let Some(file) = journal().state.lock().file.as_mut() {
@@ -250,7 +227,6 @@ mod tests {
             .job(3)
             .attempt(1)
             .stage(Some(2))
-            .step(0)
             .node(5)
             .predicate("phi_c")
             .code(3)
@@ -283,7 +259,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("journal.jsonl");
         install_journal(&path).unwrap();
-        assert!(journal_installed());
+        assert!(journal().file_installed.load(Ordering::Acquire));
         emit(Event::new("journal_probe").node(4).code(6));
         flush_journal();
         let text = std::fs::read_to_string(&path).unwrap();

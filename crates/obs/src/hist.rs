@@ -3,7 +3,7 @@
 //! The service previously kept every job latency in a `Vec<Duration>` —
 //! unbounded growth over a resident service's lifetime. This histogram is
 //! the replacement: power-of-two microsecond buckets (HDR-style, fixed at
-//! [`BUCKET_COUNT`]), each holding an atomic count *and* an atomic sum, so
+//! `BUCKET_COUNT`), each holding an atomic count *and* an atomic sum, so
 //! recording is lock-free and percentile queries return the **mean of the
 //! samples inside the selected bucket** — exact whenever a bucket holds one
 //! distinct value (the common case for a single sample), and never off by
@@ -14,7 +14,7 @@ use std::time::Duration;
 
 /// Number of buckets: value 0, then powers of two from 1 µs to 2^38 µs
 /// (~76 hours), with the last bucket absorbing everything larger.
-pub const BUCKET_COUNT: usize = 40;
+pub(crate) const BUCKET_COUNT: usize = 40;
 
 /// A lock-free fixed-memory histogram of durations (microsecond
 /// resolution).
@@ -86,13 +86,8 @@ impl Histogram {
     }
 
     /// Total samples recorded.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.total_count.load(Ordering::Relaxed)
-    }
-
-    /// Sum of all recorded values.
-    pub fn sum(&self) -> Duration {
-        Duration::from_micros(self.total_sum_us.load(Ordering::Relaxed))
     }
 
     /// Nearest-rank percentile (`pct` in 0..=100). Returns the mean of the
@@ -129,7 +124,7 @@ impl Histogram {
 
     /// A consistent-enough view for exposition: `(upper_bound_us, cumulative
     /// count)` per bucket (the Prometheus `le` series), plus count and sum.
-    pub fn snapshot(&self) -> HistogramSnapshot {
+    pub(crate) fn snapshot(&self) -> HistogramSnapshot {
         let mut cumulative = Vec::new();
         let mut acc = 0u64;
         for i in 0..BUCKET_COUNT {
@@ -146,14 +141,14 @@ impl Histogram {
 
 /// A frozen view of a [`Histogram`] for rendering.
 #[derive(Debug, Clone)]
-pub struct HistogramSnapshot {
+pub(crate) struct HistogramSnapshot {
     /// `(exclusive upper bound in µs, cumulative count)` per bucket; `None`
     /// bound is the saturating `+Inf` bucket.
-    pub cumulative: Vec<(Option<u64>, u64)>,
+    pub(crate) cumulative: Vec<(Option<u64>, u64)>,
     /// Total samples.
-    pub count: u64,
+    pub(crate) count: u64,
     /// Sum of all samples in µs.
-    pub sum_us: u64,
+    pub(crate) sum_us: u64,
 }
 
 #[cfg(test)]
@@ -168,7 +163,7 @@ mod tests {
     fn empty_histogram_reports_zero() {
         let h = Histogram::new();
         assert_eq!(h.count(), 0);
-        assert_eq!(h.sum(), Duration::ZERO);
+        assert_eq!(h.snapshot().sum_us, 0);
         for pct in [0, 50, 90, 99, 100] {
             assert_eq!(h.percentile(pct), Duration::ZERO);
         }
@@ -182,7 +177,7 @@ mod tests {
             assert_eq!(h.percentile(pct), ms(5), "p{pct}");
         }
         assert_eq!(h.count(), 1);
-        assert_eq!(h.sum(), ms(5));
+        assert_eq!(h.snapshot().sum_us, 5_000);
     }
 
     #[test]

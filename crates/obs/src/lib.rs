@@ -3,7 +3,7 @@
 //! One leaf crate (no dependencies on the rest of the workspace) that every
 //! other layer reports into:
 //!
-//! * [`registry`] — the process-wide metric [`Registry`](registry::Registry)
+//! * `registry` — the process-wide metric [`Registry`]
 //!   of counters, gauges, labeled families, and fixed-bucket histograms,
 //!   rendered in the Prometheus text exposition format.
 //! * [`hist`] — the HDR-style [`Histogram`](hist::Histogram): bounded
@@ -13,7 +13,7 @@
 //!   job → attempt → stage (i, j) → predicate-check span hierarchy, kept in
 //!   a bounded ring and optionally journaled as JSONL for fail-stop
 //!   postmortems.
-//! * [`server`] — a dependency-free `/metrics` endpoint
+//! * `server` — a dependency-free `/metrics` endpoint
 //!   ([`ObsServer`](server::ObsServer)) plus a [`scrape`](server::scrape)
 //!   helper for tests and the nightly soak.
 //! * [`prom`] — a minimal exposition-format parser so tests can assert a
@@ -24,14 +24,17 @@
 //! [`with_label`](Family::with_label) handle once and pay only atomic
 //! increments afterwards.
 
+#![forbid(unsafe_code)]
+#![warn(missing_docs, unreachable_pub)]
+
 pub mod event;
 pub mod hist;
 pub mod prom;
-pub mod registry;
-pub mod server;
+mod registry;
+mod server;
 
-pub use event::{emit, flush_journal, install_journal, journal_installed, recent_events, Event};
-pub use hist::{Histogram, HistogramSnapshot};
+pub use event::{emit, flush_journal, install_journal, recent_events, Event};
+pub use hist::Histogram;
 pub use registry::{global, Counter, Family, Gauge, GaugeFamily, Registry};
 pub use server::{scrape, ObsServer};
 

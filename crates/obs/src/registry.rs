@@ -204,7 +204,7 @@ pub struct Registry {
     /// Wall-clock cost of predicate evaluations.
     pub predicate_check_time: Histogram,
     /// Executable-assertion violations signalled, by predicate family.
-    pub violations: Family,
+    pub(crate) violations: Family,
     /// Wall-clock cost of completed sort stages (per node).
     pub stage_time: Histogram,
     /// Sorts started through the runner.

@@ -39,7 +39,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs, missing_debug_implementations)]
+#![warn(missing_docs, missing_debug_implementations, unreachable_pub)]
 
 use std::fmt;
 use std::path::Path;
@@ -60,7 +60,7 @@ use serde::{Deserialize, Serialize};
 ///   are a strict subset of v2 and still load and verify; a v2 trace using
 ///   a new kind is rejected by v1 readers via its schema number instead of
 ///   being misparsed.
-pub const SCHEMA_VERSION: u32 = 2;
+pub(crate) const SCHEMA_VERSION: u32 = 2;
 
 /// Everything needed to (re-)execute one deterministic run.
 #[derive(Debug, Clone, PartialEq)]
@@ -75,7 +75,7 @@ pub struct RecordSpec {
     /// Requested output order.
     pub direction: SortDirection,
     /// Virtual-time cost model.
-    pub cost: CostModel,
+    pub(crate) cost: CostModel,
     /// Receive deadline. Under the deterministic scheduler timeouts are
     /// *virtual* (they fire on global stall regardless of this value), but
     /// the value is recorded for fidelity with threaded re-runs.
@@ -83,7 +83,7 @@ pub struct RecordSpec {
     /// Job tag stamped on every packet.
     pub job: u64,
     /// Byzantine faults to inject (empty = honest run).
-    pub plan: FaultPlan,
+    pub(crate) plan: FaultPlan,
     /// Capture the simulator's full event trace into the recording
     /// (successful runs only; costs memory proportional to traffic).
     pub capture_events: bool,
@@ -189,7 +189,7 @@ impl RecordedOutcome {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunTrace {
     /// Trace format version ([`SCHEMA_VERSION`] at write time).
-    pub schema: u32,
+    pub(crate) schema: u32,
     /// Which sorting strategy ran.
     pub algorithm: Algorithm,
     /// The keys that were sorted.
@@ -199,14 +199,14 @@ pub struct RunTrace {
     /// Requested output order.
     pub direction: SortDirection,
     /// Virtual-time cost model.
-    pub cost: CostModel,
+    pub(crate) cost: CostModel,
     /// Recorded receive deadline (informational under the deterministic
     /// scheduler; see [`RecordSpec::recv_timeout`]).
     pub recv_timeout: Duration,
     /// Job tag of the run.
     pub job: u64,
     /// The fault plan, including every adversary RNG seed.
-    pub plan: FaultPlan,
+    pub(crate) plan: FaultPlan,
     /// What the run did.
     pub outcome: RecordedOutcome,
     /// Full simulator event trace, when capture was requested and the run
@@ -305,7 +305,7 @@ pub fn record(spec: RecordSpec) -> Result<RunTrace, ReplayError> {
 /// [`ReplayError::Schema`] for traces from a newer format;
 /// [`ReplayError::InvalidSpec`] when the recorded inputs no longer form a
 /// valid run.
-pub fn replay(trace: &RunTrace) -> Result<RunTrace, ReplayError> {
+pub(crate) fn replay(trace: &RunTrace) -> Result<RunTrace, ReplayError> {
     if trace.schema > SCHEMA_VERSION {
         return Err(ReplayError::Schema {
             found: trace.schema,
@@ -383,7 +383,7 @@ fn execute(
 #[derive(Debug, Clone, PartialEq)]
 pub struct VerifyReport {
     /// Human-readable divergences; empty means bit-exact.
-    pub diffs: Vec<String>,
+    pub(crate) diffs: Vec<String>,
 }
 
 impl VerifyReport {
@@ -410,7 +410,7 @@ impl fmt::Display for VerifyReport {
 ///
 /// # Errors
 ///
-/// Propagates [`replay`]'s errors; a *successfully executed* divergent run
+/// Propagates the replay's errors; a *successfully executed* divergent run
 /// is not an error — it is a [`VerifyReport`] with diffs.
 pub fn verify(trace: &RunTrace) -> Result<VerifyReport, ReplayError> {
     let fresh = replay(trace)?;

@@ -72,7 +72,6 @@ pub trait Adversary<M: Payload>: Send {
 /// let mut set = AdversarySet::honest(8);
 /// set.install(NodeId::new(3), Box::new(Mute));
 /// assert!(set.is_faulty(NodeId::new(3)));
-/// assert_eq!(set.faulty_nodes(), vec![NodeId::new(3)]);
 /// ```
 pub struct AdversarySet<M> {
     slots: Vec<Option<Box<dyn Adversary<M>>>>,
@@ -111,7 +110,7 @@ impl<M: Payload> AdversarySet<M> {
     }
 
     /// The faulty nodes, in label order.
-    pub fn faulty_nodes(&self) -> Vec<NodeId> {
+    pub(crate) fn faulty_nodes(&self) -> Vec<NodeId> {
         self.slots
             .iter()
             .enumerate()

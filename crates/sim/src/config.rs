@@ -14,7 +14,6 @@ use crate::CostModel;
 ///     .cost_model(CostModel::unit())
 ///     .recv_timeout(Duration::from_millis(100))
 ///     .trace(true);
-/// assert!(config.trace_enabled());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimConfig {
@@ -70,22 +69,22 @@ impl SimConfig {
     }
 
     /// The configured cost model.
-    pub fn cost(&self) -> &CostModel {
+    pub(crate) fn cost(&self) -> &CostModel {
         &self.cost
     }
 
     /// The configured receive timeout.
-    pub fn timeout(&self) -> Duration {
+    pub(crate) fn timeout(&self) -> Duration {
         self.recv_timeout
     }
 
     /// `true` if event tracing is enabled.
-    pub fn trace_enabled(&self) -> bool {
+    pub(crate) fn trace_enabled(&self) -> bool {
         self.trace
     }
 
     /// The configured job id.
-    pub fn job_id(&self) -> u64 {
+    pub(crate) fn job_id(&self) -> u64 {
         self.job
     }
 }

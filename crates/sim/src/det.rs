@@ -286,9 +286,8 @@ impl<Q: Send> LinkRx<Q> for DetRx<Q> {
 /// timeouts, so every run is bit-reproducible — see the [module
 /// docs](self).
 ///
-/// Construct directly or via
-/// [`Engine::deterministic`](crate::Engine::deterministic); run through the
-/// [`Simulator`] methods, which it shares with the threaded engine.
+/// Construct with [`DetEngine::new`]; run through the [`Simulator`]
+/// methods, which it shares with the threaded engine.
 pub struct DetEngine {
     cube: Hypercube,
     config: SimConfig,
@@ -304,11 +303,6 @@ impl DetEngine {
     /// The machine's topology.
     pub fn cube(&self) -> &Hypercube {
         &self.cube
-    }
-
-    /// The machine's configuration.
-    pub fn config(&self) -> &SimConfig {
-        &self.config
     }
 }
 

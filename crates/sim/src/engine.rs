@@ -128,13 +128,6 @@ impl Engine {
     pub fn new(cube: Hypercube, config: SimConfig) -> Self {
         Self::with_transport(cube, config, InProc::new())
     }
-
-    /// Creates a machine with the same topology and configuration but
-    /// driven by the deterministic cooperative scheduler instead of
-    /// free-running threads — see [`DetEngine`](crate::DetEngine).
-    pub fn deterministic(cube: Hypercube, config: SimConfig) -> crate::DetEngine {
-        crate::DetEngine::new(cube, config)
-    }
 }
 
 impl<T> Engine<T> {
@@ -153,13 +146,8 @@ impl<T> Engine<T> {
     }
 
     /// The machine's configuration.
-    pub fn config(&self) -> &SimConfig {
+    pub(crate) fn config(&self) -> &SimConfig {
         &self.config
-    }
-
-    /// The medium carrying node-to-node traffic.
-    pub fn transport(&self) -> &T {
-        &self.transport
     }
 
     /// Runs `program` on every node of a fully honest machine, with no host

@@ -75,11 +75,6 @@ impl<'a, M: Payload> HostCtx<'a, M> {
         self.clock
     }
 
-    /// The machine's cost model.
-    pub fn cost(&self) -> &CostModel {
-        self.cost
-    }
-
     /// `true` once the machine has fail-stopped.
     pub fn is_cancelled(&self) -> bool {
         self.cancel.is_cancelled()
@@ -115,7 +110,7 @@ impl<'a, M: Payload> HostCtx<'a, M> {
     /// # Panics
     ///
     /// Panics if `node` is outside the machine.
-    pub fn send_to(&mut self, node: NodeId, payload: M) -> Result<(), SimError> {
+    pub(crate) fn send_to(&mut self, node: NodeId, payload: M) -> Result<(), SimError> {
         assert!(self.cube.contains(node), "{node} outside {}", self.cube);
         let words = payload.wire_size();
         let cost = self.cost.host_link_cost(words);

@@ -61,7 +61,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs, missing_debug_implementations)]
+#![warn(missing_docs, missing_debug_implementations, unreachable_pub)]
 
 mod adversary;
 mod config;

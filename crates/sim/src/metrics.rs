@@ -95,15 +95,6 @@ impl RunMetrics {
             .unwrap_or(Ticks::ZERO)
     }
 
-    /// Maximum per-node communication time (send + idle) over the nodes.
-    pub fn max_node_comm_time(&self) -> Ticks {
-        self.nodes
-            .iter()
-            .map(NodeMetrics::comm_time)
-            .max()
-            .unwrap_or(Ticks::ZERO)
-    }
-
     /// Maximum per-node transmit time (the `α + β·len` charges alone,
     /// excluding waiting) over the nodes — the quantity the Section 5
     /// communication models describe.
@@ -207,7 +198,6 @@ mod tests {
         assert_eq!(run.elapsed(), Ticks::from_ticks(20));
         assert_eq!(run.total_msgs(), 6);
         assert_eq!(run.total_words(), 30);
-        assert_eq!(run.max_node_comm_time(), Ticks::from_ticks(5));
         assert_eq!(run.max_node_compute_time(), Ticks::from_ticks(3));
         assert_eq!(run.node_total().msgs_sent, 4);
     }
@@ -219,6 +209,5 @@ mod tests {
             host: NodeMetrics::default(),
         };
         assert_eq!(run.elapsed(), Ticks::ZERO);
-        assert_eq!(run.max_node_comm_time(), Ticks::ZERO);
     }
 }

@@ -102,11 +102,6 @@ impl<'a, M: Payload> NodeCtx<'a, M> {
         self.clock
     }
 
-    /// The machine's cost model.
-    pub fn cost(&self) -> &CostModel {
-        self.cost
-    }
-
     /// `true` once the machine has fail-stopped; long local computations can
     /// poll this to exit early.
     pub fn is_cancelled(&self) -> bool {

@@ -56,7 +56,7 @@ impl Ticks {
     }
 
     /// Saturating subtraction.
-    pub const fn saturating_sub(self, rhs: Ticks) -> Ticks {
+    pub(crate) const fn saturating_sub(self, rhs: Ticks) -> Ticks {
         Ticks(self.0.saturating_sub(rhs.0))
     }
 
@@ -127,17 +127,17 @@ impl fmt::Display for Ticks {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct CostModel {
     /// α: per-message startup on a node-to-node link, in milliticks.
-    pub send_startup_millis: u64,
+    pub(crate) send_startup_millis: u64,
     /// β: per-word transfer cost on a node-to-node link, in milliticks.
-    pub per_word_millis: u64,
+    pub(crate) per_word_millis: u64,
     /// α for host links (program/data download and result upload).
-    pub host_send_startup_millis: u64,
+    pub(crate) host_send_startup_millis: u64,
     /// β for host links.
-    pub host_per_word_millis: u64,
+    pub(crate) host_per_word_millis: u64,
     /// Cost of one key comparison, in milliticks.
-    pub compare_millis: u64,
+    pub(crate) compare_millis: u64,
     /// Cost of moving/copying one word, in milliticks.
-    pub move_millis: u64,
+    pub(crate) move_millis: u64,
 }
 
 impl CostModel {
@@ -175,22 +175,22 @@ impl CostModel {
 
     /// Communication cost of one node-to-node message of `words` payload
     /// words.
-    pub fn link_cost(&self, words: usize) -> Ticks {
+    pub(crate) fn link_cost(&self, words: usize) -> Ticks {
         Ticks::from_millis(self.send_startup_millis + self.per_word_millis * words as u64)
     }
 
     /// Communication cost of one host-link message of `words` payload words.
-    pub fn host_link_cost(&self, words: usize) -> Ticks {
+    pub(crate) fn host_link_cost(&self, words: usize) -> Ticks {
         Ticks::from_millis(self.host_send_startup_millis + self.host_per_word_millis * words as u64)
     }
 
     /// Compute cost of `count` key comparisons.
-    pub fn compare_cost(&self, count: usize) -> Ticks {
+    pub(crate) fn compare_cost(&self, count: usize) -> Ticks {
         Ticks::from_millis(self.compare_millis * count as u64)
     }
 
     /// Compute cost of moving `count` words.
-    pub fn move_cost(&self, count: usize) -> Ticks {
+    pub(crate) fn move_cost(&self, count: usize) -> Ticks {
         Ticks::from_millis(self.move_millis * count as u64)
     }
 }

@@ -118,100 +118,6 @@ impl Trace {
     pub fn len(&self) -> usize {
         self.events.len()
     }
-
-    /// Renders the trace as a Mermaid sequence diagram — paste into any
-    /// Mermaid renderer to *see* the exchange pattern, adversary actions
-    /// and the fail-stop.
-    ///
-    /// Sends become arrows annotated with the payload size; adversary drops
-    /// and rewrites become self-notes; error signals become notes to the
-    /// host. Receive events are folded into the arrows (Mermaid has no
-    /// separate receive primitive).
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use aoft_hypercube::Hypercube;
-    /// use aoft_sim::{Engine, NodeCtx, Program, SimConfig, SimError, Word};
-    ///
-    /// struct Ping;
-    /// impl Program<Word> for Ping {
-    ///     type Output = ();
-    ///     fn run(&self, ctx: &mut NodeCtx<'_, Word>) -> Result<(), SimError> {
-    ///         let partner = ctx.id().neighbor(0);
-    ///         ctx.send(partner, Word(1))?;
-    ///         ctx.recv_from(partner)?;
-    ///         Ok(())
-    ///     }
-    /// }
-    ///
-    /// let engine = Engine::new(Hypercube::new(1)?, SimConfig::new().trace(true));
-    /// let report = engine.run(&Ping);
-    /// let diagram = report.trace().to_mermaid();
-    /// assert!(diagram.starts_with("sequenceDiagram"));
-    /// assert!(diagram.contains("P0->>P1"));
-    /// # Ok::<(), Box<dyn std::error::Error>>(())
-    /// ```
-    pub fn to_mermaid(&self) -> String {
-        use std::fmt::Write as _;
-
-        let name = |node: NodeId| -> String {
-            if node == crate::HOST_ID {
-                "HOST".to_string()
-            } else {
-                node.to_string()
-            }
-        };
-        let mut out = String::from("sequenceDiagram\n");
-        let mut participants: Vec<NodeId> = self.events.iter().map(|e| e.node).collect();
-        participants.sort();
-        participants.dedup();
-        for p in &participants {
-            let _ = writeln!(out, "    participant {}", name(*p));
-        }
-        for event in &self.events {
-            match event.kind {
-                EventKind::Send { to, words, .. } => {
-                    let _ = writeln!(
-                        out,
-                        "    {}->>{}: {words}w @ {}",
-                        name(event.node),
-                        name(to),
-                        event.at
-                    );
-                }
-                EventKind::AdversaryDropped { to } => {
-                    let _ = writeln!(
-                        out,
-                        "    Note over {}: ADVERSARY drops msg to {}",
-                        name(event.node),
-                        name(to)
-                    );
-                }
-                EventKind::AdversaryRewrote { to, delivered } => {
-                    let _ = writeln!(
-                        out,
-                        "    Note over {}: ADVERSARY rewrites msg to {} ({delivered} delivered)",
-                        name(event.node),
-                        name(to)
-                    );
-                }
-                EventKind::ErrorSignalled { code } => {
-                    let _ = writeln!(
-                        out,
-                        "    Note over {}: ERROR code {code} -> fail-stop",
-                        name(event.node)
-                    );
-                }
-                // Receives are implied by the arrows; compute and stale
-                // drops are noise at diagram granularity.
-                EventKind::Recv { .. }
-                | EventKind::Compute { .. }
-                | EventKind::StaleDropped { .. } => {}
-            }
-        }
-        out
-    }
 }
 
 impl fmt::Display for Trace {
@@ -253,45 +159,6 @@ mod tests {
         assert_eq!(trace.len(), 3);
         assert!(!trace.is_empty());
         assert_eq!(trace.for_node(NodeId::new(0)).count(), 2);
-    }
-
-    #[test]
-    fn mermaid_renders_sends_and_notes() {
-        let trace = Trace::from_parts(vec![vec![
-            event(
-                0,
-                1,
-                EventKind::Send {
-                    to: NodeId::new(1),
-                    words: 3,
-                    seq: 0,
-                },
-            ),
-            event(0, 2, EventKind::AdversaryDropped { to: NodeId::new(1) }),
-            event(1, 3, EventKind::ErrorSignalled { code: 6 }),
-            event(1, 3, EventKind::Compute { millis: 5 }),
-        ]]);
-        let diagram = trace.to_mermaid();
-        assert!(diagram.starts_with("sequenceDiagram"));
-        assert!(diagram.contains("participant P0"));
-        assert!(diagram.contains("P0->>P1: 3w @ 1t"));
-        assert!(diagram.contains("ADVERSARY drops"));
-        assert!(diagram.contains("ERROR code 6"));
-        assert!(!diagram.contains("Compute"), "compute is elided");
-    }
-
-    #[test]
-    fn mermaid_names_the_host() {
-        let trace = Trace::from_parts(vec![vec![event(
-            0,
-            1,
-            EventKind::Send {
-                to: crate::HOST_ID,
-                words: 1,
-                seq: 0,
-            },
-        )]]);
-        assert!(trace.to_mermaid().contains("P0->>HOST"));
     }
 
     #[test]

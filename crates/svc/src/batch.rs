@@ -38,10 +38,10 @@ use crate::queue::{JobQueue, PopMore, QueuedJob};
 pub(crate) struct Batch {
     /// The coalesced jobs, in admission order (the order of their
     /// composite-key segments).
-    pub jobs: Vec<QueuedJob>,
+    pub(crate) jobs: Vec<QueuedJob>,
     /// Which rule flushed the batch (`solo`, `size`, `deadline`,
     /// `boundary`) — the `aoft_batch_flushes_total` label.
-    pub trigger: &'static str,
+    pub(crate) trigger: &'static str,
 }
 
 /// Coalesces queued jobs into batches for the worker loop.
@@ -52,7 +52,7 @@ pub(crate) struct Batcher {
 }
 
 impl Batcher {
-    pub fn new(config: &SvcConfig) -> Self {
+    pub(crate) fn new(config: &SvcConfig) -> Self {
         Self {
             max: config.batch_max,
             flush: config.batch_flush,
@@ -62,7 +62,7 @@ impl Batcher {
 
     /// The codec batched attempts encode with (fixed by `batch_max`, so
     /// every batch of this service shares one key-range rule).
-    pub fn codec(&self) -> CompositeCodec {
+    pub(crate) fn codec(&self) -> CompositeCodec {
         self.codec
     }
 
@@ -70,7 +70,7 @@ impl Batcher {
     /// relies on ascending lexicographic order, the fault plan and trace
     /// hooks are per-attempt (not per-rider), and every key must survive
     /// the codec's reduced range.
-    pub fn compatible(&self, spec: &JobSpec) -> bool {
+    pub(crate) fn compatible(&self, spec: &JobSpec) -> bool {
         spec.direction == SortDirection::Ascending
             && spec.fault_plan.is_none()
             && !spec.capture_trace
@@ -80,7 +80,7 @@ impl Batcher {
     /// Blocks for the next batch; `None` once the queue is stopped and
     /// drained. The first claimed job opens the batch and starts the flush
     /// timer; companions are gathered until a flush rule fires.
-    pub fn next_batch(&self, queue: &JobQueue) -> Option<Batch> {
+    pub(crate) fn next_batch(&self, queue: &JobQueue) -> Option<Batch> {
         let first = queue.pop()?;
         if self.max <= 1 || !self.compatible(&first.spec) {
             // Incompatible or batching off: run alone, pay no flush wait.

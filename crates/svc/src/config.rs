@@ -47,7 +47,7 @@ pub struct SvcConfig {
     /// at once and leaves the schedule where it was.
     pub backoff_initial: Duration,
     /// Backoff cap.
-    pub backoff_max: Duration,
+    pub(crate) backoff_max: Duration,
     /// Per-receive timeout inside a run (assumption 4's absence detector).
     pub recv_timeout: Duration,
     /// The sorting algorithm jobs run.

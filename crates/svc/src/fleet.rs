@@ -16,7 +16,7 @@
 //! * **failover** — [`FleetHandle::wait`] resubmits a job whose cube
 //!   failed it loudly ([`JobError::Exhausted`], [`JobError::CubeExhausted`],
 //!   [`JobError::Runtime`], [`JobError::Stopped`]) to a different cube, up
-//!   to [`FleetConfig::max_reroutes`] times — the fleet-level analogue of
+//!   to [`MAX_REROUTES`] times — the fleet-level analogue of
 //!   the paper's degraded-mode retry, one level up: where a cube retries a
 //!   job on its largest surviving subcube, the fleet retries it on a
 //!   different cube entirely. Results stay verified end to end; a job is
@@ -48,32 +48,25 @@ pub struct FleetConfig {
     pub cubes: usize,
     /// Standby cubes held out of routing until an active cube degrades.
     pub spares: usize,
-    /// Times one job may fail over to a different cube before its error is
-    /// returned to the caller.
-    pub max_reroutes: usize,
 }
 
+/// Times one job may fail over to a different cube before its error is
+/// returned to the caller.
+const MAX_REROUTES: usize = 2;
+
 impl FleetConfig {
-    /// A fleet of `cubes` active cubes of shape `cube`, no spares, up to 2
-    /// reroutes per job.
+    /// A fleet of `cubes` active cubes of shape `cube`, no spares.
     pub fn new(cube: SvcConfig, cubes: usize) -> Self {
         Self {
             cube,
             cubes,
             spares: 0,
-            max_reroutes: 2,
         }
     }
 
     /// Adds standby cubes, promoted when active cubes degrade.
     pub fn spares(mut self, spares: usize) -> Self {
         self.spares = spares;
-        self
-    }
-
-    /// Sets the per-job failover budget.
-    pub fn max_reroutes(mut self, reroutes: usize) -> Self {
-        self.max_reroutes = reroutes;
         self
     }
 }
@@ -167,16 +160,6 @@ where
             failovers: AtomicU64::new(0),
             promoted: AtomicU64::new(0),
         })
-    }
-
-    /// Cubes in the fleet (actives + spares).
-    pub fn cube_count(&self) -> usize {
-        self.cubes.len()
-    }
-
-    /// The running configuration.
-    pub fn config(&self) -> &FleetConfig {
-        &self.config
     }
 
     /// Routes one job to the best cube available and returns its fleet
@@ -437,7 +420,7 @@ where
     }
 
     /// Blocks until the job completes somewhere in the fleet, failing over
-    /// to another cube (up to [`FleetConfig::max_reroutes`] times) when a
+    /// to another cube (up to `MAX_REROUTES`, 2, times) when a
     /// cube fails the job loudly.
     ///
     /// # Errors
@@ -455,7 +438,7 @@ where
                     })
                 }
                 Err(err) => {
-                    if !failover_worthy(&err) || self.reroutes >= self.router.config.max_reroutes {
+                    if !failover_worthy(&err) || self.reroutes >= MAX_REROUTES {
                         return Err(err);
                     }
                     let failed_cube = self.cube;

@@ -41,6 +41,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(missing_docs, unreachable_pub)]
 
 mod batch;
 mod config;
@@ -56,5 +57,5 @@ pub use config::{ConfigError, SvcConfig};
 pub use fleet::{FleetConfig, FleetHandle, FleetMetrics, FleetReport, FleetRouter};
 pub use job::{JobError, JobHandle, JobId, JobReport, JobSpec, SubmitError};
 pub use metrics::SvcMetrics;
-pub use remote::{CubeHost, RemoteFleet, RemoteMsg, RemoteReport, PARENT_LABEL};
+pub use remote::{CubeHost, RemoteFleet, RemoteReport};
 pub use service::SortService;

@@ -38,17 +38,23 @@ struct MetricsState {
 }
 
 impl MetricsSink {
-    pub fn job_submitted(&self) {
+    pub(crate) fn job_submitted(&self) {
         self.state.lock().submitted += 1;
         aoft_obs::global().jobs_submitted.inc();
     }
 
-    pub fn job_rejected(&self) {
+    pub(crate) fn job_rejected(&self) {
         self.state.lock().rejected += 1;
         aoft_obs::global().jobs_rejected.inc();
     }
 
-    pub fn job_completed(&self, latency: Duration, retries: u64, effort: u64, sim: &NodeMetrics) {
+    pub(crate) fn job_completed(
+        &self,
+        latency: Duration,
+        retries: u64,
+        effort: u64,
+        sim: &NodeMetrics,
+    ) {
         {
             let mut state = self.state.lock();
             state.completed += 1;
@@ -73,7 +79,7 @@ impl MetricsSink {
     /// Records a batch leaving the admission door: `jobs` riders flushed by
     /// `trigger` (`solo`, `size`, `deadline`, `boundary`). Jobs only count
     /// as coalesced when they actually shared the attempt with another job.
-    pub fn batch_flushed(&self, jobs: usize, trigger: &'static str) {
+    pub(crate) fn batch_flushed(&self, jobs: usize, trigger: &'static str) {
         let coalesced = if jobs > 1 { jobs as u64 } else { 0 };
         {
             let mut state = self.state.lock();
@@ -86,7 +92,7 @@ impl MetricsSink {
         reg.batch_jobs_coalesced.add(coalesced);
     }
 
-    pub fn job_failed(&self, retries: u64, effort: u64) {
+    pub(crate) fn job_failed(&self, retries: u64, effort: u64) {
         {
             let mut state = self.state.lock();
             state.failed += 1;
@@ -99,7 +105,7 @@ impl MetricsSink {
         reg.job_effort.add(effort);
     }
 
-    pub fn snapshot(&self, queue_depth: usize, quarantined: Vec<u32>) -> SvcMetrics {
+    pub(crate) fn snapshot(&self, queue_depth: usize, quarantined: Vec<u32>) -> SvcMetrics {
         let state = self.state.lock();
         SvcMetrics {
             jobs_submitted: state.submitted,

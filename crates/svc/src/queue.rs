@@ -11,10 +11,10 @@ use crate::job::{JobError, JobId, JobReport, JobSpec};
 /// A job admitted into the queue, with everything a worker needs to run and
 /// answer it.
 pub(crate) struct QueuedJob {
-    pub id: JobId,
-    pub spec: JobSpec,
-    pub submitted_at: Instant,
-    pub reply: Sender<Result<JobReport, JobError>>,
+    pub(crate) id: JobId,
+    pub(crate) spec: JobSpec,
+    pub(crate) submitted_at: Instant,
+    pub(crate) reply: Sender<Result<JobReport, JobError>>,
 }
 
 struct QueueState {
@@ -31,7 +31,7 @@ pub(crate) struct JobQueue {
 }
 
 impl JobQueue {
-    pub fn new(depth: usize) -> Self {
+    pub(crate) fn new(depth: usize) -> Self {
         Self {
             depth,
             state: Mutex::new(QueueState {
@@ -45,7 +45,7 @@ impl JobQueue {
     /// Admits `job`, or hands it back when the queue is at depth or the
     /// service has stopped (the caller turns either into the right
     /// [`SubmitError`](crate::SubmitError)).
-    pub fn push(&self, job: QueuedJob) -> Result<(), PushRefused> {
+    pub(crate) fn push(&self, job: QueuedJob) -> Result<(), PushRefused> {
         let mut state = self.state.lock();
         if state.stopped {
             return Err(PushRefused::Stopped);
@@ -62,7 +62,7 @@ impl JobQueue {
 
     /// Blocks until a job is available; `None` once the queue is stopped
     /// *and* drained.
-    pub fn pop(&self) -> Option<QueuedJob> {
+    pub(crate) fn pop(&self) -> Option<QueuedJob> {
         let mut state = self.state.lock();
         loop {
             if let Some(job) = state.jobs.pop_front() {
@@ -81,7 +81,11 @@ impl JobQueue {
     /// forming batch: an incompatible job at the front ends the batch at a
     /// [`PopMore::Boundary`] (FIFO order is never reordered around), an
     /// empty queue at the deadline ends it at [`PopMore::TimedOut`].
-    pub fn pop_compatible(&self, deadline: Instant, pred: impl Fn(&QueuedJob) -> bool) -> PopMore {
+    pub(crate) fn pop_compatible(
+        &self,
+        deadline: Instant,
+        pred: impl Fn(&QueuedJob) -> bool,
+    ) -> PopMore {
         let mut state = self.state.lock();
         loop {
             if let Some(front) = state.jobs.front() {
@@ -104,14 +108,14 @@ impl JobQueue {
     }
 
     /// Jobs currently waiting (excludes jobs already claimed by workers).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.state.lock().jobs.len()
     }
 
     /// Stops the queue: subsequent pushes are refused, blocked workers wake
     /// up, and queued-but-unclaimed jobs are returned for disposal (their
     /// reply channels answer `Stopped`).
-    pub fn stop(&self) -> Vec<QueuedJob> {
+    pub(crate) fn stop(&self) -> Vec<QueuedJob> {
         let mut state = self.state.lock();
         state.stopped = true;
         let drained = state.jobs.drain(..).collect();

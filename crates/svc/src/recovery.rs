@@ -18,9 +18,9 @@ use parking_lot::Mutex;
 #[derive(Debug, Clone)]
 pub(crate) struct CubePlan {
     /// Logical cube dimension of the attempt.
-    pub dim: u32,
+    pub(crate) dim: u32,
     /// `map[logical] = physical` for each of the `2^dim` logical labels.
-    pub map: Vec<u32>,
+    pub(crate) map: Vec<u32>,
 }
 
 /// When a retry may start, decided from what the failed attempt reported
@@ -69,10 +69,10 @@ pub(crate) fn retry_timing(
 pub(crate) struct FailureVerdict {
     /// Physical labels implicated by diagnosis (the job avoids these on its
     /// own retries even when the evidence is too weak to strike).
-    pub suspects: Vec<u32>,
+    pub(crate) suspects: Vec<u32>,
     /// Physical labels whose strike count just crossed the quarantine
     /// threshold (the service should purge their cached links).
-    pub newly_quarantined: Vec<u32>,
+    pub(crate) newly_quarantined: Vec<u32>,
 }
 
 // Ordered containers throughout: recovery decisions must be identical under
@@ -93,7 +93,7 @@ pub(crate) struct Recovery {
 }
 
 impl Recovery {
-    pub fn new(dim: u32, min_dim: u32, quarantine_after: u32) -> Self {
+    pub(crate) fn new(dim: u32, min_dim: u32, quarantine_after: u32) -> Self {
         Self {
             dim,
             min_dim,
@@ -108,7 +108,7 @@ impl Recovery {
     /// Plans the largest cube that avoids both the service quarantine and
     /// the job's own `avoid` set; `Err(healthy)` when fewer than
     /// `2^min_dim` nodes remain.
-    pub fn plan(&self, avoid: &BTreeSet<u32>) -> Result<CubePlan, usize> {
+    pub(crate) fn plan(&self, avoid: &BTreeSet<u32>) -> Result<CubePlan, usize> {
         let state = self.state.lock();
         let healthy: Vec<u32> = (0..1u32 << self.dim)
             .filter(|label| !state.quarantined.contains(label) && !avoid.contains(label))
@@ -156,7 +156,11 @@ impl Recovery {
     /// node is quarantined directly, bypassing the repeat-offender
     /// threshold: an equivocator that survives to a retry gets another
     /// chance to poison a fresh subcube.
-    pub fn record_failure(&self, reports: &[ErrorReport], plan: &CubePlan) -> FailureVerdict {
+    pub(crate) fn record_failure(
+        &self,
+        reports: &[ErrorReport],
+        plan: &CubePlan,
+    ) -> FailureVerdict {
         if reports.is_empty() {
             return FailureVerdict {
                 suspects: Vec::new(),
@@ -240,7 +244,7 @@ impl Recovery {
     }
 
     /// Physical labels currently quarantined, ascending.
-    pub fn quarantined(&self) -> Vec<u32> {
+    pub(crate) fn quarantined(&self) -> Vec<u32> {
         self.state.lock().quarantined.iter().copied().collect()
     }
 }

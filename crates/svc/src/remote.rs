@@ -37,7 +37,7 @@ use crate::service::SortService;
 /// The parent's node label on the control plane. Children must choose
 /// labels strictly below this so they are the dialing (`lo`) end of their
 /// session with the parent.
-pub const PARENT_LABEL: u32 = 1000;
+pub(crate) const PARENT_LABEL: u32 = 1000;
 
 /// Demux tag of the parent→child job link.
 const JOB_TAG: u8 = 0;
@@ -46,7 +46,7 @@ const RESULT_TAG: u8 = 1;
 
 /// One control-plane message between the parent and a cube host.
 #[derive(Debug, Clone, PartialEq)]
-pub enum RemoteMsg {
+pub(crate) enum RemoteMsg {
     /// Parent → child: sort these keys.
     Job {
         /// Parent-assigned sequence number, echoed in the answer.
@@ -155,9 +155,9 @@ pub struct CubeHost;
 
 impl CubeHost {
     /// Runs the serve loop: dial the parent at `parent`, then answer every
-    /// [`RemoteMsg::Job`] with `Done` or `Failed` until the parent's
+    /// `RemoteMsg::Job` with `Done` or `Failed` until the parent's
     /// session ends (orderly close or death), which is the host's normal
-    /// exit. `label` must be below [`PARENT_LABEL`] and unique per child.
+    /// exit. `label` must be below `PARENT_LABEL` and unique per child.
     ///
     /// The cube itself runs on `cube_transport` — typically a loopback
     /// [`MuxTransport`], optionally wrapped in a fault injector — so one
@@ -315,7 +315,7 @@ impl RemoteFleet {
     }
 
     /// Children still in the routing rotation.
-    pub fn alive(&self) -> usize {
+    pub(crate) fn alive(&self) -> usize {
         self.cubes.iter().filter(|c| c.alive).count()
     }
 

@@ -181,11 +181,6 @@ where
         self.inner.recovery.quarantined()
     }
 
-    /// The running configuration.
-    pub fn config(&self) -> &SvcConfig {
-        &self.inner.config
-    }
-
     /// Stops admissions, answers queued-but-unstarted jobs with
     /// [`JobError::Stopped`], and joins the workers (in-flight jobs run to
     /// completion first). Dropping the service does the same.

@@ -19,7 +19,7 @@ use aoft::net::MuxTransport;
 use aoft::svc::{JobSpec, SortService, SvcConfig};
 
 #[test]
-fn tcp_two_faced_node_is_quarantined_by_name() {
+fn mux_two_faced_node_is_quarantined_by_name() {
     const TWO_FACED: u32 = 0;
     let plan = FaultPlan::new().with_fault(
         NodeId::new(TWO_FACED),

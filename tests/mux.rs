@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 use aoft::adv::ByzantineTransport;
 use aoft::faults::FaultPlan;
 use aoft::hypercube::NodeSet;
-use aoft::net::{CancelToken, MuxConfig, MuxTransport};
+use aoft::net::{pool, CancelToken, MuxConfig, MuxTransport};
 use aoft::sim::{Packet, Transport};
 use aoft::sort::{diagnosis, Algorithm, Msg, SortBuilder, SortError};
 use aoft::svc::{JobSpec, SortService, SvcConfig};
@@ -315,4 +315,38 @@ fn cancel_interrupts_mux_recv_under_live_timers() {
         lag < Duration::from_millis(25),
         "cancel() to return took {lag:?}; cancellation is an event, not a poll"
     );
+}
+
+/// Every wire buffer leased from the global pool during a full d=4 `S_FT`
+/// run over loopback mux sessions comes back: once the tx servicers drain, the
+/// outstanding-lease count returns to zero. This is the steady-state
+/// allocation discipline observed end to end — buffers cycle through the
+/// pool instead of being allocated per message.
+#[test]
+fn pool_reclaims_all_leases_after_d4_mux_run() {
+    let keys: Vec<i32> = (0..64i32).map(|x| x.wrapping_mul(-61) % 53).collect();
+    let transport = mux(16);
+    let report = SortBuilder::new(Algorithm::FaultTolerant)
+        .keys(keys.clone())
+        .nodes(16)
+        .recv_timeout(Duration::from_millis(1500))
+        .run_on(transport)
+        .expect("clean d=4 mux run");
+    let expected = common::sorted(&keys);
+    assert_eq!(report.output(), expected.as_slice());
+
+    // Tx servicers may still be flushing their last frames when run_on
+    // returns; give them a bounded moment to hand their leases back.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        let outstanding = pool::outstanding();
+        if outstanding == 0 {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "pool leaked {outstanding} lease(s) after the run drained"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
 }

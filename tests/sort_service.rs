@@ -24,12 +24,12 @@ fn job_keys(salt: i64) -> Vec<i32> {
         .collect()
 }
 
-/// The PR's acceptance demo: 32 jobs over loopback TCP on a d=3 cube, node
+/// The acceptance demo: 32 jobs over loopback mux sessions on a d=3 cube, node
 /// 5 killed mid-stream. Every job must complete with a verified correct
 /// result (quarantine + degraded-mode retry), and the metrics must show the
 /// recovery.
 #[test]
-fn service_survives_mid_stream_node_death_over_tcp() {
+fn service_survives_mid_stream_node_death_over_mux() {
     // Each of node 5's outgoing links goes fail-silent after 25 frames —
     // a few jobs into the stream. The service's link cache keeps each
     // link's send count alive across jobs, so the node stays dead until the
@@ -86,11 +86,11 @@ fn service_survives_mid_stream_node_death_over_tcp() {
     service.shutdown();
 }
 
-/// Concurrent workers multiplex one TCP cube without crosstalk: disjoint
+/// Concurrent workers multiplex one mux cube without crosstalk: disjoint
 /// link-tag namespaces and per-attempt run ids keep 4 simultaneous jobs'
 /// frames apart on the shared transport.
 #[test]
-fn concurrent_workers_share_one_tcp_cube() {
+fn concurrent_workers_share_one_mux_cube() {
     let config = SvcConfig::new(2)
         .workers(4)
         .recv_timeout(Duration::from_millis(800));
