@@ -223,8 +223,8 @@ fn update_lanes(crc: u32, bytes: &[u8]) -> u32 {
 ///
 /// Every frame is checksummed on both the encode and the decode hot path,
 /// so this is the per-byte price of `S_FT`'s longer messages. A part of at
-/// least [`LANE_MIN`] bytes is split into four equal lanes checksummed in
-/// one interleaved slicing-by-16 loop, and the lane registers are merged
+/// least `LANE_MIN` (4 KiB) bytes is split into four equal lanes checksummed
+/// in one interleaved slicing-by-16 loop, and the lane registers are merged
 /// by the GF(2) shift `x^(8n) mod P` (zlib's `crc32_combine`, from a
 /// `const`-built table of `x^(2^k) mod P`); shorter parts run plain
 /// slicing-by-16. Either way the value is the one bytewise CRC-32 of the

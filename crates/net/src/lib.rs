@@ -9,11 +9,10 @@
 //! * [`MuxTransport`]: real TCP over loopback (or any reachable address),
 //!   one session per *peer pair* carrying every link between the two
 //!   nodes, with a length-prefixed, checksummed frame codec ([`frame`]),
-//!   pooled wire buffers ([`pool`]), two doorbell-driven tx servicers and
-//!   one blocking reader per session end, send retry with capped
-//!   exponential [`Backoff`], and
-//!   a heartbeat-based failure detector that surfaces a silent peer as
-//!   [`NetError::PeerDead`] on every link of the session.
+//!   pooled wire buffers ([`pool`]), senders that write their own frames
+//!   under the session end's write lock, one blocking reader per session
+//!   end, and a heartbeat-based failure detector that surfaces a silent
+//!   peer as [`NetError::PeerDead`] on every link of the session.
 //!
 //! The failure-detection contract matches the paper's fail-stop model
 //! (assumption 4: *a missing message is detectable*): every receive takes a
@@ -31,7 +30,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs, unreachable_pub)]
 
-mod backoff;
 mod cache;
 mod cancel;
 mod error;
@@ -42,10 +40,8 @@ mod mailbox;
 mod mux;
 pub mod pool;
 mod remap;
-mod timer;
 pub mod wire;
 
-pub use backoff::Backoff;
 pub use cache::LinkCache;
 pub use cancel::CancelToken;
 pub use error::NetError;

@@ -59,15 +59,16 @@ impl std::fmt::Display for LinkId {
 pub trait LinkTx<M>: Send {
     /// Hands `msg` to the transport for delivery.
     ///
-    /// Queuing is asynchronous: `Ok` means the transport accepted the
-    /// message, not that the peer received it — exactly the guarantee of a
-    /// hardware send port. Delivery failure to a *dead* peer surfaces on
-    /// the receiving side (timeout or failure detector), per the paper's
-    /// receiver-side detection model.
+    /// `Ok` means the transport accepted the message — queued on a
+    /// channel, or written whole into a socket — not that the peer received
+    /// it: exactly the guarantee of a hardware send port. Delivery failure
+    /// to a *dead* peer surfaces on the receiving side (timeout or failure
+    /// detector), per the paper's receiver-side detection model.
     ///
     /// # Errors
     ///
-    /// [`NetError::Closed`] if this endpoint can no longer accept messages.
+    /// [`NetError::Closed`] if this endpoint can no longer accept messages;
+    /// a socket write that fails returns the error that ended its session.
     fn send(&self, msg: M) -> Result<(), NetError>;
 
     /// Announces orderly shutdown to the peer (best effort).

@@ -10,25 +10,50 @@
 //!   [`LinkId`] handshake encoding as a *demux tag* prefix inside the frame
 //!   payload — the [`crate::frame`] codec, single-pass framing into
 //!   [`crate::pool`] buffer leases, one extra tag per frame;
-//! * all of a pair's links share one tx queue set, drained fairly
-//!   (round-robin across links) into a single `write_vectored`;
-//! * wakeups are **event-driven**, never sleep-polled: a tx doorbell
-//!   (`Condvar`) wakes the owning tx servicer the moment a sender enqueues,
-//!   and every session end has one reader thread blocked in `read` on its
-//!   own socket, so the first byte of a frame wakes exactly the thread
-//!   that demuxes it. The reader reads straight into a persistent
-//!   per-session buffer ([`RxBuf`]) that grows only with bytes received;
-//! * heartbeats and write-retry backoff are **per-session** obligations on
-//!   the tx servicer's [`TimerWheel`] — one timer per peer pair, not one
-//!   per directed link — and the silence dead-check is the reader's read
-//!   timeout (`heartbeat_interval`);
-//! * threads: [`TX_SERVICERS`] tx + 1 acceptor, plus one reader per
-//!   session end, joined when the transport drops.
+//! * a send is a write: the sending thread frames its message and writes
+//!   it whole to the socket under its session end's write lock
+//!   ([`Writer`]). No tx thread, queue or wake-up sits between a send and
+//!   the socket, so a frame is either on the wire or not yet sent;
+//! * every session end has one reader thread blocked in `read` on its own
+//!   socket, so the first byte of a frame wakes exactly the thread that
+//!   demuxes it. The reader reads straight into a persistent per-session
+//!   buffer ([`RxBuf`]) that grows only with bytes received;
+//! * liveness is per *session* — one clock per peer pair, not one per
+//!   directed link — and runs on the reader: its read timeout
+//!   (`heartbeat_interval`) paces both the silence dead-check and the idle
+//!   heartbeat it writes;
+//! * threads: 1 acceptor plus one reader per session end, joined when the
+//!   transport drops.
 //!
 //! Failure semantics follow the session: when a session dies (silence past
-//! the heartbeat window, EOF, socket error, corrupt stream), **every** link
-//! it carried observes the same terminal error — `PeerDead` fans out to all
-//! of the pair's receivers at once, so one observation covers all links.
+//! the heartbeat window, EOF, socket error, a failed or stalled write,
+//! corrupt stream), **every** link it carried observes the same terminal
+//! error — `PeerDead` fans out to all of the pair's receivers at once, so
+//! one observation covers all links.
+//!
+//! # Why writing from the sender's thread is sound
+//!
+//! * **Frames never interleave on the wire.** Every frame a session end
+//!   writes — a sender's Data frame, a `LinkBye`, the reader's heartbeat,
+//!   the transport's closing `Bye` — is written whole while its writer holds
+//!   the session end's write lock. A write that fails or stalls kills the
+//!   session (shuts its socket down) before the lock is released, so no
+//!   frame ever follows a torn one.
+//! * **A reader that writes a heartbeat cannot deadlock with its peer's
+//!   reader.** The reader only `try_lock`s the write lock, so it never waits
+//!   on a sender; a sender holding it is mid-write, and its bytes are the
+//!   liveness signal. It writes only when its end has written nothing for
+//!   `heartbeat_interval`, so a heartbeat never queues behind its own end's
+//!   backlog. And every write is bounded by `SO_SNDTIMEO` =
+//!   `heartbeat_timeout`: two readers stuck writing into each other's full
+//!   buffers give up within that window and kill the session — the verdict
+//!   the silence detector reaches on a peer that stops reading anyway.
+//! * **A re-attach leaves a failed attempt's frames to the receiver.**
+//!   `connect_tx` on a link replaces its attach token, so the old handle's
+//!   sends return `Closed` from then on. Whatever the old handle wrote is
+//!   already on the wire; the receiver's run-id filter drops it
+//!   (`sim.stale_dropped`), as it does for any frame still in flight when
+//!   an attempt fails.
 //!
 //! A mux listener expects the session preamble and mux Data frames carry
 //! the demux tag: both sides of a pair must speak mux.
@@ -37,7 +62,7 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
 use std::marker::PhantomData;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -45,14 +70,11 @@ use std::time::{Duration, Instant};
 use aoft_obs::Counter;
 use parking_lot::{Condvar, Mutex};
 
-use crate::frame::{
-    decode_frame_body, encode_frame, frame_header, FrameKind, HEADER_LEN, MAX_FRAME_LEN,
-};
+use crate::frame::{decode_frame_body, frame_header, FrameKind, HEADER_LEN, MAX_FRAME_LEN};
 use crate::mailbox::{mailbox, MailboxRx, MailboxTx};
 use crate::pool;
-use crate::timer::TimerWheel;
 use crate::wire::{from_bytes, Wire};
-use crate::{Backoff, CancelToken, LinkId, LinkRx, LinkTx, NetError, Transport};
+use crate::{CancelToken, LinkId, LinkRx, LinkTx, NetError, Transport};
 
 /// Session preamble magic: distinguishes a mux dial from anything else and
 /// versions the session layer (last byte).
@@ -62,14 +84,6 @@ const MUX_MAGIC: [u8; 8] = *b"AOFTMUX\x01";
 /// worth of bytes beyond those already held.
 const READ_CHUNK: usize = 64 * 1024;
 
-/// `SO_SNDTIMEO` on session sockets: a write stalled longer than this
-/// parks the session on the retry path instead of freezing its (shared)
-/// tx servicer.
-const WRITE_SLICE: Duration = Duration::from_millis(100);
-
-/// Queued frames one tx drain coalesces into a single `write_vectored`.
-const MAX_TX_COALESCE: usize = 64;
-
 /// Manifest entries a session preamble may carry; larger claims are
 /// treated as a corrupt dial.
 const MAX_MANIFEST: usize = 1024;
@@ -77,23 +91,6 @@ const MAX_MANIFEST: usize = 1024;
 /// How long the acceptor waits for a dialer's session preamble before
 /// dropping the connection.
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(1);
-
-/// Write attempts per batch before the session is declared dead.
-const MAX_SEND_RETRIES: u32 = 5;
-
-/// First write-retry delay; doubles per attempt.
-const INITIAL_BACKOFF: Duration = Duration::from_millis(5);
-
-/// Write-retry delay ceiling.
-const MAX_BACKOFF: Duration = Duration::from_millis(200);
-
-/// Frames one *link* queues before `send` blocks — the per-link
-/// backpressure bound (a session's queue capacity is this × links).
-const TX_QUEUE_FRAMES: usize = 1024;
-
-/// Tx servicer threads; sessions hash onto them round-robin. The doorbell
-/// keeps every count event-driven.
-const TX_SERVICERS: usize = 2;
 
 /// The liveness clocks of a [`MuxTransport`], per *session* (peer pair).
 /// Everything else about the backend is a constant of this module.
@@ -104,7 +101,8 @@ pub struct MuxConfig {
     /// Idle gap after which a session emits a heartbeat frame.
     pub heartbeat_interval: Duration,
     /// Inbound silence after which the whole session — every link it
-    /// carries — is declared dead. Must be several multiples of
+    /// carries — is declared dead, and the longest one write may stall
+    /// before it kills the session. Must be several multiples of
     /// `heartbeat_interval`.
     pub heartbeat_timeout: Duration,
 }
@@ -125,7 +123,7 @@ fn pair_label(pair: Pair) -> String {
     format!("{}~{}", pair.0, pair.1)
 }
 
-/// Monotonic ids for sessions and endpoint attach tokens.
+/// Monotonic endpoint attach tokens.
 static NEXT_ID: AtomicU64 = AtomicU64::new(1);
 
 fn next_id() -> u64 {
@@ -136,51 +134,15 @@ fn next_id() -> u64 {
 // Session state
 // ---------------------------------------------------------------------------
 
-/// One frame staged on a session's tx side. `payload` already starts with
-/// the 9-byte demux tag for Data/LinkBye frames; `None` is a bare-header
-/// session frame (heartbeat, bye).
-struct MuxFrame {
-    header: [u8; 4 + HEADER_LEN],
-    payload: Option<pool::Lease<'static>>,
-    queued_at: Instant,
-}
-
-impl MuxFrame {
-    fn payload_bytes(&self) -> &[u8] {
-        self.payload.as_ref().map_or(&[], |lease| lease.as_slice())
-    }
-
-    fn total(&self) -> usize {
-        self.header.len() + self.payload_bytes().len()
-    }
-}
-
-struct LinkQueue {
-    frames: VecDeque<MuxFrame>,
-    /// Token of the currently attached [`MuxTx`]; a stale handle's `close`
-    /// must not close a queue that was since re-attached.
-    open_token: u64,
-    /// A `LinkBye` has been enqueued; the queue is removed once drained.
-    closed: bool,
-}
-
-struct TxInner {
-    queues: HashMap<LinkId, LinkQueue>,
-    /// Round-robin order over `queues` keys — fairness across a pair's
-    /// links when draining into one vectored write.
-    order: Vec<LinkId>,
-    rr: usize,
-    /// `true` while the session sits on its servicer's ready list (or is
-    /// being drained); senders ring the doorbell only on the
-    /// false → true edge, so an active session costs one notify per drain,
-    /// not one per frame.
-    ready: bool,
-}
-
-impl TxInner {
-    fn any_queued(&self) -> bool {
-        self.queues.values().any(|q| !q.frames.is_empty())
-    }
+/// A session end's tx side, behind its write lock: whoever holds the lock
+/// owns the socket's write half until its frame is whole on the wire.
+struct Writer {
+    /// Open tx links, each with the attach token of its current [`MuxTx`];
+    /// a stale handle's token no longer matches, so it cannot send or close.
+    links: HashMap<LinkId, u64>,
+    /// When this session end last wrote a frame: the idle clock of the
+    /// reader's heartbeat.
+    last_write: Instant,
 }
 
 /// Where inbound frames for one link land before/after `connect_rx`.
@@ -234,19 +196,16 @@ impl<M: Wire + Send + 'static> MuxSink for TypedMuxSink<M> {
     }
 }
 
-/// One end of a peer-pair session: the socket, the shared tx queue set and
-/// the rx demux table. Both directions of every link between the pair ride
-/// this one connection.
+/// One end of a peer-pair session: the socket, its write lock and the rx
+/// demux table. Both directions of every link between the pair ride this
+/// one connection.
 struct Session {
-    id: u64,
     label: String,
-    /// The session end's one socket: its tx servicer writes and its reader
-    /// reads through `&TcpStream`.
+    /// The session end's one socket: senders write and its reader reads
+    /// through `&TcpStream`.
     stream: TcpStream,
-    tx: Mutex<TxInner>,
-    /// Wakes senders blocked on a full per-link queue.
-    space: Condvar,
-    doorbell: Arc<TxDoorbell>,
+    /// The write lock: held for exactly one whole frame at a time.
+    writer: Mutex<Writer>,
     dead: AtomicBool,
     /// The first terminal error; every later observer fans out this one.
     fate: Mutex<Option<NetError>>,
@@ -257,15 +216,15 @@ struct Session {
 
 impl Session {
     /// Marks the session dead exactly once: records `err` as its fate,
-    /// wakes parked senders, shuts the socket down (which wakes the
-    /// session's reader out of its blocked `read`) and drops it from the
-    /// session gauge. Returns `true` for the call that performed the kill.
+    /// shuts the socket down (which wakes a sender blocked in `write` and
+    /// the session's reader out of its blocked `read`) and drops it from
+    /// the session gauge. Returns `true` for the call that performed the
+    /// kill.
     fn kill(&self, err: NetError) -> bool {
         if self.dead.swap(true, Ordering::AcqRel) {
             return false;
         }
         *self.fate.lock() = Some(err);
-        self.space.notify_all();
         let _ = self.stream.shutdown(Shutdown::Both);
         aoft_obs::global().mux_sessions.add(-1);
         true
@@ -288,16 +247,78 @@ impl Session {
         }
     }
 
-    /// Puts the session on its tx servicer's ready list and rings the
-    /// doorbell — the event-driven wakeup that keeps the tx side off any
-    /// idle-sleep polling.
-    fn ring(self: &Arc<Self>) {
-        {
-            let mut state = self.doorbell.state.lock();
-            state.ready.push_back(Arc::clone(self));
+    /// Writes one frame — `header`, then `payload` — whole. The caller
+    /// holds the write lock (`writer` is its guarded state). A write that
+    /// fails or stalls past `SO_SNDTIMEO` kills the session, because a
+    /// frame cut short would corrupt the stream, and returns its fate.
+    fn write_frame(
+        &self,
+        writer: &mut Writer,
+        header: &[u8],
+        payload: &[u8],
+    ) -> Result<(), NetError> {
+        if self.dead.load(Ordering::Acquire) {
+            return Err(NetError::Closed);
         }
-        self.doorbell.bell.notify_one();
+        let reg = aoft_obs::global();
+        if let Err(err) = write_whole(&self.stream, header, payload) {
+            reg.net_send_retries.add(&self.label, 1);
+            self.kill(NetError::Io(format!(
+                "session {} write failed: {err}",
+                self.label
+            )));
+            return Err(self.fate());
+        }
+        writer.last_write = Instant::now();
+        self.bytes_sent.add((header.len() + payload.len()) as u64);
+        reg.mux_frames_per_write.record_count(1);
+        Ok(())
     }
+
+    /// The reader's heartbeat: written only when this end has written
+    /// nothing for `interval` and no sender holds the write lock — a sender
+    /// mid-write is the liveness signal. Never waits for the lock.
+    fn heartbeat_if_idle(&self, interval: Duration) {
+        let Some(mut writer) = self.writer.try_lock() else {
+            return;
+        };
+        if writer.last_write.elapsed() >= interval {
+            let header = frame_header(FrameKind::Heartbeat, &[]);
+            let _ = self.write_frame(&mut writer, &header, &[]);
+        }
+    }
+
+    /// Ends the session orderly: a `Bye` under the write lock (the peer fans
+    /// `Closed` out to every link), then the kill and the local fan-out.
+    fn close(&self) {
+        {
+            let mut writer = self.writer.lock();
+            let header = frame_header(FrameKind::Bye, &[]);
+            let _ = self.write_frame(&mut writer, &header, &[]);
+        }
+        self.kill(NetError::Closed);
+        self.fail_inboxes();
+    }
+}
+
+/// Writes `header` then `payload` to `stream` whole, resuming after short
+/// writes with one `write_vectored` per attempt.
+fn write_whole(stream: &TcpStream, header: &[u8], payload: &[u8]) -> io::Result<()> {
+    let total = header.len() + payload.len();
+    let mut written = 0;
+    while written < total {
+        let (head, body) = match written.checked_sub(header.len()) {
+            None => (&header[written..], payload),
+            Some(into_payload) => (&[][..], &payload[into_payload..]),
+        };
+        match (&mut &*stream).write_vectored(&[IoSlice::new(head), IoSlice::new(body)]) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => written += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -309,7 +330,6 @@ struct MuxTx<M> {
     link: LinkId,
     tag: [u8; 9],
     token: u64,
-    cap: usize,
     _marker: PhantomData<fn(M)>,
 }
 
@@ -325,39 +345,15 @@ impl<M: Wire + Send> LinkTx<M> for MuxTx<M> {
         payload.extend_from_slice(&self.tag);
         msg.encode(&mut payload);
         let header = frame_header(FrameKind::Data, &payload);
-        let frame = MuxFrame {
-            header,
-            payload: Some(payload),
-            queued_at: Instant::now(),
-        };
-        let mut inner = self.session.tx.lock();
-        loop {
-            if self.session.dead.load(Ordering::Acquire) {
-                return Err(NetError::Closed);
-            }
-            let queue = inner.queues.get(&self.link).ok_or(NetError::Closed)?;
-            if queue.open_token != self.token || queue.closed {
-                // A newer handle re-attached this link, or this handle
-                // already closed it.
-                return Err(NetError::Closed);
-            }
-            if queue.frames.len() < self.cap {
-                break;
-            }
-            // Bounded wait so a dead servicer cannot strand the sender.
-            self.session
-                .space
-                .wait_for(&mut inner, Duration::from_millis(50));
+        let asked = Instant::now();
+        let mut writer = self.session.writer.lock();
+        aoft_obs::global().mux_wake_latency.record(asked.elapsed());
+        if writer.links.get(&self.link) != Some(&self.token) {
+            // A newer handle re-attached this link, or this handle
+            // already closed it.
+            return Err(NetError::Closed);
         }
-        let queue = inner.queues.get_mut(&self.link).ok_or(NetError::Closed)?;
-        queue.frames.push_back(frame);
-        let must_ring = !inner.ready;
-        inner.ready = true;
-        drop(inner);
-        if must_ring {
-            self.session.ring();
-        }
-        Ok(())
+        self.session.write_frame(&mut writer, &header, &payload)
     }
 
     fn close(&self) {
@@ -366,35 +362,17 @@ impl<M: Wire + Send> LinkTx<M> for MuxTx<M> {
 }
 
 impl<M> MuxTx<M> {
-    /// Enqueues a `LinkBye` for this link (never blocks; byes bypass the
-    /// cap) and marks the queue for removal once drained. A no-op when the
-    /// link was since re-attached by a newer handle.
+    /// Closes this link to further sends and writes its `LinkBye`. A no-op
+    /// when the link was since re-attached by a newer handle, or is
+    /// already closed.
     fn close_link(&self) {
-        let mut inner = self.session.tx.lock();
-        let Some(queue) = inner.queues.get_mut(&self.link) else {
-            return;
-        };
-        if queue.open_token != self.token || queue.closed {
+        let mut writer = self.session.writer.lock();
+        if writer.links.get(&self.link) != Some(&self.token) {
             return;
         }
-        queue.closed = true;
-        if !self.session.dead.load(Ordering::Acquire) {
-            queue.frames.push_back(MuxFrame {
-                header: frame_header(FrameKind::LinkBye, &self.tag),
-                payload: Some({
-                    let mut lease = pool::global().lease();
-                    lease.extend_from_slice(&self.tag);
-                    lease
-                }),
-                queued_at: Instant::now(),
-            });
-        }
-        let must_ring = !inner.ready;
-        inner.ready = true;
-        drop(inner);
-        if must_ring {
-            self.session.ring();
-        }
+        writer.links.remove(&self.link);
+        let header = frame_header(FrameKind::LinkBye, &self.tag);
+        let _ = self.session.write_frame(&mut writer, &header, &self.tag);
     }
 }
 
@@ -429,390 +407,6 @@ impl<M> Drop for MuxRx<M> {
             }
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// Tx servicers: doorbell-driven drains
-// ---------------------------------------------------------------------------
-
-/// The doorbell one tx servicer sleeps on: sessions to adopt plus sessions
-/// with queued frames.
-struct TxDoorbell {
-    state: Mutex<TxSvcState>,
-    bell: Condvar,
-}
-
-#[derive(Default)]
-struct TxSvcState {
-    intake: Vec<Arc<Session>>,
-    ready: VecDeque<Arc<Session>>,
-}
-
-enum TxTimerKind {
-    /// The session's idle-heartbeat obligation came due.
-    Heartbeat,
-    /// A parked retry backoff elapsed.
-    Retry,
-}
-
-/// A per-session obligation on the tx servicer's wheel — one entry per
-/// *session*, however many links it carries.
-struct TxTimer {
-    id: u64,
-    kind: TxTimerKind,
-}
-
-struct TxLocal {
-    session: Arc<Session>,
-    batch: Option<TxBatch>,
-    attempts: u32,
-    backoff: Backoff,
-    blocked_until: Option<Instant>,
-    last_write: Instant,
-}
-
-struct TxBatch {
-    frames: Vec<MuxFrame>,
-    written: usize,
-}
-
-impl TxBatch {
-    fn total(&self) -> usize {
-        self.frames.iter().map(MuxFrame::total).sum()
-    }
-}
-
-/// Writes as much of `batch` as the socket accepts right now. `Ok(true)`
-/// means the batch completed; `Ok(false)` means the socket pushed back
-/// (`WouldBlock`/`SO_SNDTIMEO`) and the batch resumes later from the exact
-/// byte offset — a retried write never re-sends a byte.
-fn write_batch(stream: &TcpStream, batch: &mut TxBatch) -> io::Result<bool> {
-    let total = batch.total();
-    while batch.written < total {
-        let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity(batch.frames.len() * 2);
-        let mut skip = batch.written;
-        for frame in &batch.frames {
-            for part in [&frame.header[..], frame.payload_bytes()] {
-                if skip >= part.len() {
-                    skip -= part.len();
-                } else {
-                    slices.push(IoSlice::new(&part[skip..]));
-                    skip = 0;
-                }
-            }
-        }
-        let mut writer: &TcpStream = stream;
-        match writer.write_vectored(&slices) {
-            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-            Ok(n) => batch.written += n,
-            Err(ref e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(ref e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                return Ok(false)
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(true)
-}
-
-struct TxWorker {
-    config: MuxConfig,
-    shared: Arc<TxDoorbell>,
-    shutdown: Arc<AtomicBool>,
-}
-
-enum DrainOutcome {
-    Keep,
-    Remove,
-}
-
-impl TxWorker {
-    fn run(self) {
-        let mut sessions: HashMap<u64, TxLocal> = HashMap::new();
-        let mut wheel: TimerWheel<TxTimer> = TimerWheel::new();
-        let heartbeat = self.config.heartbeat_interval.max(Duration::from_millis(1));
-        loop {
-            let (intake, ready) = {
-                let mut state = self.shared.state.lock();
-                (
-                    std::mem::take(&mut state.intake),
-                    std::mem::take(&mut state.ready),
-                )
-            };
-            let now = Instant::now();
-            for session in intake {
-                wheel.schedule(
-                    now + heartbeat,
-                    TxTimer {
-                        id: session.id,
-                        kind: TxTimerKind::Heartbeat,
-                    },
-                );
-                sessions.insert(
-                    session.id,
-                    TxLocal {
-                        session,
-                        batch: None,
-                        attempts: 0,
-                        backoff: Backoff::new(INITIAL_BACKOFF, MAX_BACKOFF),
-                        blocked_until: None,
-                        last_write: now,
-                    },
-                );
-            }
-            for session in ready {
-                if let Some(local) = sessions.get_mut(&session.id) {
-                    if let DrainOutcome::Remove = self.drain(local, &mut wheel) {
-                        sessions.remove(&session.id);
-                    }
-                }
-            }
-            let now = Instant::now();
-            while let Some(timer) = wheel.pop_expired(now) {
-                let Some(local) = sessions.get_mut(&timer.id) else {
-                    continue; // stale: the session is gone
-                };
-                let outcome = match timer.kind {
-                    TxTimerKind::Heartbeat => {
-                        let outcome = self.fire_heartbeat(local, &mut wheel, now);
-                        if matches!(outcome, DrainOutcome::Keep) {
-                            wheel.schedule(
-                                now + heartbeat,
-                                TxTimer {
-                                    id: timer.id,
-                                    kind: TxTimerKind::Heartbeat,
-                                },
-                            );
-                        }
-                        outcome
-                    }
-                    TxTimerKind::Retry => self.drain(local, &mut wheel),
-                };
-                if let DrainOutcome::Remove = outcome {
-                    sessions.remove(&timer.id);
-                }
-            }
-            if self.shutdown.load(Ordering::Acquire) {
-                for (_, mut local) in sessions.drain() {
-                    if local.session.dead.load(Ordering::Acquire) {
-                        continue;
-                    }
-                    // Flush whatever is staged or queued (bounded), then
-                    // close orderly; the peer fans out Closed per link.
-                    let flush_deadline = Instant::now() + Duration::from_secs(1);
-                    loop {
-                        if local.batch.is_none() {
-                            match pop_batch(&local.session, Instant::now()) {
-                                Some(batch) => local.batch = Some(batch),
-                                None => break,
-                            }
-                        }
-                        let batch = local.batch.as_mut().expect("batch staged above");
-                        match write_batch(&local.session.stream, batch) {
-                            Ok(true) => local.batch = None,
-                            Ok(false) => {
-                                if Instant::now() >= flush_deadline {
-                                    break;
-                                }
-                                std::thread::sleep(Duration::from_millis(1));
-                            }
-                            Err(_) => break,
-                        }
-                    }
-                    let mut writer: &TcpStream = &local.session.stream;
-                    let _ = writer.write_all(&encode_frame(FrameKind::Bye, &[]));
-                    let _ = local.session.stream.shutdown(Shutdown::Both);
-                }
-                return;
-            }
-            // Sleep on the bell, bounded by the earliest obligation. The
-            // doorbell ends the wait immediately on any local enqueue.
-            let mut state = self.shared.state.lock();
-            if !state.intake.is_empty() || !state.ready.is_empty() {
-                continue;
-            }
-            let timeout = wheel
-                .next_deadline()
-                .map(|d| d.saturating_duration_since(Instant::now()))
-                .unwrap_or(Duration::from_millis(100))
-                .clamp(Duration::from_millis(1), Duration::from_millis(100));
-            self.shared.bell.wait_for(&mut state, timeout);
-        }
-    }
-
-    /// Emits an idle heartbeat: only when the session has nothing staged
-    /// (a busy session's data *is* its liveness signal).
-    fn fire_heartbeat(
-        &self,
-        local: &mut TxLocal,
-        wheel: &mut TimerWheel<TxTimer>,
-        now: Instant,
-    ) -> DrainOutcome {
-        if local.session.dead.load(Ordering::Acquire) {
-            return DrainOutcome::Remove;
-        }
-        if local.batch.is_some()
-            || local.blocked_until.is_some()
-            || now.saturating_duration_since(local.last_write) < self.config.heartbeat_interval
-        {
-            return DrainOutcome::Keep;
-        }
-        if local.session.tx.lock().any_queued() {
-            return DrainOutcome::Keep;
-        }
-        local.batch = Some(TxBatch {
-            frames: vec![MuxFrame {
-                header: frame_header(FrameKind::Heartbeat, &[]),
-                payload: None,
-                queued_at: now,
-            }],
-            written: 0,
-        });
-        self.drain(local, wheel)
-    }
-
-    /// Drives one session: builds a batch from its link queues (fair
-    /// round-robin) if none is in flight, then writes it, parking on the
-    /// wheel for backoff when the socket pushes back.
-    fn drain(&self, local: &mut TxLocal, wheel: &mut TimerWheel<TxTimer>) -> DrainOutcome {
-        let reg = aoft_obs::global();
-        if local.session.dead.load(Ordering::Acquire) {
-            return DrainOutcome::Remove;
-        }
-        let now = Instant::now();
-        if let Some(until) = local.blocked_until {
-            if now < until {
-                return DrainOutcome::Keep; // the Retry timer re-enters
-            }
-            local.blocked_until = None;
-        }
-        if local.batch.is_none() {
-            match pop_batch(&local.session, now) {
-                Some(batch) => local.batch = Some(batch),
-                None => return DrainOutcome::Keep, // spurious ring
-            }
-        }
-        let done = {
-            let batch = local.batch.as_mut().expect("batch staged above");
-            match write_batch(&local.session.stream, batch) {
-                Ok(done) => done,
-                Err(err) => {
-                    local.attempts += 1;
-                    reg.net_send_retries.add(&local.session.label, 1);
-                    if local.attempts > MAX_SEND_RETRIES {
-                        local.session.kill(NetError::Io(format!(
-                            "session {} write failed after {} attempts: {err}",
-                            local.session.label, local.attempts
-                        )));
-                        return DrainOutcome::Remove;
-                    }
-                    let until = now + local.backoff.next_delay();
-                    local.blocked_until = Some(until);
-                    wheel.schedule(
-                        until,
-                        TxTimer {
-                            id: local.session.id,
-                            kind: TxTimerKind::Retry,
-                        },
-                    );
-                    return DrainOutcome::Keep;
-                }
-            }
-        };
-        if !done {
-            // Socket pushed back mid-batch: resume shortly; not a failure.
-            let until = now + Duration::from_millis(1);
-            local.blocked_until = Some(until);
-            wheel.schedule(
-                until,
-                TxTimer {
-                    id: local.session.id,
-                    kind: TxTimerKind::Retry,
-                },
-            );
-            return DrainOutcome::Keep;
-        }
-        let batch = local.batch.take().expect("batch staged above");
-        local.session.bytes_sent.add(batch.total() as u64);
-        local.attempts = 0;
-        local.backoff.reset();
-        local.last_write = Instant::now();
-        // More frames may have queued while writing; keep the session on
-        // the ready list so siblings get their turn between drains.
-        let mut inner = local.session.tx.lock();
-        if inner.any_queued() {
-            inner.ready = true;
-            drop(inner);
-            local.session.ring();
-        } else {
-            inner.ready = false;
-        }
-        DrainOutcome::Keep
-    }
-}
-
-/// Pops up to [`MAX_TX_COALESCE`] frames off a session's link queues, one
-/// frame per link per cycle starting at the rotating cursor — the fair
-/// round-robin drain that feeds a single `write_vectored`.
-fn pop_batch(session: &Session, now: Instant) -> Option<TxBatch> {
-    let reg = aoft_obs::global();
-    let mut guard = session.tx.lock();
-    let inner = &mut *guard;
-    let mut frames: Vec<MuxFrame> = Vec::new();
-    if !inner.order.is_empty() {
-        inner.rr = (inner.rr + 1) % inner.order.len();
-        let n = inner.order.len();
-        let start = inner.rr;
-        'outer: loop {
-            let mut popped = false;
-            for i in 0..n {
-                let link = inner.order[(start + i) % n];
-                if let Some(queue) = inner.queues.get_mut(&link) {
-                    if let Some(frame) = queue.frames.pop_front() {
-                        frames.push(frame);
-                        popped = true;
-                        if frames.len() >= MAX_TX_COALESCE {
-                            break 'outer;
-                        }
-                    }
-                }
-            }
-            if !popped {
-                break;
-            }
-        }
-    }
-    // Fully-drained closed links leave the queue set: their LinkBye is in
-    // the batch (or already on the wire), so the slot is free for a future
-    // re-attach of the same link.
-    let queues = &mut inner.queues;
-    inner.order.retain(|link| match queues.get(link) {
-        Some(queue) => !(queue.closed && queue.frames.is_empty()),
-        None => false,
-    });
-    queues.retain(|_, queue| !(queue.closed && queue.frames.is_empty()));
-    if frames.is_empty() {
-        inner.ready = false;
-        return None;
-    }
-    // Stay marked ready while the batch is in flight: the post-write check
-    // in `drain` settles the flag, and senders skip redundant rings.
-    inner.ready = true;
-    drop(guard);
-    // Senders parked on a full queue may proceed.
-    session.space.notify_all();
-    reg.mux_frames_per_write.record_count(frames.len() as u64);
-    // Doorbell-to-drain latency: the age of the oldest frame in the batch.
-    let oldest = frames
-        .iter()
-        .map(|f| now.saturating_duration_since(f.queued_at))
-        .max()
-        .unwrap_or(Duration::ZERO);
-    reg.mux_wake_latency
-        .record_micros(oldest.as_micros().min(u128::from(u64::MAX)) as u64);
-    Some(TxBatch { frames, written: 0 })
 }
 
 // ---------------------------------------------------------------------------
@@ -881,8 +475,10 @@ fn read_session(session: Arc<Session>, config: MuxConfig) {
 /// Blocks in `read` on the session's socket, demuxing every complete frame
 /// as it lands, until the stream ends, errs, turns corrupt or goes silent
 /// past `heartbeat_timeout`. The read timeout is `heartbeat_interval`, the
-/// cadence the silence check needs; a [`Session::kill`] from anywhere wakes
-/// the read by shutting the socket down. Returns the session's fate.
+/// cadence the silence check and this end's idle heartbeat need: after
+/// every read, with data or without, the reader writes a heartbeat if its
+/// end has gone quiet. A [`Session::kill`] from anywhere wakes the read by
+/// shutting the socket down. Returns the session's fate.
 fn pump_session(session: &Session, config: &MuxConfig) -> NetError {
     let interval = config.heartbeat_interval.max(Duration::from_millis(1));
     if let Err(err) = session.stream.set_read_timeout(Some(interval)) {
@@ -930,6 +526,7 @@ fn pump_session(session: &Session, config: &MuxConfig) -> NetError {
             }
             Err(e) => return NetError::Io(e.to_string()),
         }
+        session.heartbeat_if_idle(interval);
     }
 }
 
@@ -1024,45 +621,38 @@ fn close_inbox(inboxes: &Inboxes, link: LinkId) {
 // The transport: session establishment and link attachment
 // ---------------------------------------------------------------------------
 
-/// State the acceptor and servicer threads share with the transport handle.
+/// State the acceptor and the session readers share with the transport
+/// handle.
 struct MuxShared {
     config: MuxConfig,
     accepted: Mutex<HashMap<Pair, Arc<Session>>>,
     accepted_cv: Condvar,
-    tx_pool: Vec<Arc<TxDoorbell>>,
-    next_assign: AtomicUsize,
     /// One reader per session end created so far and not yet seen to
     /// finish; the transport joins them all when it drops.
     readers: Mutex<Vec<JoinHandle<()>>>,
-    shutdown: Arc<AtomicBool>,
+    shutdown: AtomicBool,
 }
 
 impl MuxShared {
-    /// Wraps an established socket as a live session: registers it with a
-    /// tx doorbell (round-robin), spawns its reader and counts it on the
-    /// session gauge.
+    /// Wraps an established socket as a live session: bounds its writes,
+    /// spawns its reader and counts it on the session gauge.
     fn create_session(&self, pair: Pair, stream: TcpStream) -> Result<Arc<Session>, NetError> {
-        // The tx servicer and the reader share this one fd (`read`/`write`
-        // through `&TcpStream` are independently safe): one fd per session
-        // end is exactly the resource claim the fd-count tests assert.
+        // Senders and the reader share this one fd (`read`/`write` through
+        // `&TcpStream` are independently safe): one fd per session end is
+        // exactly the resource claim the fd-count tests assert.
         stream.set_nodelay(true)?;
-        stream.set_write_timeout(Some(WRITE_SLICE))?;
+        stream.set_write_timeout(Some(
+            self.config.heartbeat_timeout.max(Duration::from_millis(1)),
+        ))?;
         let label = pair_label(pair);
         let reg = aoft_obs::global();
-        let idx = self.next_assign.fetch_add(1, Ordering::Relaxed);
-        let doorbell = Arc::clone(&self.tx_pool[idx % self.tx_pool.len()]);
         let session = Arc::new(Session {
-            id: next_id(),
             label: label.clone(),
             stream,
-            tx: Mutex::new(TxInner {
-                queues: HashMap::new(),
-                order: Vec::new(),
-                rr: 0,
-                ready: false,
+            writer: Mutex::new(Writer {
+                links: HashMap::new(),
+                last_write: Instant::now(),
             }),
-            space: Condvar::new(),
-            doorbell,
             dead: AtomicBool::new(false),
             fate: Mutex::new(None),
             inboxes: Mutex::new(HashMap::new()),
@@ -1078,20 +668,13 @@ impl MuxShared {
                 .map_err(|e| NetError::Io(format!("spawn mux reader for {label}: {e}")))?
         };
         reg.mux_sessions.add(1);
-        {
-            // Reap the readers of sessions that have ended (joining a
-            // finished thread does not block), so the list tracks live ones.
-            let mut readers = self.readers.lock();
-            while let Some(done) = readers.iter().position(JoinHandle::is_finished) {
-                let _ = readers.swap_remove(done).join();
-            }
-            readers.push(reader);
+        // Reap the readers of sessions that have ended (joining a finished
+        // thread does not block), so the list tracks live ones.
+        let mut readers = self.readers.lock();
+        while let Some(done) = readers.iter().position(JoinHandle::is_finished) {
+            let _ = readers.swap_remove(done).join();
         }
-        {
-            let mut state = session.doorbell.state.lock();
-            state.intake.push(Arc::clone(&session));
-        }
-        session.doorbell.bell.notify_one();
+        readers.push(reader);
         Ok(session)
     }
 }
@@ -1183,11 +766,11 @@ enum DialSlot {
 /// physical TCP session.
 ///
 /// Socket count is `O(peer pairs)`, not `O(directed links)`. Threads are
-/// 2 tx servicers + the acceptor, plus one reader blocked on each session
-/// end's socket: 27 for a loopback d=3 cube (24 ends), 387 at d=6 — the
-/// price of a first byte that wakes its reader directly, where a shared
-/// reader pool would sweep. Dropping the transport kills every session and
-/// joins every reader. Every label dials this
+/// the acceptor plus one reader blocked on each session end's socket: 25
+/// for a loopback d=3 cube (24 ends), 385 at d=6 — the price of a first
+/// byte that wakes its reader directly, where a shared reader pool would
+/// sweep. Senders write from their own threads. Dropping the transport
+/// closes every session and joins every reader. Every label dials this
 /// transport's own listener unless [`MuxTransport::set_peer`] routes it
 /// elsewhere; both sides of a pair must use `MuxTransport`.
 ///
@@ -1202,64 +785,39 @@ pub struct MuxTransport {
     peers: Mutex<HashMap<u32, SocketAddr>>,
     dial: Mutex<HashMap<Pair, DialSlot>>,
     dial_cv: Condvar,
-    threads: Vec<JoinHandle<()>>,
+    acceptor: Option<JoinHandle<()>>,
 }
 
 impl MuxTransport {
-    /// Binds a listener on an ephemeral loopback port and starts the tx
-    /// servicers and the acceptor; each session brings its own reader.
+    /// Binds a listener on an ephemeral loopback port and starts the
+    /// acceptor; each session brings its own reader.
     ///
     /// # Errors
     ///
-    /// [`NetError::Io`] if the listener cannot bind or a servicer thread
+    /// [`NetError::Io`] if the listener cannot bind or the acceptor thread
     /// cannot spawn.
     pub fn bind(config: MuxConfig) -> Result<Self, NetError> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let listener_addr = listener.local_addr()?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let mut threads = Vec::new();
-        let mut tx_pool = Vec::new();
-        for idx in 0..TX_SERVICERS {
-            let doorbell = Arc::new(TxDoorbell {
-                state: Mutex::new(TxSvcState::default()),
-                bell: Condvar::new(),
-            });
-            tx_pool.push(Arc::clone(&doorbell));
-            let worker = TxWorker {
-                config: config.clone(),
-                shared: doorbell,
-                shutdown: Arc::clone(&shutdown),
-            };
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("aoft-mux-tx-{idx}"))
-                    .spawn(move || worker.run())
-                    .map_err(|e| NetError::Io(format!("spawn mux tx servicer {idx}: {e}")))?,
-            );
-        }
         let shared = Arc::new(MuxShared {
             config,
             accepted: Mutex::new(HashMap::new()),
             accepted_cv: Condvar::new(),
-            tx_pool,
-            next_assign: AtomicUsize::new(0),
             readers: Mutex::new(Vec::new()),
-            shutdown,
+            shutdown: AtomicBool::new(false),
         });
         let acceptor_shared = Arc::clone(&shared);
-        threads.push(
-            std::thread::Builder::new()
-                .name("aoft-mux-accept".into())
-                .spawn(move || acceptor_loop(listener, acceptor_shared))
-                .map_err(|e| NetError::Io(format!("spawn mux acceptor: {e}")))?,
-        );
+        let acceptor = std::thread::Builder::new()
+            .name("aoft-mux-accept".into())
+            .spawn(move || acceptor_loop(listener, acceptor_shared))
+            .map_err(|e| NetError::Io(format!("spawn mux acceptor: {e}")))?;
         Ok(Self {
             shared,
             listener_addr,
             peers: Mutex::new(HashMap::new()),
             dial: Mutex::new(HashMap::new()),
             dial_cv: Condvar::new(),
-            threads,
+            acceptor: Some(acceptor),
         })
     }
 
@@ -1466,22 +1024,9 @@ impl<M: Wire + Send + 'static> Transport<M> for MuxTransport {
     fn connect_tx(&self, link: LinkId, deadline: Duration) -> Result<Box<dyn LinkTx<M>>, NetError> {
         let session = self.session_for(link, deadline, true)?;
         let token = next_id();
-        {
-            let mut inner = session.tx.lock();
-            if !inner.queues.contains_key(&link) {
-                inner.order.push(link);
-            }
-            // A re-attach replaces the previous attempt's queue outright —
-            // stale undelivered frames belong to the failed attempt.
-            inner.queues.insert(
-                link,
-                LinkQueue {
-                    frames: VecDeque::new(),
-                    open_token: token,
-                    closed: false,
-                },
-            );
-        }
+        // A re-attach replaces the previous handle's token: its sends
+        // return `Closed` from here on.
+        session.writer.lock().links.insert(link, token);
         if session.dead.load(Ordering::Acquire) {
             return Err(session.fate());
         }
@@ -1490,7 +1035,6 @@ impl<M: Wire + Send + 'static> Transport<M> for MuxTransport {
             link,
             tag: link.to_handshake(),
             token,
-            cap: TX_QUEUE_FRAMES,
             _marker: PhantomData,
         }))
     }
@@ -1554,28 +1098,23 @@ impl<M: Wire + Send + 'static> Transport<M> for MuxTransport {
 impl Drop for MuxTransport {
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::Release);
-        for doorbell in &self.shared.tx_pool {
-            doorbell.bell.notify_all();
-        }
         // The acceptor sits in blocking accept; a throwaway connection
         // makes it re-check the shutdown flag.
         let _ = TcpStream::connect(self.listener_addr);
-        for handle in self.threads.drain(..) {
-            let _ = handle.join();
+        if let Some(acceptor) = self.acceptor.take() {
+            let _ = acceptor.join();
         }
-        // Account every surviving session off the gauge and fail any
-        // receiver still attached; the kill also wakes each reader, so none
-        // outlives the transport.
-        let mut accepted = self.shared.accepted.lock();
-        for (_, session) in accepted.drain() {
-            session.kill(NetError::Closed);
-            session.fail_inboxes();
+        // Close every surviving session end: the peer sees `Bye`, the gauge
+        // drops, any receiver still attached fails, and the kill wakes each
+        // reader, so none outlives the transport.
+        let accepted: Vec<_> = self.shared.accepted.lock().drain().collect();
+        for (_, session) in accepted {
+            session.close();
         }
-        drop(accepted);
-        for (_, slot) in self.dial.lock().drain() {
+        let dialed: Vec<_> = self.dial.lock().drain().collect();
+        for (_, slot) in dialed {
             if let DialSlot::Ready(session) = slot {
-                session.kill(NetError::Closed);
-                session.fail_inboxes();
+                session.close();
             }
         }
         let readers = std::mem::take(&mut *self.shared.readers.lock());
@@ -1701,7 +1240,7 @@ mod tests {
                 .unwrap(),
             1
         );
-        drop(tx_dying); // enqueues the LinkBye
+        drop(tx_dying); // writes the LinkBye
         let err = rx_dying
             .recv_deadline(Duration::from_secs(5), &cancel)
             .unwrap_err();
@@ -1736,7 +1275,7 @@ mod tests {
 
     #[test]
     fn cancel_interrupts_blocked_mux_recv() {
-        // The heartbeat timers stay live on the servicer threads throughout:
+        // The readers' heartbeats and silence checks stay live throughout:
         // none of them may wake (or end) a receive.
         let transport = MuxTransport::bind(fast_config()).unwrap();
         let deadline = Duration::from_secs(5);
@@ -1779,6 +1318,142 @@ mod tests {
             assert!(matches!(err, NetError::PeerDead { .. }), "got {err}");
         }
         drop(raw);
+    }
+
+    #[test]
+    fn stalled_write_kills_the_session_within_the_heartbeat_timeout() {
+        // A raw peer completes the preamble and keeps the session alive
+        // with heartbeats, but never reads. Once the socket buffers fill, a
+        // send blocks in `write` until `SO_SNDTIMEO` (= heartbeat_timeout)
+        // ends it; the session dies, and its fate reaches the receiver.
+        let config = MuxConfig {
+            heartbeat_interval: Duration::from_millis(10),
+            heartbeat_timeout: Duration::from_millis(200),
+            ..MuxConfig::default()
+        };
+        // Slack covers a short write's own wait before the one that fails.
+        let bound = config.heartbeat_timeout + Duration::from_secs(1);
+        let transport = MuxTransport::bind(config).unwrap();
+        let cancel = CancelToken::new();
+        let deadline = Duration::from_secs(5);
+        // Local label 9 is `hi` of pair (2, 9): the remote end dials us.
+        let raw = TcpStream::connect(transport.local_addr()).unwrap();
+        write_preamble(&raw, (2, 9), 2, &[]).unwrap();
+        let stop = Arc::new(AtomicBool::new(false));
+        let beats = {
+            let (raw, stop) = (raw.try_clone().unwrap(), Arc::clone(&stop));
+            std::thread::spawn(move || {
+                let beat = encode_frame(FrameKind::Heartbeat, &[]);
+                while !stop.load(Ordering::Relaxed) && (&raw).write_all(&beat).is_ok() {
+                    std::thread::sleep(Duration::from_millis(5));
+                }
+            })
+        };
+        let tx = Transport::<Vec<u8>>::connect_tx(&transport, link(9, 2, 0), deadline).unwrap();
+        let rx = Transport::<u64>::connect_rx(&transport, link(2, 9, 0), deadline).unwrap();
+        // The sends run on their own thread, so a send that never returns
+        // fails this test instead of hanging it.
+        let (sent_tx, sent_rx) = std::sync::mpsc::channel();
+        let sender = std::thread::spawn(move || {
+            let body = vec![7u8; 64 * 1024];
+            loop {
+                let sent = tx.send(body.clone());
+                let failed = sent.is_err();
+                if sent_tx.send(sent).is_err() || failed {
+                    return;
+                }
+            }
+        });
+        let started = Instant::now();
+        let err = loop {
+            let Ok(sent) = sent_rx.recv_timeout(bound) else {
+                // Unblock the stuck write so the failure can unwind.
+                let _ = raw.shutdown(Shutdown::Both);
+                panic!("a send blocked for more than {bound:?}");
+            };
+            if let Err(err) = sent {
+                break err;
+            }
+            assert!(
+                started.elapsed() < Duration::from_secs(30),
+                "sends into a peer that never reads kept succeeding"
+            );
+        };
+        sender.join().unwrap();
+        assert!(matches!(err, NetError::Io(_)), "got {err}");
+        let seen = rx
+            .recv_deadline(Duration::from_secs(5), &cancel)
+            .unwrap_err();
+        assert_eq!(seen, err, "the receiver observes the session's fate");
+        stop.store(true, Ordering::Relaxed);
+        beats.join().unwrap();
+    }
+
+    #[test]
+    fn hostile_dials_lose_only_their_own_socket() {
+        let transport = MuxTransport::bind(fast_config()).unwrap();
+        let cancel = CancelToken::new();
+        let deadline = Duration::from_secs(5);
+        let l = link(1, 2, 0);
+        let tx = Transport::<u64>::connect_tx(&transport, l, deadline).unwrap();
+        let rx = Transport::<u64>::connect_rx(&transport, l, deadline).unwrap();
+        assert_eq!(transport.session_count(), 2);
+        let preamble = |magic: [u8; 8], lo: u32, hi: u32, count: u16| {
+            let mut buf = magic.to_vec();
+            for word in [lo, hi, lo] {
+                buf.extend_from_slice(&word.to_le_bytes());
+            }
+            buf.extend_from_slice(&count.to_le_bytes());
+            buf
+        };
+        let hostile = [
+            ("wrong magic", preamble(*b"NOTAMUX\x01", 2, 9, 0)),
+            ("lo > hi", preamble(MUX_MAGIC, 9, 2, 0)),
+            (
+                "manifest above the cap",
+                preamble(MUX_MAGIC, 2, 9, MAX_MANIFEST as u16 + 1),
+            ),
+            (
+                "truncated preamble",
+                preamble(MUX_MAGIC, 2, 9, 0)[..10].to_vec(),
+            ),
+            ("silent connection", Vec::new()),
+        ];
+        for (case, bytes) in hostile {
+            let raw = TcpStream::connect(transport.local_addr()).unwrap();
+            (&raw).write_all(&bytes).unwrap();
+            // The acceptor drops the socket: EOF or reset, not a timeout.
+            raw.set_read_timeout(Some(HANDSHAKE_TIMEOUT * 5)).unwrap();
+            match (&raw).read(&mut [0u8; 16]) {
+                Ok(0) => {}
+                Err(e) if e.kind() == io::ErrorKind::ConnectionReset => {}
+                other => panic!("{case}: socket still open ({other:?})"),
+            }
+            assert_eq!(transport.session_count(), 2, "{case}");
+        }
+        // A valid dial made afterwards still gets a working session.
+        let raw = TcpStream::connect(transport.local_addr()).unwrap();
+        write_preamble(&raw, (3, 9), 3, &[]).unwrap();
+        let fresh = link(3, 9, 0);
+        let fresh_rx = Transport::<u64>::connect_rx(&transport, fresh, deadline).unwrap();
+        let mut payload = fresh.to_handshake().to_vec();
+        42u64.encode(&mut payload);
+        (&raw)
+            .write_all(&encode_frame(FrameKind::Data, &payload))
+            .unwrap();
+        assert_eq!(
+            fresh_rx
+                .recv_deadline(Duration::from_secs(5), &cancel)
+                .unwrap(),
+            42
+        );
+        assert_eq!(transport.session_count(), 3);
+        // And the session that was there all along is untouched.
+        tx.send(5).unwrap();
+        assert_eq!(
+            rx.recv_deadline(Duration::from_secs(5), &cancel).unwrap(),
+            5
+        );
     }
 
     #[test]

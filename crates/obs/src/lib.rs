@@ -6,15 +6,15 @@
 //! * `registry` — the process-wide metric [`Registry`]
 //!   of counters, gauges, labeled families, and fixed-bucket histograms,
 //!   rendered in the Prometheus text exposition format.
-//! * [`hist`] — the HDR-style [`Histogram`](hist::Histogram): bounded
+//! * [`hist`] — the HDR-style [`Histogram`]: bounded
 //!   memory at any sample count, lock-free recording, percentiles exact for
 //!   single-valued buckets.
-//! * [`event`] — structured [`Event`](event::Event)s along the
+//! * [`event`] — structured [`Event`]s along the
 //!   job → attempt → stage (i, j) → predicate-check span hierarchy, kept in
 //!   a bounded ring and optionally journaled as JSONL for fail-stop
 //!   postmortems.
 //! * `server` — a dependency-free `/metrics` endpoint
-//!   ([`ObsServer`](server::ObsServer)) plus a [`scrape`](server::scrape)
+//!   ([`ObsServer`]) plus a [`scrape`]
 //!   helper for tests and the nightly soak.
 //! * [`prom`] — a minimal exposition-format parser so tests can assert a
 //!   scrape is well-formed.

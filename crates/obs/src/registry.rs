@@ -227,8 +227,8 @@ pub struct Registry {
     pub buf_pool_high_water: Gauge,
     /// Bytes of idle capacity the pool retains for reuse.
     pub buf_pool_retained_bytes: Gauge,
-    /// Write retries per mux session (the `link` label carries the
-    /// session's `lo~hi` peer pair).
+    /// Failed mux session writes, each of which kills its session (the
+    /// `link` label carries the session's `lo~hi` peer pair).
     pub net_send_retries: Family,
     /// Expected heartbeats that failed to arrive on time, per session.
     pub net_heartbeat_misses: Family,
@@ -238,11 +238,10 @@ pub struct Registry {
     // --- multiplexed transport (aoft-net::mux) ---
     /// Live multiplexed peer sessions (one per peer-pair session end).
     pub mux_sessions: Gauge,
-    /// Frames coalesced into each mux vectored session write
-    /// (count-valued histogram across every link sharing the session).
+    /// Frames per mux session write (count-valued; a send writes one
+    /// frame, so every sample is 1).
     pub mux_frames_per_write: Histogram,
-    /// Doorbell-to-drain latency: age in µs of the oldest frame in a mux
-    /// batch when its write starts.
+    /// A mux sender's wait in µs for its session end's write lock.
     pub mux_wake_latency: Histogram,
     /// Frame bytes written per mux session (all links combined).
     pub mux_bytes_sent: Family,
@@ -498,7 +497,7 @@ impl Registry {
         family(
             &mut out,
             "aoft_net_send_retries_total",
-            "Frame write retries per link.",
+            "Failed session writes per link; each kills its session.",
             &self.net_send_retries,
         );
         family(
@@ -522,13 +521,13 @@ impl Registry {
         count_histogram(
             &mut out,
             "aoft_mux_frames_per_write",
-            "Frames coalesced into each mux vectored session write.",
+            "Frames per mux session write.",
             &self.mux_frames_per_write,
         );
         count_histogram(
             &mut out,
             "aoft_mux_wake_latency_us",
-            "Age in microseconds of the oldest frame in a mux batch at write time.",
+            "Microseconds a mux sender waited for its session end's write lock.",
             &self.mux_wake_latency,
         );
         family(

@@ -283,8 +283,7 @@ impl<Q: Send> LinkRx<Q> for DetRx<Q> {
 /// The deterministic counterpart of [`Engine`](crate::Engine): same
 /// topology, same configuration, same [`Program`] API, but execution is
 /// fully serialized under a cooperative round-robin scheduler with virtual
-/// timeouts, so every run is bit-reproducible — see the [module
-/// docs](self).
+/// timeouts, so every run is bit-reproducible.
 ///
 /// Construct with [`DetEngine::new`]; run through the [`Simulator`]
 /// methods, which it shares with the threaded engine.

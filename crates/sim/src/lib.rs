@@ -77,9 +77,7 @@ mod time;
 mod trace;
 
 pub use adversary::{Action, Adversary, AdversarySet, SendContext};
-pub use aoft_net::{
-    Backoff, InProc, LinkCache, LinkId, MappedTransport, NetError, Transport, Wire,
-};
+pub use aoft_net::{InProc, LinkCache, LinkId, MappedTransport, NetError, Transport, Wire};
 pub use config::SimConfig;
 pub use det::DetEngine;
 pub use engine::{Engine, Outcome, RunReport, Simulator};

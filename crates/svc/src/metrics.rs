@@ -120,7 +120,6 @@ impl MetricsSink {
             queue_depth,
             quarantined,
             latency_p50: self.latency.percentile(50),
-            latency_p90: self.latency.percentile(90),
             latency_p99: self.latency.percentile(99),
             sim: state.sim,
         }
@@ -157,8 +156,6 @@ pub struct SvcMetrics {
     pub quarantined: Vec<u32>,
     /// Median submit→completion latency over completed jobs.
     pub latency_p50: Duration,
-    /// 90th-percentile latency.
-    pub latency_p90: Duration,
     /// 99th-percentile latency.
     pub latency_p99: Duration,
     /// Simulator counters merged over every successful attempt.
@@ -172,7 +169,7 @@ mod tests {
     #[test]
     fn single_and_identical_latencies_stay_exact() {
         // The histogram's bucket-mean percentile is exact whenever a bucket
-        // holds one distinct value — the property the service's p50/p90/p99
+        // holds one distinct value — the property the service's p50/p99
         // output relies on for small sample counts.
         let sink = MetricsSink::default();
         let ms = |n: u64| Duration::from_millis(n);
@@ -181,7 +178,6 @@ mod tests {
         }
         let snap = sink.snapshot(0, vec![]);
         assert_eq!(snap.latency_p50, ms(7));
-        assert_eq!(snap.latency_p90, ms(7));
         assert_eq!(snap.latency_p99, ms(7));
     }
 
@@ -196,8 +192,7 @@ mod tests {
         // Bucketed percentiles: within the nearest-rank sample's bucket.
         assert!(snap.latency_p50 >= ms(33) && snap.latency_p50 < ms(66));
         assert!(snap.latency_p99 >= ms(66) && snap.latency_p99 <= ms(100));
-        assert!(snap.latency_p99 >= snap.latency_p90);
-        assert!(snap.latency_p90 >= snap.latency_p50);
+        assert!(snap.latency_p99 >= snap.latency_p50);
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! degraded mode — until the cube shrinks below the configured minimum.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::time::Duration;
 
 use aoft_sim::ErrorReport;
 use aoft_sort::diagnosis::diagnose;
@@ -62,6 +63,32 @@ pub(crate) fn retry_timing(
         RetryTiming::Absence
     } else {
         RetryTiming::ValueEvidence
+    }
+}
+
+/// The delays an [`RetryTiming::Absence`] retry serves: `initial,
+/// 2·initial, 4·initial, …` clamped to `max`. Deterministic (no jitter), so
+/// failure traces stay comparable across runs.
+#[derive(Debug, Clone)]
+pub(crate) struct Backoff {
+    max: Duration,
+    current: Duration,
+}
+
+impl Backoff {
+    /// Starts a sequence at `initial`, never exceeding `max`.
+    pub(crate) fn new(initial: Duration, max: Duration) -> Self {
+        Self {
+            max,
+            current: initial,
+        }
+    }
+
+    /// The delay to sleep before the next retry; doubles for the one after.
+    pub(crate) fn next_delay(&mut self) -> Duration {
+        let delay = self.current.min(self.max);
+        self.current = (self.current * 2).min(self.max);
+        delay
     }
 }
 
@@ -284,6 +311,16 @@ mod tests {
     use super::*;
     use aoft_hypercube::NodeId;
     use aoft_sim::Ticks;
+
+    #[test]
+    fn backoff_doubles_until_capped() {
+        let mut b = Backoff::new(Duration::from_millis(5), Duration::from_millis(35));
+        assert_eq!(b.next_delay(), Duration::from_millis(5));
+        assert_eq!(b.next_delay(), Duration::from_millis(10));
+        assert_eq!(b.next_delay(), Duration::from_millis(20));
+        assert_eq!(b.next_delay(), Duration::from_millis(35));
+        assert_eq!(b.next_delay(), Duration::from_millis(35));
+    }
 
     fn missing_message(detector: u32, suspect: u32) -> ErrorReport {
         ErrorReport {

@@ -452,6 +452,23 @@ enum RunError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Control-plane bytes come from another process: decoding any
+        /// byte string, valid message tag or not, ends in `Ok` or `Err`,
+        /// never a panic.
+        #[test]
+        fn remote_msg_decode_never_panics(
+            tag in 0u8..4,
+            body in prop::collection::vec(any::<u8>(), 0..256),
+        ) {
+            let mut bytes = vec![tag];
+            bytes.extend_from_slice(&body);
+            let _ = RemoteMsg::decode(&mut &bytes[..]);
+            let _ = RemoteMsg::decode(&mut &body[..]);
+        }
+    }
 
     #[test]
     fn remote_msg_round_trips() {

@@ -8,7 +8,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use aoft_net::{Backoff, LinkCache, MappedTransport, Transport};
+use aoft_net::{LinkCache, MappedTransport, Transport};
 use aoft_obs::ObsServer;
 use aoft_sim::{ErrorReport, NodeMetrics, Packet, Trace};
 use aoft_sort::composite::{demux, mux, CompositeCodec};
@@ -19,7 +19,7 @@ use crate::config::{ConfigError, SvcConfig};
 use crate::job::{JobError, JobHandle, JobId, JobReport, JobSpec, SubmitError};
 use crate::metrics::{MetricsSink, SvcMetrics};
 use crate::queue::{JobQueue, PushRefused, QueuedJob};
-use crate::recovery::{retry_timing, CubePlan, Recovery, RetryTiming};
+use crate::recovery::{retry_timing, Backoff, CubePlan, Recovery, RetryTiming};
 
 /// A resident sorting service over a shared transport.
 ///

@@ -61,8 +61,8 @@ fn d6_cube_uses_one_socket_per_peer_pair() {
     };
 
     // Generous liveness margins, as in the d=6 thread-pool test: 64 compute
-    // threads on a small CI box can stall a servicer pass long enough for
-    // the default 500 ms silence window to fire spuriously.
+    // threads on a small CI box can stall a reader long enough for the
+    // default 500 ms silence window to fire spuriously.
     let config = MuxConfig {
         connect_timeout: Duration::from_secs(10),
         heartbeat_interval: Duration::from_millis(100),
@@ -280,8 +280,8 @@ fn detection_latency_is_bounded_by_recv_timeout() {
 }
 
 /// A machine-wide cancel wakes a receive blocked on a socket link at once,
-/// even while the session's heartbeat timers and silence checks
-/// stay live on the servicer threads.
+/// even while the session's heartbeats and silence checks stay live on its
+/// readers.
 #[test]
 fn cancel_interrupts_mux_recv_under_live_timers() {
     let transport = mux(2);
@@ -318,8 +318,8 @@ fn cancel_interrupts_mux_recv_under_live_timers() {
 }
 
 /// Every wire buffer leased from the global pool during a full d=4 `S_FT`
-/// run over loopback mux sessions comes back: once the tx servicers drain, the
-/// outstanding-lease count returns to zero. This is the steady-state
+/// run over loopback mux sessions comes back: each returns when its `send`
+/// does, so the outstanding-lease count ends at zero. This is the steady-state
 /// allocation discipline observed end to end — buffers cycle through the
 /// pool instead of being allocated per message.
 #[test]
@@ -335,8 +335,8 @@ fn pool_reclaims_all_leases_after_d4_mux_run() {
     let expected = common::sorted(&keys);
     assert_eq!(report.output(), expected.as_slice());
 
-    // Tx servicers may still be flushing their last frames when run_on
-    // returns; give them a bounded moment to hand their leases back.
+    // A lease returns to the pool when its `send` returns, so none should
+    // be out once the run is over; the bounded wait is only slack.
     let deadline = Instant::now() + Duration::from_secs(5);
     loop {
         let outstanding = pool::outstanding();

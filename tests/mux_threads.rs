@@ -21,9 +21,10 @@ fn live_threads() -> Option<usize> {
 /// The thread claim, measured: a d=6 cube has 384 directed links, which
 /// would cost a thread-per-link design 768 dedicated transport threads.
 /// `MuxTransport` runs one reader per *session end* — 192 peer pairs, two
-/// ends each on loopback — plus 2 tx servicers and the acceptor, so the
-/// process peak stays around nodes + 387, below thread-per-link. Every one
-/// of those threads is gone once the transport is dropped.
+/// ends each on loopback — plus the acceptor, and senders write from their
+/// own threads, so the process peak stays around nodes + 385, below
+/// thread-per-link. Every one of those threads is gone once the transport
+/// is dropped.
 #[test]
 fn d6_cube_runs_on_a_bounded_thread_pool() {
     let Some(base) = live_threads() else {
@@ -40,9 +41,9 @@ fn d6_cube_runs_on_a_bounded_thread_pool() {
         heartbeat_interval: Duration::from_millis(100),
         heartbeat_timeout: Duration::from_secs(30),
     };
-    // One reader per session end (2·192 on loopback) + 2 tx servicers +
-    // the acceptor.
-    let transport_threads = 2 * 192 + 2 + 1;
+    // One reader per session end (2·192 on loopback) + the acceptor; no
+    // tx thread.
+    let transport_threads = 2 * 192 + 1;
     let transport = MuxTransport::bind(config).expect("bind loopback mux");
 
     // Sample the task count while the sort runs; keep the peak.
