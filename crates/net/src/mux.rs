@@ -88,8 +88,12 @@ const READ_CHUNK: usize = 64 * 1024;
 /// treated as a corrupt dial.
 const MAX_MANIFEST: usize = 1024;
 
-/// How long the acceptor waits for a dialer's session preamble before
-/// dropping the connection.
+/// How long an accepted connection may stay silent before the acceptor
+/// drops it. A dialer writes its whole preamble right after connecting.
+const FIRST_BYTE_TIMEOUT: Duration = Duration::from_millis(100);
+
+/// The longest one dial may hold the acceptor: its whole preamble must
+/// have arrived this long after the accept.
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// The liveness clocks of a [`MuxTransport`], per *session* (peer pair).
@@ -700,10 +704,42 @@ fn write_preamble(
     writer.write_all(&buf)
 }
 
-fn read_preamble(stream: &TcpStream) -> Result<Pair, NetError> {
-    stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT))?;
+/// An accepted socket as the acceptor reads its preamble: a read times out
+/// once the dial has been silent for `FIRST_BYTE_TIMEOUT`, or has talked
+/// but not finished for `HANDSHAKE_TIMEOUT`, both counted from the accept.
+/// The acceptor reads one dial at a time, so these bound how long any one
+/// dial delays the next.
+struct Handshake<'a> {
+    stream: &'a TcpStream,
+    accepted: Instant,
+    talked: bool,
+}
+
+impl Read for Handshake<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let limit = if self.talked {
+            HANDSHAKE_TIMEOUT
+        } else {
+            FIRST_BYTE_TIMEOUT
+        };
+        let left = limit.saturating_sub(self.accepted.elapsed());
+        if left.is_zero() {
+            return Err(io::ErrorKind::TimedOut.into());
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        let mut stream = self.stream;
+        let n = stream.read(buf)?;
+        self.talked |= n > 0;
+        Ok(n)
+    }
+}
+
+/// Reads and checks one session preamble. Every buffer is fixed-size: the
+/// manifest count is checked against `MAX_MANIFEST` and its entries are
+/// read one at a time and discarded.
+fn read_preamble(mut input: impl Read) -> Result<Pair, NetError> {
     let mut head = [0u8; 22];
-    (&mut &*stream).read_exact(&mut head)?;
+    input.read_exact(&mut head)?;
     if head[..8] != MUX_MAGIC {
         return Err(NetError::Codec("bad mux session magic".into()));
     }
@@ -724,9 +760,8 @@ fn read_preamble(stream: &TcpStream) -> Result<Pair, NetError> {
     // dialer chose to announce); consume and discard it.
     let mut entry = [0u8; 9];
     for _ in 0..count {
-        (&mut &*stream).read_exact(&mut entry)?;
+        input.read_exact(&mut entry)?;
     }
-    stream.set_read_timeout(None)?;
     Ok((lo, hi))
 }
 
@@ -738,7 +773,12 @@ fn acceptor_loop(listener: TcpListener, shared: Arc<MuxShared>) {
         let Ok(stream) = conn else { continue };
         // A corrupt or foreign dial just loses its socket; it must not
         // take the acceptor down.
-        let Ok(pair) = read_preamble(&stream) else {
+        let handshake = Handshake {
+            stream: &stream,
+            accepted: Instant::now(),
+            talked: false,
+        };
+        let Ok(pair) = read_preamble(handshake) else {
             continue;
         };
         let Ok(session) = shared.create_session(pair, stream) else {
@@ -746,8 +786,10 @@ fn acceptor_loop(listener: TcpListener, shared: Arc<MuxShared>) {
         };
         let mut map = shared.accepted.lock();
         if let Some(old) = map.insert(pair, Arc::clone(&session)) {
-            // A re-dial for a pair replaces its (dead or stale)
-            // predecessor; whoever still held it observes Closed.
+            // A re-dial for a pair replaces its predecessor, live or not;
+            // whoever still held it observes Closed (DESIGN §18: the
+            // preamble is unauthenticated, so `set_peer` presumes every
+            // dialer of this listener is trusted).
             old.kill(NetError::Closed);
             old.fail_inboxes();
         }
@@ -1454,6 +1496,69 @@ mod tests {
             rx.recv_deadline(Duration::from_secs(5), &cancel).unwrap(),
             5
         );
+    }
+
+    #[test]
+    fn silent_and_stalled_dials_hold_the_acceptor_only_briefly() {
+        let transport = MuxTransport::bind(fast_config()).unwrap();
+        let addr = transport.local_addr();
+        // Four dials that never talk, then one that stops mid-preamble,
+        // all queued ahead of a valid dial.
+        let silent: Vec<TcpStream> = (0..4).map(|_| TcpStream::connect(addr).unwrap()).collect();
+        let stalled = TcpStream::connect(addr).unwrap();
+        let mut head = MUX_MAGIC.to_vec();
+        head.extend_from_slice(&2u32.to_le_bytes());
+        (&stalled).write_all(&head).unwrap();
+        let started = Instant::now();
+        let raw = TcpStream::connect(addr).unwrap();
+        write_preamble(&raw, (3, 9), 3, &[]).unwrap();
+        Transport::<u64>::connect_rx(&transport, link(3, 9, 0), Duration::from_secs(5))
+            .expect("the valid dial is accepted");
+        let waited = started.elapsed();
+        let bound = FIRST_BYTE_TIMEOUT * silent.len() as u32 + HANDSHAKE_TIMEOUT;
+        assert!(
+            waited < bound + Duration::from_millis(300),
+            "waited {waited:?} behind dials bounded at {bound:?} in all"
+        );
+    }
+
+    proptest! {
+        /// A preamble is read from hostile bytes: any input ends in a pair
+        /// or an error, a pair consumes exactly the head and the manifest
+        /// it announced, and a manifest count over the cap is refused
+        /// before a byte of it is read.
+        #[test]
+        fn preamble_reads_end_in_a_pair_or_an_error(
+            well_formed in any::<bool>(),
+            lo in 0u32..4,
+            hi in 0u32..4,
+            count in any::<u16>(),
+            small in any::<bool>(),
+            tail in prop::collection::vec(any::<u8>(), 0..80),
+        ) {
+            let count = if small { count % 8 } else { count };
+            let mut bytes = Vec::new();
+            if well_formed {
+                bytes.extend_from_slice(&MUX_MAGIC);
+                for word in [lo, hi, lo] {
+                    bytes.extend_from_slice(&word.to_le_bytes());
+                }
+                bytes.extend_from_slice(&count.to_le_bytes());
+            }
+            bytes.extend_from_slice(&tail);
+            let mut input = &bytes[..];
+            let result = read_preamble(&mut input);
+            let consumed = bytes.len() - input.len();
+            if let Ok(pair) = result {
+                prop_assert!(pair.0 <= pair.1);
+                let announced = u16::from_le_bytes([bytes[20], bytes[21]]);
+                prop_assert_eq!(consumed, 22 + 9 * usize::from(announced));
+            }
+            if well_formed && lo <= hi && usize::from(count) > MAX_MANIFEST {
+                prop_assert!(result.is_err());
+                prop_assert_eq!(consumed, 22);
+            }
+        }
     }
 
     #[test]

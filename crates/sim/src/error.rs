@@ -3,6 +3,7 @@ use std::fmt;
 use std::time::Duration;
 
 use aoft_hypercube::NodeId;
+use aoft_net::{CodecError, Wire};
 use serde::{Deserialize, Serialize};
 
 use crate::Ticks;
@@ -87,6 +88,30 @@ impl ErrorReport {
     pub const RUNTIME_FAILURE: u32 = 0;
 }
 
+/// How a report crosses a process boundary (a cube host's answer carries
+/// the fail-stop reports of every failed attempt).
+impl Wire for ErrorReport {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.detector.encode(out);
+        self.at.encode(out);
+        self.code.encode(out);
+        self.stage.encode(out);
+        self.suspect.encode(out);
+        self.detail.encode(out);
+    }
+
+    fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
+        Ok(ErrorReport {
+            detector: NodeId::decode(input)?,
+            at: Ticks::decode(input)?,
+            code: u32::decode(input)?,
+            stage: Option::decode(input)?,
+            suspect: Option::decode(input)?,
+            detail: String::decode(input)?,
+        })
+    }
+}
+
 impl fmt::Display for ErrorReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -134,5 +159,19 @@ mod tests {
         assert!(s.contains("P2"));
         assert!(s.contains("[7]"));
         assert!(s.contains("non-bitonic"));
+    }
+
+    #[test]
+    fn report_round_trips_on_the_wire() {
+        let report = ErrorReport {
+            detector: NodeId::new(6),
+            at: Ticks::from_ticks(1234),
+            code: 3,
+            stage: Some(1),
+            suspect: Some(NodeId::new(2)),
+            detail: "Φ_C conflict".to_string(),
+        };
+        let bytes = aoft_net::wire::to_bytes(&report);
+        assert_eq!(aoft_net::wire::from_bytes(&bytes), Ok(report));
     }
 }

@@ -3,7 +3,9 @@
 //! One [`SortService`] is one machine — a `2^d`-node cube whose quarantine
 //! can only shrink it. A [`FleetRouter`] owns several such cubes (plus
 //! optional standby spares) and routes a stream of [`JobSpec`]s across
-//! them:
+//! them. A cube runs in this process ([`FleetRouter::start`]) or is a
+//! cube-host child process behind a control session
+//! ([`FleetRouter::connect`]); one policy serves both:
 //!
 //! * **routing** — round-robin over *healthy* active cubes; cubes the
 //!   recovery layer has shrunk (non-empty quarantine) are deprioritized to
@@ -28,14 +30,16 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
-use aoft_net::Transport;
+use aoft_net::{MuxTransport, Transport};
 use aoft_sim::Packet;
 use aoft_sort::Msg;
 
 use crate::config::{ConfigError, SvcConfig};
 use crate::job::{JobError, JobHandle, JobReport, JobSpec, SubmitError};
 use crate::metrics::SvcMetrics;
+use crate::remote::{RemoteCube, PARENT_LABEL};
 use crate::service::SortService;
 
 /// Configuration of a [`FleetRouter`].
@@ -71,42 +75,51 @@ impl FleetConfig {
     }
 }
 
-struct Cube<T>
-where
-    T: Transport<Packet<Msg>> + Send + Sync + 'static,
-{
-    service: SortService<T>,
+/// What serves one cube's jobs: a service in this process, or a cube-host
+/// child over its control session.
+enum Backend<T> {
+    Local(SortService<T>),
+    Remote(RemoteCube),
+}
+
+impl<T> Backend<T> {
+    fn submit(&self, spec: JobSpec) -> Result<JobHandle, SubmitError> {
+        match self {
+            Backend::Local(service) => service.submit(spec),
+            Backend::Remote(child) => child.submit(spec),
+        }
+    }
+
+    /// Degraded cubes are routed last: a service that has quarantined any
+    /// node (its largest clean cube is smaller than configured), or a
+    /// child that has either done so or left the rotation.
+    fn degraded(&self) -> bool {
+        match self {
+            Backend::Local(service) => !service.quarantined().is_empty(),
+            Backend::Remote(child) => child.degraded(),
+        }
+    }
+
+    fn metrics(&self) -> SvcMetrics {
+        match self {
+            Backend::Local(service) => service.metrics(),
+            Backend::Remote(child) => child.metrics(),
+        }
+    }
+}
+
+struct Cube<T> {
+    backend: Backend<T>,
     /// Held in reserve until promoted; spares sort behind every active cube
     /// in routing order.
     spare: AtomicBool,
-    /// Router-local routed count — the process-global family below is
-    /// shared by every fleet in the process, so snapshots must not read it.
-    routed_local: AtomicU64,
     routed: Arc<aoft_obs::Counter>,
     health: Arc<aoft_obs::Gauge>,
 }
 
-impl<T> Cube<T>
-where
-    T: Transport<Packet<Msg>> + Send + Sync + 'static,
-{
-    /// A cube is degraded once its service has quarantined any node — its
-    /// largest clean cube is smaller than configured.
-    fn degraded(&self) -> bool {
-        !self.service.quarantined().is_empty()
-    }
-
-    fn note_routed(&self) {
-        self.routed_local.fetch_add(1, Ordering::Relaxed);
-        self.routed.inc();
-    }
-}
-
-/// A router over N [`SortService`] cubes sharing one admission door.
-pub struct FleetRouter<T>
-where
-    T: Transport<Packet<Msg>> + Send + Sync + 'static,
-{
+/// A router over N cubes — in-process [`SortService`]s or cube-host child
+/// processes — sharing one admission door.
+pub struct FleetRouter<T> {
     config: FleetConfig,
     cubes: Vec<Cube<T>>,
     /// Round-robin rotation of the routing order.
@@ -134,32 +147,45 @@ where
         if config.cubes == 0 {
             return Err(ConfigError("a fleet needs at least one active cube".into()));
         }
-        let total = config.cubes + config.spares;
+        let backends = (0..config.cubes + config.spares)
+            .map(|i| {
+                let transport = transport_for(i)
+                    .map_err(|e| ConfigError(format!("fleet cube {i} transport: {e}")))?;
+                SortService::start(config.cube.clone(), transport).map(Backend::Local)
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(Self::assemble(config, backends))
+    }
+}
+
+impl<T> FleetRouter<T> {
+    /// Puts `backends` into rotation: the first `config.cubes` active, the
+    /// rest spares.
+    fn assemble(config: FleetConfig, backends: Vec<Backend<T>>) -> Self {
         let reg = aoft_obs::global();
-        let mut cubes = Vec::with_capacity(total);
-        for i in 0..total {
-            let transport = transport_for(i)
-                .map_err(|e| ConfigError(format!("fleet cube {i} transport: {e}")))?;
-            let service = SortService::start(config.cube.clone(), transport)?;
-            let label = i.to_string();
-            let health = reg.fleet_cube_health.with_label(&label);
-            health.set(1);
-            cubes.push(Cube {
-                service,
-                spare: AtomicBool::new(i >= config.cubes),
-                routed_local: AtomicU64::new(0),
-                routed: reg.fleet_jobs_routed.with_label(&label),
-                health,
-            });
-        }
-        reg.fleet_cubes.set(total as i64);
-        Ok(Self {
+        let cubes: Vec<_> = backends
+            .into_iter()
+            .enumerate()
+            .map(|(i, backend)| {
+                let label = i.to_string();
+                let health = reg.fleet_cube_health.with_label(&label);
+                health.set(1);
+                Cube {
+                    backend,
+                    spare: AtomicBool::new(i >= config.cubes),
+                    routed: reg.fleet_jobs_routed.with_label(&label),
+                    health,
+                }
+            })
+            .collect();
+        reg.fleet_cubes.add(cubes.len() as i64);
+        Self {
             config,
             cubes,
             rr: AtomicUsize::new(0),
             failovers: AtomicU64::new(0),
             promoted: AtomicU64::new(0),
-        })
+        }
     }
 
     /// Routes one job to the best cube available and returns its fleet
@@ -231,8 +257,8 @@ where
         spec: JobSpec,
     ) -> Result<FleetHandle<'_, T>, SubmitError> {
         let cube = self.cubes.get(index).ok_or(SubmitError::Stopped)?;
-        let handle = cube.service.submit(spec.clone())?;
-        cube.note_routed();
+        let handle = cube.backend.submit(spec.clone())?;
+        cube.routed.inc();
         Ok(FleetHandle {
             router: self,
             spec,
@@ -245,62 +271,46 @@ where
     /// A point-in-time fleet snapshot (refreshes health gauges).
     pub fn metrics(&self) -> FleetMetrics {
         self.refresh_health();
-        let degraded = self
-            .cubes
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.degraded())
-            .map(|(i, _)| i)
-            .collect();
-        let spares = self
-            .cubes
-            .iter()
-            .filter(|c| c.spare.load(Ordering::Acquire))
-            .count();
+        let spare = |c: &Cube<T>| c.spare.load(Ordering::Acquire);
+        let spares = self.cubes.iter().filter(|c| spare(c)).count();
+        let per_cube: Vec<SvcMetrics> = self.cubes.iter().map(|c| c.backend.metrics()).collect();
         FleetMetrics {
             cubes: self.cubes.len(),
             active: self.cubes.len() - spares,
             spares,
-            degraded,
-            jobs_routed: self
-                .cubes
-                .iter()
-                .map(|c| c.routed_local.load(Ordering::Relaxed))
+            degraded: (0..self.cubes.len())
+                .filter(|&i| self.cubes[i].backend.degraded())
                 .collect(),
+            // A cube counts exactly the jobs it admitted, which are the
+            // jobs routed to it.
+            jobs_routed: per_cube.iter().map(|m| m.jobs_submitted).collect(),
             failovers: self.failovers.load(Ordering::Relaxed),
             spares_promoted: self.promoted.load(Ordering::Relaxed),
-            per_cube: self.cubes.iter().map(|c| c.service.metrics()).collect(),
+            per_cube,
         }
     }
 
     /// Stops every cube: queued-but-unstarted jobs resolve with
-    /// [`JobError::Stopped`], in-flight jobs run to completion.
-    pub fn shutdown(self) {
-        for cube in self.cubes {
-            cube.service.shutdown();
-        }
-        aoft_obs::global().fleet_cubes.set(0);
-    }
+    /// [`JobError::Stopped`], in-flight jobs run to completion. Dropping
+    /// the router does the same.
+    pub fn shutdown(self) {}
 
     /// Refreshes health gauges and keeps the healthy-active count at
     /// target by promoting healthy spares when actives degrade.
     fn refresh_health(&self) {
         let mut healthy_actives = 0usize;
         for cube in &self.cubes {
-            let degraded = cube.degraded();
+            let degraded = cube.backend.degraded();
             cube.health.set(i64::from(!degraded));
             if !degraded && !cube.spare.load(Ordering::Acquire) {
                 healthy_actives += 1;
             }
         }
-        if healthy_actives >= self.config.cubes {
-            return;
-        }
         for (i, cube) in self.cubes.iter().enumerate() {
             if healthy_actives >= self.config.cubes {
                 break;
             }
-            if cube.degraded() || !cube.spare.swap(false, Ordering::AcqRel) {
+            if cube.backend.degraded() || !cube.spare.swap(false, Ordering::AcqRel) {
                 continue;
             }
             healthy_actives += 1;
@@ -326,7 +336,7 @@ where
             if Some(i) == exclude {
                 continue;
             }
-            if cube.degraded() {
+            if cube.backend.degraded() {
                 degraded.push(i);
             } else if cube.spare.load(Ordering::Acquire) {
                 healthy_spare.push(i);
@@ -336,10 +346,8 @@ where
         }
         // Rotate within the healthy-active class, so the round-robin is
         // fair over the cubes actually in rotation.
-        if !healthy_active.is_empty() {
-            let rotation = start % healthy_active.len();
-            healthy_active.rotate_left(rotation);
-        }
+        let rotation = start % healthy_active.len().max(1);
+        healthy_active.rotate_left(rotation);
         healthy_active.extend(healthy_spare);
         healthy_active.extend(degraded);
         healthy_active
@@ -356,7 +364,7 @@ where
         }
         for index in order {
             let cube = &self.cubes[index];
-            match cube.service.submit(spec.clone()) {
+            match cube.backend.submit(spec.clone()) {
                 Ok(handle) => {
                     if cube.spare.swap(false, Ordering::AcqRel) {
                         // Routing reached a spare: everything ahead of it
@@ -364,7 +372,7 @@ where
                         self.promoted.fetch_add(1, Ordering::Relaxed);
                         aoft_obs::global().fleet_spares_promoted.inc();
                     }
-                    cube.note_routed();
+                    cube.routed.inc();
                     return Ok(FleetHandle {
                         router: self,
                         spec,
@@ -385,24 +393,60 @@ where
     }
 }
 
-impl<T> std::fmt::Debug for FleetRouter<T>
-where
-    T: Transport<Packet<Msg>> + Send + Sync + 'static,
-{
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FleetRouter")
-            .field("cubes", &self.cubes.len())
-            .field("config", &self.config)
-            .finish()
+impl FleetRouter<MuxTransport> {
+    /// Waits for each cube-host child in `children` to dial `control` and
+    /// routes over them as cubes `0..children.len()`, the first
+    /// `config.cubes` active and the rest spares. A child holds at most
+    /// `config.cube.queue_depth` jobs in flight; one whose session dies, or
+    /// that holds a job past `job_timeout`, leaves the rotation.
+    ///
+    /// # Errors
+    ///
+    /// [`ConfigError`] when `children` is not `cubes + spares` (`cubes` ≥ 1)
+    /// distinct labels below the parent's, or a child does not dial within
+    /// `deadline`.
+    pub fn connect(
+        config: FleetConfig,
+        control: MuxTransport,
+        children: &[u32],
+        deadline: Duration,
+        job_timeout: Duration,
+    ) -> Result<Self, ConfigError> {
+        // A second dial for a label would replace the first child's live
+        // session (DESIGN §18), silently ending it.
+        let unfit = |i: usize| children[i] >= PARENT_LABEL || children[..i].contains(&children[i]);
+        let wanted = config.cubes + config.spares;
+        if config.cubes == 0 || children.len() != wanted || (0..wanted).any(unfit) {
+            return Err(ConfigError(format!(
+                "children {children:?}: want {wanted} distinct labels below {PARENT_LABEL}, \
+                 at least one active"
+            )));
+        }
+        config.cube.validate()?;
+        let control = Arc::new(control);
+        let backends = children
+            .iter()
+            .map(|&label| {
+                RemoteCube::connect(&control, label, &config.cube, deadline, job_timeout)
+                    .map(Backend::Remote)
+                    .map_err(|e| ConfigError(format!("cube host child {label}: {e}")))
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(Self::assemble(config, backends))
+    }
+}
+
+impl<T> Drop for FleetRouter<T> {
+    fn drop(&mut self) {
+        // Every fleet in the process counts its own cubes on the gauge.
+        let cubes = self.cubes.len() as i64;
+        aoft_obs::global().fleet_cubes.add(-cubes);
     }
 }
 
 /// A routed job's claim ticket: [`JobHandle`] plus the fleet's failover
 /// policy.
-pub struct FleetHandle<'a, T>
-where
-    T: Transport<Packet<Msg>> + Send + Sync + 'static,
-{
+pub struct FleetHandle<'a, T> {
     router: &'a FleetRouter<T>,
     spec: JobSpec,
     handle: JobHandle,
@@ -410,10 +454,7 @@ where
     reroutes: usize,
 }
 
-impl<T> FleetHandle<'_, T>
-where
-    T: Transport<Packet<Msg>> + Send + Sync + 'static,
-{
+impl<T> FleetHandle<'_, T> {
     /// The cube currently running the job.
     pub fn cube(&self) -> usize {
         self.cube
@@ -494,7 +535,8 @@ pub struct FleetMetrics {
     pub active: usize,
     /// Cubes still held in reserve.
     pub spares: usize,
-    /// Indices of quarantine-shrunken cubes (deprioritized in routing).
+    /// Indices of degraded cubes, deprioritized in routing: quarantine
+    /// shrank them, or (a cube-host child) they left the rotation.
     pub degraded: Vec<usize>,
     /// Jobs routed to each cube, by index.
     pub jobs_routed: Vec<u64>,
@@ -502,6 +544,7 @@ pub struct FleetMetrics {
     pub failovers: u64,
     /// Spares promoted into the active rotation.
     pub spares_promoted: u64,
-    /// Each cube's own service metrics, by index.
+    /// Each cube's own service metrics, by index. A cube-host child's are
+    /// counted by the parent, and its `queue_depth` is its jobs in flight.
     pub per_cube: Vec<SvcMetrics>,
 }

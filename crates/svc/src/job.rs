@@ -70,6 +70,18 @@ impl JobSpec {
         self.capture_trace = enabled;
         self
     }
+
+    /// Refuses a spec no `2^dim`-node cube can run: any degraded subcube
+    /// is a smaller power of two, so checking the full cube suffices.
+    pub(crate) fn servable_on(&self, dim: u32) -> Result<(), SubmitError> {
+        let (keys, nodes) = (self.keys.len(), 1usize << dim);
+        if keys == 0 || keys % nodes != 0 {
+            return Err(SubmitError::Invalid(format!(
+                "{keys} keys are not a positive multiple of the {nodes}-node cube"
+            )));
+        }
+        Ok(())
+    }
 }
 
 /// The result of a completed job.
@@ -89,7 +101,8 @@ pub struct JobReport {
     pub detections: Vec<Vec<ErrorReport>>,
     /// Wall-clock time from submission to completion (queue wait included).
     pub latency: Duration,
-    /// Merged per-node simulator counters of the successful attempt.
+    /// Merged per-node simulator counters of the successful attempt (empty
+    /// for a job a cube-host child answered: they stay in the child).
     pub metrics: NodeMetrics,
     /// Total effort billed to this job, in ticks: node-time (send + idle +
     /// compute) summed over *every* attempt, including fail-stopped ones —
@@ -97,7 +110,8 @@ pub struct JobReport {
     /// `latency` (the client-visible makespan).
     pub effort: u64,
     /// Event trace of the successful attempt (empty unless the spec set
-    /// [`JobSpec::capture_trace`]).
+    /// [`JobSpec::capture_trace`], and always empty for a job a cube-host
+    /// child answered).
     pub trace: Trace,
 }
 

@@ -57,5 +57,5 @@ pub use config::{ConfigError, SvcConfig};
 pub use fleet::{FleetConfig, FleetHandle, FleetMetrics, FleetReport, FleetRouter};
 pub use job::{JobError, JobHandle, JobId, JobReport, JobSpec, SubmitError};
 pub use metrics::SvcMetrics;
-pub use remote::{CubeHost, RemoteFleet, RemoteReport};
+pub use remote::CubeHost;
 pub use service::SortService;

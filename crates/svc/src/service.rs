@@ -43,10 +43,7 @@ use crate::recovery::{retry_timing, Backoff, CubePlan, Recovery, RetryTiming};
 /// Per the paper's fail-stop discipline the service never returns an
 /// unverified result: a job either completes with a verified sorted output
 /// or fails loudly with [`JobError`].
-pub struct SortService<T>
-where
-    T: Transport<Packet<Msg>> + Send + Sync + 'static,
-{
+pub struct SortService<T> {
     inner: Arc<Inner<T>>,
     workers: Vec<JoinHandle<()>>,
     /// The Prometheus endpoint, when [`SvcConfig::metrics_addr`] asked for
@@ -54,10 +51,7 @@ where
     obs: Option<ObsServer>,
 }
 
-struct Inner<T>
-where
-    T: Transport<Packet<Msg>> + Send + Sync + 'static,
-{
+struct Inner<T> {
     config: SvcConfig,
     cache: Arc<LinkCache<T>>,
     queue: JobQueue,
@@ -116,7 +110,9 @@ where
             obs,
         })
     }
+}
 
+impl<T> SortService<T> {
     /// The bound metrics-endpoint address (resolved port when configured
     /// with port 0); `None` when the endpoint is disabled.
     pub fn metrics_addr(&self) -> Option<std::net::SocketAddr> {
@@ -134,17 +130,9 @@ where
     ///   subcube is a smaller power of two and divides too).
     /// * [`SubmitError::Stopped`] — the service has shut down.
     pub fn submit(&self, spec: JobSpec) -> Result<JobHandle, SubmitError> {
-        let nodes = 1usize << self.inner.config.dim;
-        if spec.keys.is_empty() {
+        if let Err(err) = spec.servable_on(self.inner.config.dim) {
             self.inner.metrics.job_rejected();
-            return Err(SubmitError::Invalid("no keys to sort".into()));
-        }
-        if spec.keys.len() % nodes != 0 {
-            self.inner.metrics.job_rejected();
-            return Err(SubmitError::Invalid(format!(
-                "{} keys do not divide over the service's {nodes}-node cube",
-                spec.keys.len()
-            )));
+            return Err(err);
         }
         let id = JobId(self.inner.next_job.fetch_add(1, Ordering::Relaxed) + 1);
         let (reply, rx) = crossbeam_channel::unbounded();
@@ -198,10 +186,7 @@ where
     }
 }
 
-impl<T> Drop for SortService<T>
-where
-    T: Transport<Packet<Msg>> + Send + Sync + 'static,
-{
+impl<T> Drop for SortService<T> {
     fn drop(&mut self) {
         self.stop_and_join();
     }
@@ -326,10 +311,7 @@ fn begin_attempt<T>(
     attempt: usize,
     failed: Option<(&CubePlan, &[ErrorReport])>,
     retry: &mut RetryState,
-) -> Result<CubePlan, usize>
-where
-    T: Transport<Packet<Msg>> + Send + Sync + 'static,
-{
+) -> Result<CubePlan, usize> {
     let Some((failed_plan, reports)) = failed else {
         return inner.recovery.plan(&retry.avoid);
     };
@@ -544,10 +526,7 @@ fn effort_share(attempt_effort: u64, rider_len: u64, total_len: u64) -> u64 {
 /// [`JobError`] is built, the sink billed, the reply sent. What the sink is
 /// billed is what the report says — retries as made, and effort over every
 /// attempt the job was aboard, whether or not it ended in an answer.
-fn settle<T>(inner: &Inner<T>, ride: Ride, mut ending: Result<Sorted, JobError>)
-where
-    T: Transport<Packet<Msg>> + Send + Sync + 'static,
-{
+fn settle<T>(inner: &Inner<T>, ride: Ride, mut ending: Result<Sorted, JobError>) {
     let retries = ride.attempts.saturating_sub(1) as u64;
     for (i, rider) in ride.riders.into_iter().enumerate() {
         let result = match &mut ending {
@@ -594,9 +573,7 @@ fn digest_failure<T>(
     reports: &[ErrorReport],
     plan: &CubePlan,
     avoid: &mut BTreeSet<u32>,
-) where
-    T: Transport<Packet<Msg>> + Send + Sync + 'static,
-{
+) {
     let verdict = inner.recovery.record_failure(reports, plan);
     avoid.extend(verdict.suspects.iter().copied());
     for label in verdict.newly_quarantined {

@@ -14,13 +14,16 @@
 //! permanently fail-silent a few frames into its first job, and with an
 //! attempt budget of 1 that job fails *loudly* back to the parent.
 //!
-//! The parent's [`aoft::svc::RemoteFleet`] then does what the paper asks
-//! of "the system": it fails the job over to the healthy child, keeps
-//! routing, and — because child 101 quarantines the dead node on the
-//! first strike — watches the sabotaged child come back in *degraded*
-//! mode, reporting its quarantine across the process boundary in every
-//! subsequent answer. Every output is verified sorted: one failover, one
-//! quarantined node, zero silent corruption.
+//! The parent routes over the children with the same
+//! [`aoft::svc::FleetRouter`] an in-process fleet uses
+//! ([`FleetRouter::connect`](aoft::svc::FleetRouter::connect)), which does
+//! what the paper asks of "the system": it fails the job over to the
+//! healthy child, and — because child 101 quarantines the dead node on the
+//! first strike and says so in its answers — routes the now *degraded*
+//! child last. A `submit_batch` burst larger than the healthy child's
+//! admission bound then overflows onto the degraded child, which serves it
+//! around the quarantined node. Every output is verified sorted: at least
+//! one failover, one quarantined node, zero silent corruption.
 //!
 //! Used by CI's `mux-quick` job as the end-to-end multi-process gate.
 
@@ -34,12 +37,17 @@ use aoft::adv::ByzantineTransport;
 use aoft::faults::{FaultKind, FaultPlan, Trigger};
 use aoft::hypercube::NodeId;
 use aoft::net::{MuxConfig, MuxTransport};
-use aoft::svc::{CubeHost, RemoteFleet, SvcConfig};
+use aoft::svc::{CubeHost, FleetConfig, FleetReport, FleetRouter, JobSpec, SvcConfig};
 use common::sorted;
 
 const HEALTHY_CHILD: u32 = 100;
 const FAULTY_CHILD: u32 = 101;
+/// Cube index of each child under the router (the order passed to
+/// `connect`).
+const FAULTY_CUBE: usize = 1;
 const JOBS: usize = 24;
+/// Jobs one child may hold in flight; the burst is twice this.
+const DEPTH: usize = 4;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().collect();
@@ -55,6 +63,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     parent()
 }
 
+/// The cube shape both sides share. Attempt budget 1 makes a cube-level
+/// fault surface immediately as a loud `Failed` (the fleet handles it);
+/// quarantine on the first strike means the next job already runs
+/// degraded around the dead node; a child batches up to `DEPTH` of the
+/// jobs it holds into one attempt.
+fn cube_config() -> SvcConfig {
+    SvcConfig::new(3)
+        .max_attempts(1)
+        .quarantine_after(1)
+        .queue_depth(DEPTH)
+        .batch_max(DEPTH)
+        .recv_timeout(Duration::from_millis(800))
+}
+
 /// Child mode: one complete cube on a loopback mux transport, served to
 /// the parent until the parent closes the session.
 fn cube_host(
@@ -63,13 +85,6 @@ fn cube_host(
     kill_node: Option<u32>,
 ) -> Result<(), Box<dyn std::error::Error>> {
     let cube = MuxTransport::loopback(8)?;
-    // Attempt budget 1 makes a cube-level fault surface immediately as a
-    // loud `Failed` (the fleet handles it); quarantine on the first strike
-    // means the next job already runs degraded around the dead node.
-    let svc = SvcConfig::new(3)
-        .max_attempts(1)
-        .quarantine_after(1)
-        .recv_timeout(Duration::from_millis(800));
     let mut plan = FaultPlan::new();
     if let Some(node) = kill_node {
         plan = plan.with_fault(
@@ -79,7 +94,12 @@ fn cube_host(
             0xBEEF + u64::from(label),
         );
     }
-    CubeHost::serve(label, parent, svc, ByzantineTransport::new(cube, plan))?;
+    CubeHost::serve(
+        label,
+        parent,
+        cube_config(),
+        ByzantineTransport::new(cube, plan),
+    )?;
     Ok(())
 }
 
@@ -95,6 +115,12 @@ fn spawn_child(label: u32, parent: SocketAddr, kill_node: Option<u32>) -> std::i
     cmd.spawn()
 }
 
+fn job_keys(job: usize) -> Vec<i32> {
+    (0..32i32)
+        .map(|x| (x + job as i32).wrapping_mul(-61) % 200)
+        .collect()
+}
+
 fn parent() -> Result<(), Box<dyn std::error::Error>> {
     let control = MuxTransport::bind(MuxConfig::default())?;
     let addr = control.local_addr();
@@ -105,7 +131,8 @@ fn parent() -> Result<(), Box<dyn std::error::Error>> {
         spawn_child(FAULTY_CHILD, addr, Some(5))?,
     ];
 
-    let mut fleet = RemoteFleet::connect(
+    let router = FleetRouter::connect(
+        FleetConfig::new(cube_config(), 2),
         control,
         &[HEALTHY_CHILD, FAULTY_CHILD],
         Duration::from_secs(30),
@@ -114,62 +141,76 @@ fn parent() -> Result<(), Box<dyn std::error::Error>> {
     println!("parent: both children dialed in");
 
     let mut failures = Vec::new();
-    let mut recovered_degraded = 0usize;
-    for job in 0..JOBS {
-        let keys: Vec<i32> = (0..32i32)
-            .map(|x| (x + job as i32).wrapping_mul(-61) % 200)
-            .collect();
-        let expected = sorted(&keys);
-        let report = fleet.submit(keys)?;
-        if report.output != expected {
+    let mut degraded_served = 0usize;
+    let mut check = |job: usize, report: &FleetReport| {
+        let ok = report.report.output == sorted(&job_keys(job));
+        if !ok {
             failures.push(job);
         }
-        if report.cube == FAULTY_CHILD && report.reroutes == 0 && fleet.failovers() > 0 {
-            recovered_degraded += 1;
+        if report.cube == FAULTY_CUBE && report.report.dim < 3 {
+            degraded_served += 1;
         }
         println!(
-            "job {job:2}: cube {} attempts {} reroutes {} {}",
+            "job {job:2}: cube {} dim {} attempts {} reroutes {} {}",
             report.cube,
-            report.attempts,
+            report.report.dim,
+            report.report.attempts,
             report.reroutes,
-            if report.output == expected {
-                "sorted"
-            } else {
-                "CORRUPT"
-            }
+            if ok { "sorted" } else { "CORRUPT" }
         );
+    };
+    for job in 0..JOBS {
+        let report = router.submit(JobSpec::new(job_keys(job)))?.wait()?;
+        check(job, &report);
+    }
+    // A burst of twice one child's bound: the healthy child fills up, and
+    // degraded-last routing sends the overflow to the degraded child.
+    let burst: Vec<usize> = (JOBS..JOBS + 2 * DEPTH).collect();
+    let handles = router.submit_batch(burst.iter().map(|&j| JobSpec::new(job_keys(j))).collect());
+    for (&job, handle) in burst.iter().zip(handles) {
+        let report = match handle {
+            Ok(handle) => handle.wait()?,
+            // Both children full: a client backs off and resubmits.
+            Err(_) => router.submit(JobSpec::new(job_keys(job)))?.wait()?,
+        };
+        check(job, &report);
     }
 
-    let failovers = fleet.failovers();
-    let quarantine = fleet.quarantine_map();
-    println!("parent: {failovers} failover(s); quarantine per child: {quarantine:?}");
+    let metrics = router.metrics();
+    let quarantine: Vec<&[u32]> = metrics
+        .per_cube
+        .iter()
+        .map(|c| &c.quarantined[..])
+        .collect();
+    println!(
+        "parent: {} failover(s); degraded cubes {:?}; quarantine per cube: {quarantine:?}; \
+         jobs routed per cube: {:?}",
+        metrics.failovers, metrics.degraded, metrics.jobs_routed
+    );
 
-    // The three claims this example (and CI's mux-quick gate) stands on.
+    // The claims this example (and CI's mux-quick gate) stands on.
     assert!(
         failures.is_empty(),
         "jobs {failures:?} returned unsorted output — silent corruption"
     );
     assert!(
-        failovers >= 1,
+        metrics.failovers >= 1,
         "the sabotaged child must cost at least one loud failover"
     );
-    let faulty_quarantine = quarantine
-        .iter()
-        .find(|(label, _)| *label == FAULTY_CHILD)
-        .map(|(_, nodes)| nodes.clone())
-        .unwrap_or_default();
     assert!(
-        faulty_quarantine.contains(&5),
+        quarantine[FAULTY_CUBE].contains(&5),
         "child {FAULTY_CHILD} must report node 5 quarantined across the \
-         process boundary, got {faulty_quarantine:?}"
+         process boundary, got {:?}",
+        quarantine[FAULTY_CUBE]
     );
     assert!(
-        recovered_degraded > 0,
+        degraded_served > 0,
         "the sabotaged child must serve jobs degraded after quarantine"
     );
 
-    // Dropping the fleet closes every child session — their exit signal.
-    drop(fleet);
+    // Shutting the router down closes every child session — their exit
+    // signal.
+    router.shutdown();
     for child in &mut children {
         let status = child.wait()?;
         assert!(status.success(), "cube host exited with {status}");
