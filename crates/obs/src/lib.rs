@@ -4,8 +4,9 @@
 //! other layer reports into:
 //!
 //! * `registry` — the process-wide metric [`Registry`]
-//!   of counters, gauges, labeled families, and fixed-bucket histograms,
-//!   rendered in the Prometheus text exposition format.
+//!   of counters, gauges, labeled families, and fixed-bucket histograms:
+//!   the families no service or fleet owns (sort core, simulator,
+//!   transport, buffer pool, adversary harness).
 //! * [`hist`] — the HDR-style [`Histogram`]: bounded
 //!   memory at any sample count, lock-free recording, percentiles exact for
 //!   single-valued buckets.
@@ -14,15 +15,17 @@
 //!   a bounded ring and optionally journaled as JSONL for fail-stop
 //!   postmortems.
 //! * `server` — a dependency-free `/metrics` endpoint
-//!   ([`ObsServer`]) plus a [`scrape`]
-//!   helper for tests and the nightly soak.
-//! * [`prom`] — a minimal exposition-format parser so tests can assert a
-//!   scrape is well-formed.
+//!   ([`ObsServer`]) that serves its owner's families, then the process
+//!   registry's, plus a [`scrape`] helper for tests and the nightly soak.
+//! * [`prom`] — the exposition format: the one writer every endpoint
+//!   renders with ([`prom::Exposition`]), and a minimal parser so tests can
+//!   assert a scrape is well-formed.
 //!
 //! Instrumented crates either touch [`global()`] fields directly (single
 //! atomics) or, on hot paths, cache a labeled family's
 //! [`with_label`](Family::with_label) handle once and pay only atomic
-//! increments afterwards.
+//! increments afterwards. A service or fleet keeps its own numbers and
+//! renders them on its own endpoint.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs, unreachable_pub)]
@@ -35,7 +38,7 @@ mod server;
 
 pub use event::{emit, flush_journal, install_journal, recent_events, Event};
 pub use hist::Histogram;
-pub use registry::{global, Counter, Family, Gauge, GaugeFamily, Registry};
+pub use registry::{global, Counter, Family, Gauge, Registry};
 pub use server::{scrape, ObsServer};
 
 use std::time::{Duration, Instant};

@@ -1,10 +1,64 @@
-//! A minimal validator/parser for the Prometheus text exposition format.
+//! The Prometheus text exposition format (version 0.0.4): the one writer
+//! every endpoint renders with ([`Exposition`]), and a minimal parser.
 //!
-//! Just enough to let tests and the CI gate assert that a scrape is
-//! well-formed and that required metric families are present — not a full
-//! client library.
+//! The parser is just enough to let tests and the CI gate assert that a
+//! scrape is well-formed and that required metric families are present —
+//! not a full client library.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::{Display, Write};
+
+use crate::hist::Histogram;
+
+/// Builds exposition text: each family's `# HELP`/`# TYPE` header once
+/// ([`family`](Self::family)), then every sample of it, whoever owns them.
+#[derive(Debug, Default)]
+pub struct Exposition(String);
+
+impl Exposition {
+    /// Starts family `name` of `kind` (`counter`, `gauge` or `histogram`).
+    pub fn family(&mut self, name: &str, kind: &str, help: &str) {
+        let _ = write!(self.0, "# HELP {name} {help}\n# TYPE {name} {kind}\n");
+    }
+
+    /// One sample, `name{labels} value`; label values are escaped.
+    pub fn sample(&mut self, name: &str, labels: &[(&str, &str)], value: impl Display) {
+        self.0.push_str(name);
+        for (i, (label, v)) in labels.iter().enumerate() {
+            let v = v
+                .replace('\\', "\\\\")
+                .replace('"', "\\\"")
+                .replace('\n', "\\n");
+            let open = if i == 0 { '{' } else { ',' };
+            let _ = write!(self.0, "{open}{label}=\"{v}\"");
+        }
+        if !labels.is_empty() {
+            self.0.push('}');
+        }
+        let _ = writeln!(self.0, " {value}");
+    }
+
+    /// Histogram `h`'s `_bucket`, `_sum` and `_count` samples. `seconds`:
+    /// its samples are microseconds, rendered as seconds; otherwise they are
+    /// counts (batch occupancy, frames per write), rendered as they are.
+    pub fn histogram(&mut self, name: &str, labels: &[(&str, &str)], h: &Histogram, seconds: bool) {
+        let scale = |v: u64| if seconds { v as f64 / 1e6 } else { v as f64 };
+        let snap = h.snapshot();
+        let bucket = format!("{name}_bucket");
+        for (bound, cumulative) in &snap.cumulative {
+            let le = bound.map_or("+Inf".to_string(), |b| scale(b).to_string());
+            let labels: Vec<_> = labels.iter().copied().chain([("le", &le[..])]).collect();
+            self.sample(&bucket, &labels, cumulative);
+        }
+        self.sample(&format!("{name}_sum"), labels, scale(snap.sum_us));
+        self.sample(&format!("{name}_count"), labels, snap.count);
+    }
+
+    /// The text written so far.
+    pub fn finish(self) -> String {
+        self.0
+    }
+}
 
 /// Parses exposition text, validating line shape, and returns the set of
 /// metric *family* names seen (sample names with `_bucket`/`_sum`/`_count`
@@ -128,6 +182,26 @@ lat_count 2\n";
         let families = parse_families(text).unwrap();
         assert_eq!(families.len(), 3);
         assert!(families.contains("lat"));
+    }
+
+    #[test]
+    fn writer_groups_samples_under_one_header() {
+        let mut out = Exposition::default();
+        out.family("x_total", "counter", "things");
+        out.sample("x_total", &[("cube", "0")], 3);
+        out.sample("x_total", &[("cube", "1"), ("why", "a\"b\\c\nd")], 4);
+        let h = Histogram::new();
+        h.record_count(4);
+        out.family("occ", "histogram", "jobs per batch");
+        out.histogram("occ", &[("cube", "0")], &h, false);
+        let text = out.finish();
+        assert_eq!(text.matches("# TYPE").count(), 2);
+        assert!(text.contains("x_total{cube=\"1\",why=\"a\\\"b\\\\c\\nd\"} 4\n"));
+        assert!(text.contains("occ_bucket{cube=\"0\",le=\"8\"} 1\n"));
+        assert!(text.contains("occ_count{cube=\"0\"} 1\n"));
+        let samples = parse_samples(&text).unwrap();
+        assert_eq!(samples["x_total"], 7.0);
+        assert_eq!(samples["occ"], 1.0);
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! A dependency-free `/metrics` endpoint over a plain [`TcpListener`].
 //!
-//! Serves the global registry's Prometheus text exposition to any HTTP/1.x
-//! GET (path is not inspected — every request gets the metrics page, which
-//! is all a scraper needs). Shutdown follows the transport crate's idiom:
-//! flip an [`AtomicBool`] and self-connect to unblock `accept`.
+//! Serves its owner's families, then the process registry's, as one
+//! Prometheus text exposition to any HTTP/1.x GET (path is not inspected —
+//! every request gets the metrics page, which is all a scraper needs).
+//! Shutdown follows the transport crate's idiom: flip an [`AtomicBool`] and
+//! self-connect to unblock `accept`.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -23,20 +24,24 @@ pub struct ObsServer {
 }
 
 impl ObsServer {
-    /// Binds `addr` (use port 0 for an ephemeral port) and starts serving
-    /// the global registry.
+    /// Binds `addr` (use port 0 for an ephemeral port) and starts serving:
+    /// each scrape is `render()`'s exposition — the owner's families, read
+    /// when the scrape arrives — followed by the process registry's.
     ///
     /// # Errors
     ///
     /// [`std::io::Error`] if the bind fails.
-    pub fn bind(addr: SocketAddr) -> std::io::Result<Self> {
+    pub fn bind(
+        addr: SocketAddr,
+        render: impl Fn() -> String + Send + 'static,
+    ) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let stop_flag = Arc::clone(&stop);
         let handle = std::thread::Builder::new()
             .name("obs-metrics".into())
-            .spawn(move || serve_loop(&listener, &stop_flag))
+            .spawn(move || serve_loop(&listener, &stop_flag, &render))
             .expect("spawn obs-metrics thread");
         Ok(Self {
             addr,
@@ -62,7 +67,7 @@ impl Drop for ObsServer {
     }
 }
 
-fn serve_loop(listener: &TcpListener, stop: &AtomicBool) {
+fn serve_loop(listener: &TcpListener, stop: &AtomicBool, render: &dyn Fn() -> String) {
     loop {
         let Ok((stream, _)) = listener.accept() else {
             if stop.load(Ordering::Acquire) {
@@ -73,11 +78,11 @@ fn serve_loop(listener: &TcpListener, stop: &AtomicBool) {
         if stop.load(Ordering::Acquire) {
             return;
         }
-        let _ = answer(stream);
+        let _ = answer(stream, render);
     }
 }
 
-fn answer(mut stream: TcpStream) -> std::io::Result<()> {
+fn answer(mut stream: TcpStream, render: &dyn Fn() -> String) -> std::io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_millis(500)))?;
     stream.set_write_timeout(Some(Duration::from_secs(2)))?;
     // Drain the request head; ignore its contents.
@@ -93,7 +98,7 @@ fn answer(mut stream: TcpStream) -> std::io::Result<()> {
             break;
         }
     }
-    let body = global().render_prometheus();
+    let body = render() + &global().render_prometheus();
     let response = format!(
         "HTTP/1.1 200 OK\r\nContent-Type: text/plain; version=0.0.4; charset=utf-8\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{}",
         body.len(),
@@ -141,20 +146,28 @@ mod tests {
 
     #[test]
     fn serves_parseable_exposition() {
-        let server = ObsServer::bind("127.0.0.1:0".parse().unwrap()).unwrap();
-        global().jobs_submitted.inc();
+        let owner = || {
+            let mut out = crate::prom::Exposition::default();
+            out.family("aoft_queue_depth", "gauge", "Jobs waiting.");
+            out.sample("aoft_queue_depth", &[], 3);
+            out.finish()
+        };
+        let server = ObsServer::bind("127.0.0.1:0".parse().unwrap(), owner).unwrap();
         let body = scrape(server.local_addr()).unwrap();
-        let families = crate::prom::parse_families(&body).expect("valid exposition");
-        assert!(families.contains("aoft_jobs_submitted_total"));
-        assert!(families.contains("aoft_queue_depth"));
+        let samples = crate::prom::parse_samples(&body).expect("valid exposition");
+        assert_eq!(samples["aoft_queue_depth"], 3.0, "the owner's families");
+        assert!(
+            samples.contains_key("aoft_sort_runs_total"),
+            "the registry's"
+        );
         // A second scrape works too (connection-per-request).
         let body2 = scrape(server.local_addr()).unwrap();
-        assert!(body2.contains("aoft_jobs_submitted_total"));
+        assert!(body2.contains("aoft_queue_depth 3"));
     }
 
     #[test]
     fn drop_stops_the_thread() {
-        let server = ObsServer::bind("127.0.0.1:0".parse().unwrap()).unwrap();
+        let server = ObsServer::bind("127.0.0.1:0".parse().unwrap(), String::new).unwrap();
         let addr = server.local_addr();
         drop(server);
         // After drop the port should refuse (or at least not serve metrics

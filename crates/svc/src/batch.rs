@@ -39,10 +39,13 @@ pub(crate) struct Batch {
     /// The coalesced jobs, in admission order (the order of their
     /// composite-key segments).
     pub(crate) jobs: Vec<QueuedJob>,
-    /// Which rule flushed the batch (`solo`, `size`, `deadline`,
-    /// `boundary`) — the `aoft_batch_flushes_total` label.
+    /// Which rule flushed the batch, one of [`TRIGGERS`] — the
+    /// `aoft_batch_flushes_total` label.
     pub(crate) trigger: &'static str,
 }
+
+/// Every rule that flushes a batch.
+pub(crate) const TRIGGERS: [&str; 4] = ["solo", "size", "deadline", "boundary"];
 
 /// Coalesces queued jobs into batches for the worker loop.
 pub(crate) struct Batcher {

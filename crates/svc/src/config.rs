@@ -54,7 +54,9 @@ pub struct SvcConfig {
     pub algorithm: Algorithm,
     /// Address to serve Prometheus metrics on (`None` disables the
     /// endpoint). Port 0 binds an ephemeral port, reported by
-    /// [`SortService::metrics_addr`](crate::SortService::metrics_addr).
+    /// [`SortService::metrics_addr`](crate::SortService::metrics_addr). In
+    /// a fleet's cube configuration it is the fleet's one endpoint
+    /// ([`FleetRouter::metrics_addr`](crate::FleetRouter::metrics_addr)).
     pub metrics_addr: Option<SocketAddr>,
     /// Most jobs one cube attempt may coalesce into a single composite-key
     /// sort. `1` (the default) disables batching: every job flushes at

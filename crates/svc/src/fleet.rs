@@ -24,21 +24,29 @@
 //!   different cube entirely. Results stay verified end to end; a job is
 //!   never answered with an unverified output, no matter how many hops.
 //!
-//! Observability: `aoft_fleet_cubes`, per-cube `aoft_fleet_jobs_routed_total`
-//! and `aoft_fleet_cube_health`, `aoft_fleet_failovers_total`, and
-//! `aoft_fleet_spares_promoted_total` in the process registry.
+//! Observability: a fleet has one endpoint, at the cube configuration's
+//! [`SvcConfig::metrics_addr`] ([`FleetRouter::metrics_addr`]); no cube binds
+//! its own. A scrape reads the router's state when it arrives:
+//! `aoft_fleet_cubes`, per-cube `aoft_fleet_jobs_routed_total` and
+//! `aoft_fleet_cube_health`, `aoft_fleet_failovers_total` and
+//! `aoft_fleet_spares_promoted_total`, then every cube's service families
+//! labeled `cube="i"` (a cube-host child's as its parent-side counts), then
+//! the process registry.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::net::SocketAddr;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use aoft_net::{MuxTransport, Transport};
+use aoft_obs::prom::Exposition;
+use aoft_obs::{Counter, ObsServer};
 use aoft_sim::Packet;
 use aoft_sort::Msg;
 
 use crate::config::{ConfigError, SvcConfig};
 use crate::job::{JobError, JobHandle, JobReport, JobSpec, SubmitError};
-use crate::metrics::SvcMetrics;
+use crate::metrics::{self, Families, SvcMetrics};
 use crate::remote::{RemoteCube, PARENT_LABEL};
 use crate::service::SortService;
 
@@ -106,6 +114,13 @@ impl<T> Backend<T> {
             Backend::Remote(child) => child.metrics(),
         }
     }
+
+    fn families(&self) -> Families<'_> {
+        match self {
+            Backend::Local(service) => service.families(),
+            Backend::Remote(child) => child.families(),
+        }
+    }
 }
 
 struct Cube<T> {
@@ -113,19 +128,20 @@ struct Cube<T> {
     /// Held in reserve until promoted; spares sort behind every active cube
     /// in routing order.
     spare: AtomicBool,
-    routed: Arc<aoft_obs::Counter>,
-    health: Arc<aoft_obs::Gauge>,
 }
 
 /// A router over N cubes — in-process [`SortService`]s or cube-host child
 /// processes — sharing one admission door.
 pub struct FleetRouter<T> {
+    /// The fleet's endpoint, which reads the cubes: declared first, so it
+    /// stops before they drop.
+    obs: Option<ObsServer>,
     config: FleetConfig,
-    cubes: Vec<Cube<T>>,
+    cubes: Arc<[Cube<T>]>,
     /// Round-robin rotation of the routing order.
     rr: AtomicUsize,
-    failovers: AtomicU64,
-    promoted: AtomicU64,
+    /// Jobs resubmitted to another cube after their first cube failed them.
+    failovers: Arc<Counter>,
 }
 
 impl<T> FleetRouter<T>
@@ -139,7 +155,8 @@ where
     /// # Errors
     ///
     /// [`ConfigError`] when the cube configuration is invalid, the fleet is
-    /// empty, or a transport cannot be built.
+    /// empty, a transport cannot be built, or the fleet's metrics address
+    /// cannot be bound.
     pub fn start<F>(config: FleetConfig, mut transport_for: F) -> Result<Self, ConfigError>
     where
         F: FnMut(usize) -> Result<T, aoft_net::NetError>,
@@ -147,45 +164,59 @@ where
         if config.cubes == 0 {
             return Err(ConfigError("a fleet needs at least one active cube".into()));
         }
+        // The fleet binds the metrics address, once, for every cube.
+        let cube = SvcConfig {
+            metrics_addr: None,
+            ..config.cube.clone()
+        };
         let backends = (0..config.cubes + config.spares)
             .map(|i| {
                 let transport = transport_for(i)
                     .map_err(|e| ConfigError(format!("fleet cube {i} transport: {e}")))?;
-                SortService::start(config.cube.clone(), transport).map(Backend::Local)
+                SortService::start(cube.clone(), transport).map(Backend::Local)
             })
             .collect::<Result<_, _>>()?;
-        Ok(Self::assemble(config, backends))
+        Self::assemble(config, backends)
+    }
+
+    /// Puts `backends` into rotation, the first `config.cubes` active and
+    /// the rest spares, and binds the fleet's endpoint if one is asked for.
+    fn assemble(config: FleetConfig, backends: Vec<Backend<T>>) -> Result<Self, ConfigError> {
+        let cubes: Arc<[Cube<T>]> = backends
+            .into_iter()
+            .enumerate()
+            .map(|(i, backend)| Cube {
+                backend,
+                spare: AtomicBool::new(i >= config.cubes),
+            })
+            .collect();
+        let failovers = Arc::new(Counter::default());
+        let obs = match config.cube.metrics_addr {
+            Some(addr) => {
+                let (cubes, failovers) = (Arc::clone(&cubes), Arc::clone(&failovers));
+                let actives = config.cubes;
+                let render = move || render(&cubes, &failovers, actives);
+                let server = ObsServer::bind(addr, render)
+                    .map_err(|e| ConfigError(format!("metrics endpoint {addr}: {e}")))?;
+                Some(server)
+            }
+            None => None,
+        };
+        Ok(Self {
+            obs,
+            config,
+            cubes,
+            rr: AtomicUsize::new(0),
+            failovers,
+        })
     }
 }
 
 impl<T> FleetRouter<T> {
-    /// Puts `backends` into rotation: the first `config.cubes` active, the
-    /// rest spares.
-    fn assemble(config: FleetConfig, backends: Vec<Backend<T>>) -> Self {
-        let reg = aoft_obs::global();
-        let cubes: Vec<_> = backends
-            .into_iter()
-            .enumerate()
-            .map(|(i, backend)| {
-                let label = i.to_string();
-                let health = reg.fleet_cube_health.with_label(&label);
-                health.set(1);
-                Cube {
-                    backend,
-                    spare: AtomicBool::new(i >= config.cubes),
-                    routed: reg.fleet_jobs_routed.with_label(&label),
-                    health,
-                }
-            })
-            .collect();
-        reg.fleet_cubes.add(cubes.len() as i64);
-        Self {
-            config,
-            cubes,
-            rr: AtomicUsize::new(0),
-            failovers: AtomicU64::new(0),
-            promoted: AtomicU64::new(0),
-        }
+    /// The bound metrics-endpoint address (resolved port when configured
+    /// with port 0); `None` when the cube configuration asks for none.
+    pub fn metrics_addr(&self) -> Option<SocketAddr> {
+        self.obs.as_ref().map(ObsServer::local_addr)
     }
 
     /// Routes one job to the best cube available and returns its fleet
@@ -258,7 +289,6 @@ impl<T> FleetRouter<T> {
     ) -> Result<FleetHandle<'_, T>, SubmitError> {
         let cube = self.cubes.get(index).ok_or(SubmitError::Stopped)?;
         let handle = cube.backend.submit(spec.clone())?;
-        cube.routed.inc();
         Ok(FleetHandle {
             router: self,
             spec,
@@ -268,7 +298,8 @@ impl<T> FleetRouter<T> {
         })
     }
 
-    /// A point-in-time fleet snapshot (refreshes health gauges).
+    /// A point-in-time fleet snapshot (promotes spares first, as routing
+    /// does).
     pub fn metrics(&self) -> FleetMetrics {
         self.refresh_health();
         let spare = |c: &Cube<T>| c.spare.load(Ordering::Acquire);
@@ -284,8 +315,8 @@ impl<T> FleetRouter<T> {
             // A cube counts exactly the jobs it admitted, which are the
             // jobs routed to it.
             jobs_routed: per_cube.iter().map(|m| m.jobs_submitted).collect(),
-            failovers: self.failovers.load(Ordering::Relaxed),
-            spares_promoted: self.promoted.load(Ordering::Relaxed),
+            failovers: self.failovers.get(),
+            spares_promoted: promoted(&self.cubes, self.config.cubes),
             per_cube,
         }
     }
@@ -295,17 +326,14 @@ impl<T> FleetRouter<T> {
     /// the router does the same.
     pub fn shutdown(self) {}
 
-    /// Refreshes health gauges and keeps the healthy-active count at
-    /// target by promoting healthy spares when actives degrade.
+    /// Keeps the healthy-active count at target by promoting healthy
+    /// spares when actives degrade.
     fn refresh_health(&self) {
-        let mut healthy_actives = 0usize;
-        for cube in &self.cubes {
-            let degraded = cube.backend.degraded();
-            cube.health.set(i64::from(!degraded));
-            if !degraded && !cube.spare.load(Ordering::Acquire) {
-                healthy_actives += 1;
-            }
-        }
+        let mut healthy_actives = self
+            .cubes
+            .iter()
+            .filter(|c| !c.spare.load(Ordering::Acquire) && !c.backend.degraded())
+            .count();
         for (i, cube) in self.cubes.iter().enumerate() {
             if healthy_actives >= self.config.cubes {
                 break;
@@ -314,8 +342,6 @@ impl<T> FleetRouter<T> {
                 continue;
             }
             healthy_actives += 1;
-            self.promoted.fetch_add(1, Ordering::Relaxed);
-            aoft_obs::global().fleet_spares_promoted.inc();
             aoft_obs::emit(
                 aoft_obs::Event::new("spare_promoted")
                     .detail(format!("cube {i} promoted to active")),
@@ -366,13 +392,9 @@ impl<T> FleetRouter<T> {
             let cube = &self.cubes[index];
             match cube.backend.submit(spec.clone()) {
                 Ok(handle) => {
-                    if cube.spare.swap(false, Ordering::AcqRel) {
-                        // Routing reached a spare: everything ahead of it
-                        // was full or degraded, so it joins the actives.
-                        self.promoted.fetch_add(1, Ordering::Relaxed);
-                        aoft_obs::global().fleet_spares_promoted.inc();
-                    }
-                    cube.routed.inc();
+                    // Routing reached a spare: everything ahead of it was
+                    // full or degraded, so it joins the actives.
+                    cube.spare.store(false, Ordering::Release);
                     return Ok(FleetHandle {
                         router: self,
                         spec,
@@ -403,8 +425,8 @@ impl FleetRouter<MuxTransport> {
     /// # Errors
     ///
     /// [`ConfigError`] when `children` is not `cubes + spares` (`cubes` ≥ 1)
-    /// distinct labels below the parent's, or a child does not dial within
-    /// `deadline`.
+    /// distinct labels below the parent's, a child does not dial within
+    /// `deadline`, or the fleet's metrics address cannot be bound.
     pub fn connect(
         config: FleetConfig,
         control: MuxTransport,
@@ -432,16 +454,50 @@ impl FleetRouter<MuxTransport> {
                     .map_err(|e| ConfigError(format!("cube host child {label}: {e}")))
             })
             .collect::<Result<_, _>>()?;
-        Ok(Self::assemble(config, backends))
+        Self::assemble(config, backends)
     }
 }
 
-impl<T> Drop for FleetRouter<T> {
-    fn drop(&mut self) {
-        // Every fleet in the process counts its own cubes on the gauge.
-        let cubes = self.cubes.len() as i64;
-        aoft_obs::global().fleet_cubes.add(-cubes);
+/// Spares promoted so far: a spare leaves the reserve once and never
+/// returns to it.
+fn promoted<T>(cubes: &[Cube<T>], actives: usize) -> u64 {
+    let promoted = cubes[actives..]
+        .iter()
+        .filter(|c| !c.spare.load(Ordering::Acquire));
+    promoted.count() as u64
+}
+
+/// The fleet's scrape: its own families, read from the cubes as they are
+/// now, then every cube's service families by `cube` index.
+fn render<T>(cubes: &[Cube<T>], failovers: &Counter, actives: usize) -> String {
+    let mut out = Exposition::default();
+    let families: Vec<Families<'_>> = cubes.iter().map(|c| c.backend.families()).collect();
+    let labels: Vec<String> = (0..cubes.len()).map(|i| i.to_string()).collect();
+    let help = "Cubes owned by the fleet router (actives and spares).";
+    out.family("aoft_fleet_cubes", "gauge", help);
+    out.sample("aoft_fleet_cubes", &[], cubes.len());
+    let name = "aoft_fleet_jobs_routed_total";
+    out.family(name, "counter", "Jobs routed to each cube, by cube index.");
+    for (label, families) in labels.iter().zip(&families) {
+        out.sample(name, &[("cube", label)], families.sink.submitted());
     }
+    let name = "aoft_fleet_cube_health";
+    out.family(name, "gauge", "Per-cube health: 1 healthy, 0 degraded.");
+    for (label, cube) in labels.iter().zip(cubes) {
+        out.sample(name, &[("cube", label)], u8::from(!cube.backend.degraded()));
+    }
+    let help = "Jobs resubmitted to another cube after their first cube failed them.";
+    out.family("aoft_fleet_failovers_total", "counter", help);
+    out.sample("aoft_fleet_failovers_total", &[], failovers.get());
+    let help = "Spare cubes promoted to active after an active cube degraded.";
+    out.family("aoft_fleet_spares_promoted_total", "counter", help);
+    out.sample(
+        "aoft_fleet_spares_promoted_total",
+        &[],
+        promoted(cubes, actives),
+    );
+    metrics::render(&mut out, &families, true);
+    out.finish()
 }
 
 /// A routed job's claim ticket: [`JobHandle`] plus the fleet's failover
@@ -489,8 +545,7 @@ impl<T> FleetHandle<'_, T> {
                         .submit_excluding(self.spec.clone(), Some(failed_cube))
                     {
                         Ok(rerouted) => {
-                            self.router.failovers.fetch_add(1, Ordering::Relaxed);
-                            aoft_obs::global().fleet_failovers.inc();
+                            self.router.failovers.inc();
                             aoft_obs::emit(aoft_obs::Event::new("fleet_failover").detail(format!(
                                 "cube {failed_cube} failed ({err}); rerouted to cube {}",
                                 rerouted.cube

@@ -1,51 +1,50 @@
 //! Service-wide metrics: job counters, latency percentiles, and merged
 //! simulator counters.
 //!
-//! The sink is the single chokepoint for job-lifecycle accounting: every
-//! update lands both in the service's own state (for
-//! [`SvcMetrics`] snapshots) and in the process-wide
-//! [`aoft_obs`] registry (for the `/metrics` endpoint). Latencies go into a
-//! fixed-bucket [`Histogram`] — bounded memory no matter how long the
-//! resident service lives, unlike the unbounded `Vec<Duration>` it
-//! replaces.
+//! A service's numbers live once, in its [`MetricsSink`]: job counters are
+//! atomics, latencies and batch sizes fixed-bucket [`Histogram`]s (bounded
+//! memory no matter how long the resident service lives). [`SvcMetrics`]
+//! snapshots and the service's Prometheus families ([`render`]) both read
+//! them from there; the gauges among those families are read from the live
+//! state they describe when the scrape arrives ([`Families`]). A fleet
+//! renders every cube's families on its one endpoint, labeled by `cube`.
 
 use std::time::Duration;
 
-use aoft_obs::Histogram;
+use aoft_obs::prom::Exposition;
+use aoft_obs::{Counter, Gauge, Histogram};
 use aoft_sim::NodeMetrics;
 use parking_lot::Mutex;
 
-/// Accumulates across the service's lifetime; `snapshot` freezes a
-/// consistent view.
+use crate::batch::TRIGGERS;
+
+/// Accumulates across the service's lifetime; `snapshot` reads a view.
 #[derive(Default)]
 pub(crate) struct MetricsSink {
-    state: Mutex<MetricsState>,
+    submitted: Counter,
+    rejected: Counter,
+    completed: Counter,
+    failed: Counter,
+    retries: Counter,
+    recovered_jobs: Counter,
+    effort: Counter,
+    /// Batches flushed, by [`TRIGGERS`] entry.
+    flushes: [Counter; TRIGGERS.len()],
+    jobs_coalesced: Counter,
+    /// Jobs in flushed batches that a worker has not finished.
+    inflight: Gauge,
     latency: Histogram,
-}
-
-#[derive(Default)]
-struct MetricsState {
-    submitted: u64,
-    rejected: u64,
-    completed: u64,
-    failed: u64,
-    retries: u64,
-    recovered_jobs: u64,
-    effort: u64,
-    batches_flushed: u64,
-    jobs_coalesced: u64,
-    sim: NodeMetrics,
+    occupancy: Histogram,
+    sim: Mutex<NodeMetrics>,
 }
 
 impl MetricsSink {
     pub(crate) fn job_submitted(&self) {
-        self.state.lock().submitted += 1;
-        aoft_obs::global().jobs_submitted.inc();
+        self.submitted.inc();
     }
 
     pub(crate) fn job_rejected(&self) {
-        self.state.lock().rejected += 1;
-        aoft_obs::global().jobs_rejected.inc();
+        self.rejected.inc();
     }
 
     pub(crate) fn job_completed(
@@ -55,73 +54,217 @@ impl MetricsSink {
         effort: u64,
         sim: &NodeMetrics,
     ) {
-        {
-            let mut state = self.state.lock();
-            state.completed += 1;
-            state.retries += retries;
-            if retries > 0 {
-                state.recovered_jobs += 1;
-            }
-            state.effort += effort;
-            state.sim.merge(sim);
-        }
-        self.latency.record(latency);
-        let reg = aoft_obs::global();
-        reg.jobs_completed.inc();
-        reg.job_retries.add(retries);
+        self.completed.inc();
+        self.retries.add(retries);
         if retries > 0 {
-            reg.jobs_recovered.inc();
+            self.recovered_jobs.inc();
         }
-        reg.job_effort.add(effort);
-        reg.job_latency.record(latency);
+        self.effort.add(effort);
+        self.latency.record(latency);
+        // A batch bills its attempt's counters to its first rider only.
+        if *sim != NodeMetrics::default() {
+            self.sim.lock().merge(sim);
+        }
     }
 
     /// Records a batch leaving the admission door: `jobs` riders flushed by
-    /// `trigger` (`solo`, `size`, `deadline`, `boundary`). Jobs only count
-    /// as coalesced when they actually shared the attempt with another job.
+    /// `trigger` (`solo`, `size`, `deadline`, `boundary`), in flight until
+    /// [`batch_done`](Self::batch_done). Jobs only count as coalesced when
+    /// they actually shared the attempt with another job.
     pub(crate) fn batch_flushed(&self, jobs: usize, trigger: &'static str) {
-        let coalesced = if jobs > 1 { jobs as u64 } else { 0 };
-        {
-            let mut state = self.state.lock();
-            state.batches_flushed += 1;
-            state.jobs_coalesced += coalesced;
+        let by = TRIGGERS.iter().position(|&t| t == trigger);
+        self.flushes[by.expect("a known flush trigger")].inc();
+        if jobs > 1 {
+            self.jobs_coalesced.add(jobs as u64);
         }
-        let reg = aoft_obs::global();
-        reg.batch_occupancy.record_count(jobs as u64);
-        reg.batch_flushes.add(trigger, 1);
-        reg.batch_jobs_coalesced.add(coalesced);
+        self.occupancy.record_count(jobs as u64);
+        self.inflight.add(jobs as i64);
+    }
+
+    /// A worker finished the `jobs` riders of a flushed batch.
+    pub(crate) fn batch_done(&self, jobs: usize) {
+        self.inflight.add(-(jobs as i64));
     }
 
     pub(crate) fn job_failed(&self, retries: u64, effort: u64) {
-        {
-            let mut state = self.state.lock();
-            state.failed += 1;
-            state.retries += retries;
-            state.effort += effort;
-        }
-        let reg = aoft_obs::global();
-        reg.jobs_failed.inc();
-        reg.job_retries.add(retries);
-        reg.job_effort.add(effort);
+        self.failed.inc();
+        self.retries.add(retries);
+        self.effort.add(effort);
+    }
+
+    /// Jobs in flushed batches that a worker has not finished.
+    pub(crate) fn inflight(&self) -> usize {
+        self.inflight.get().max(0) as usize
     }
 
     pub(crate) fn snapshot(&self, queue_depth: usize, quarantined: Vec<u32>) -> SvcMetrics {
-        let state = self.state.lock();
         SvcMetrics {
-            jobs_submitted: state.submitted,
-            jobs_rejected: state.rejected,
-            jobs_completed: state.completed,
-            jobs_failed: state.failed,
-            retries: state.retries,
-            recovered_jobs: state.recovered_jobs,
-            effort: state.effort,
-            batches_flushed: state.batches_flushed,
-            jobs_coalesced: state.jobs_coalesced,
+            jobs_submitted: self.submitted.get(),
+            jobs_rejected: self.rejected.get(),
+            jobs_completed: self.completed.get(),
+            jobs_failed: self.failed.get(),
+            retries: self.retries.get(),
+            recovered_jobs: self.recovered_jobs.get(),
+            effort: self.effort.get(),
+            batches_flushed: self.flushes.iter().map(Counter::get).sum(),
+            jobs_coalesced: self.jobs_coalesced.get(),
             queue_depth,
             quarantined,
             latency_p50: self.latency.percentile(50),
             latency_p99: self.latency.percentile(99),
-            sim: state.sim,
+            sim: *self.sim.lock(),
+        }
+    }
+
+    /// Jobs admitted: what a fleet routed to this cube.
+    pub(crate) fn submitted(&self) -> u64 {
+        self.submitted.get()
+    }
+}
+
+/// One service's families as a scrape reads them: its sink, and the live
+/// state its gauges describe.
+pub(crate) struct Families<'a> {
+    pub(crate) sink: &'a MetricsSink,
+    pub(crate) queue_depth: usize,
+    pub(crate) inflight: usize,
+    /// Quarantine is never lifted, so this is also how many nodes were
+    /// ever quarantined.
+    pub(crate) quarantined: usize,
+    /// Attempts started; `None` where they are made out of sight (in a
+    /// cube-host child).
+    pub(crate) attempts: Option<u64>,
+}
+
+/// Writes the service families of `services`, each family once: a lone
+/// service's unlabeled, a fleet's with each cube's index as label `cube`.
+pub(crate) fn render(out: &mut Exposition, services: &[Families<'_>], by_cube: bool) {
+    let cubes: Vec<String> = (0..services.len()).map(|i| i.to_string()).collect();
+    let labels = |i: usize| match by_cube {
+        true => vec![("cube", cubes[i].as_str())],
+        false => vec![],
+    };
+    type Read = fn(&Families<'_>) -> Option<u64>;
+    let scalars: [(&str, &str, &str, Read); 13] = [
+        (
+            "aoft_jobs_submitted_total",
+            "counter",
+            "Jobs admitted past admission control.",
+            |f| Some(f.sink.submitted.get()),
+        ),
+        (
+            "aoft_jobs_rejected_total",
+            "counter",
+            "Jobs refused with backpressure or as unservable.",
+            |f| Some(f.sink.rejected.get()),
+        ),
+        (
+            "aoft_jobs_completed_total",
+            "counter",
+            "Jobs answered with a verified sorted result.",
+            |f| Some(f.sink.completed.get()),
+        ),
+        (
+            "aoft_jobs_failed_total",
+            "counter",
+            "Jobs that failed loudly (attempt budget or cube exhausted).",
+            |f| Some(f.sink.failed.get()),
+        ),
+        (
+            "aoft_job_retries_total",
+            "counter",
+            "Extra attempts consumed beyond each job's first.",
+            |f| Some(f.sink.retries.get()),
+        ),
+        (
+            "aoft_jobs_recovered_total",
+            "counter",
+            "Completed jobs that needed at least one retry.",
+            |f| Some(f.sink.recovered_jobs.get()),
+        ),
+        (
+            "aoft_attempts_total",
+            "counter",
+            "Sort attempts started (first runs and retries).",
+            |f| f.attempts,
+        ),
+        (
+            "aoft_quarantine_total",
+            "counter",
+            "Nodes newly quarantined service-wide.",
+            |f| Some(f.quarantined as u64),
+        ),
+        (
+            "aoft_queue_depth",
+            "gauge",
+            "Jobs waiting in the bounded queue.",
+            |f| Some(f.queue_depth as u64),
+        ),
+        (
+            "aoft_inflight_jobs",
+            "gauge",
+            "Jobs claimed by workers and not yet answered.",
+            |f| Some(f.inflight as u64),
+        ),
+        (
+            "aoft_quarantined_nodes",
+            "gauge",
+            "Nodes currently quarantined.",
+            |f| Some(f.quarantined as u64),
+        ),
+        (
+            "aoft_job_effort_ticks_total",
+            "counter",
+            "Effort billed to finished jobs: node-ticks over every attempt.",
+            |f| Some(f.sink.effort.get()),
+        ),
+        (
+            "aoft_batch_jobs_coalesced_total",
+            "counter",
+            "Jobs that shared a cube attempt with at least one other job.",
+            |f| Some(f.sink.jobs_coalesced.get()),
+        ),
+    ];
+    for (name, kind, help, read) in scalars {
+        out.family(name, kind, help);
+        for (i, families) in services.iter().enumerate() {
+            if let Some(value) = read(families) {
+                out.sample(name, &labels(i), value);
+            }
+        }
+    }
+    let name = "aoft_batch_flushes_total";
+    out.family(
+        name,
+        "counter",
+        "Batch flushes by trigger (solo, size, deadline, boundary).",
+    );
+    for (i, families) in services.iter().enumerate() {
+        for (trigger, count) in TRIGGERS.iter().zip(&families.sink.flushes) {
+            let mut labels = labels(i);
+            labels.push(("trigger", trigger));
+            out.sample(name, &labels, count.get());
+        }
+    }
+    type Hist = fn(&MetricsSink) -> &Histogram;
+    let histograms: [(&str, &str, Hist, bool); 2] = [
+        (
+            "aoft_job_latency_seconds",
+            "Submit-to-completion latency of completed jobs.",
+            |sink| &sink.latency,
+            true,
+        ),
+        (
+            "aoft_batch_occupancy",
+            "Jobs per flushed batch (1 = solo run).",
+            |sink| &sink.occupancy,
+            false,
+        ),
+    ];
+    for (name, help, read, seconds) in histograms {
+        out.family(name, "histogram", help);
+        for (i, families) in services.iter().enumerate() {
+            out.histogram(name, &labels(i), read(families.sink), seconds);
         }
     }
 }

@@ -54,7 +54,6 @@ impl JobQueue {
             return Err(PushRefused::Full);
         }
         state.jobs.push_back(job);
-        aoft_obs::global().queue_depth.set(state.jobs.len() as i64);
         drop(state);
         self.available.notify_one();
         Ok(())
@@ -66,7 +65,6 @@ impl JobQueue {
         let mut state = self.state.lock();
         loop {
             if let Some(job) = state.jobs.pop_front() {
-                aoft_obs::global().queue_depth.set(state.jobs.len() as i64);
                 return Some(job);
             }
             if state.stopped {
@@ -93,7 +91,6 @@ impl JobQueue {
                     return PopMore::Boundary;
                 }
                 let job = state.jobs.pop_front().expect("front exists");
-                aoft_obs::global().queue_depth.set(state.jobs.len() as i64);
                 return PopMore::Job(job);
             }
             if state.stopped {
@@ -119,7 +116,6 @@ impl JobQueue {
         let mut state = self.state.lock();
         state.stopped = true;
         let drained = state.jobs.drain(..).collect();
-        aoft_obs::global().queue_depth.set(0);
         drop(state);
         self.available.notify_all();
         drained

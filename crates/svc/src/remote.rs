@@ -34,7 +34,7 @@ use parking_lot::Mutex;
 
 use crate::config::SvcConfig;
 use crate::job::{JobError, JobHandle, JobId, JobReport, JobSpec, SubmitError};
-use crate::metrics::{MetricsSink, SvcMetrics};
+use crate::metrics::{Families, MetricsSink, SvcMetrics};
 use crate::service::SortService;
 
 /// The parent's node label on the control plane. Children must choose
@@ -329,6 +329,18 @@ impl RemoteCube {
         let in_flight = self.state.pending.lock().jobs.len();
         let quarantined = self.state.quarantined.lock().clone();
         self.state.metrics.snapshot(in_flight, quarantined)
+    }
+
+    /// Parent-side families: the child's attempts stay in the child.
+    pub(crate) fn families(&self) -> Families<'_> {
+        let in_flight = self.state.pending.lock().jobs.len();
+        Families {
+            sink: &self.state.metrics,
+            queue_depth: in_flight,
+            inflight: in_flight,
+            quarantined: self.state.quarantined.lock().len(),
+            attempts: None,
+        }
     }
 }
 

@@ -9,6 +9,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use aoft_net::{LinkCache, MappedTransport, Transport};
+use aoft_obs::prom::Exposition;
 use aoft_obs::ObsServer;
 use aoft_sim::{ErrorReport, NodeMetrics, Packet, Trace};
 use aoft_sort::composite::{demux, mux, CompositeCodec};
@@ -17,7 +18,7 @@ use aoft_sort::{Key, Msg, SortBuilder, SortError, SortReport};
 use crate::batch::Batcher;
 use crate::config::{ConfigError, SvcConfig};
 use crate::job::{JobError, JobHandle, JobId, JobReport, JobSpec, SubmitError};
-use crate::metrics::{MetricsSink, SvcMetrics};
+use crate::metrics::{self, Families, MetricsSink, SvcMetrics};
 use crate::queue::{JobQueue, PushRefused, QueuedJob};
 use crate::recovery::{retry_timing, Backoff, CubePlan, Recovery, RetryTiming};
 
@@ -44,11 +45,12 @@ use crate::recovery::{retry_timing, Backoff, CubePlan, Recovery, RetryTiming};
 /// unverified result: a job either completes with a verified sorted output
 /// or fails loudly with [`JobError`].
 pub struct SortService<T> {
+    /// The Prometheus endpoint, when [`SvcConfig::metrics_addr`] asked for
+    /// one: this service's families, then the process registry's. Declared
+    /// first, so it stops before the state it reads is released.
+    obs: Option<ObsServer>,
     inner: Arc<Inner<T>>,
     workers: Vec<JoinHandle<()>>,
-    /// The Prometheus endpoint, when [`SvcConfig::metrics_addr`] asked for
-    /// one. Serving stops when the service is dropped.
-    obs: Option<ObsServer>,
 }
 
 struct Inner<T> {
@@ -79,13 +81,6 @@ where
     /// the requested metrics address cannot be bound.
     pub fn start(config: SvcConfig, transport: T) -> Result<Self, ConfigError> {
         config.validate()?;
-        let obs = match config.metrics_addr {
-            Some(addr) => Some(
-                ObsServer::bind(addr)
-                    .map_err(|e| ConfigError(format!("metrics endpoint {addr}: {e}")))?,
-            ),
-            None => None,
-        };
         let inner = Arc::new(Inner {
             cache: Arc::new(LinkCache::new(transport)),
             queue: JobQueue::new(config.queue_depth),
@@ -95,6 +90,20 @@ where
             next_run: AtomicU64::new(0),
             config,
         });
+        let obs = match inner.config.metrics_addr {
+            Some(addr) => {
+                let inner = Arc::clone(&inner);
+                let render = move || {
+                    let mut out = Exposition::default();
+                    metrics::render(&mut out, &[inner.families()], false);
+                    out.finish()
+                };
+                let server = ObsServer::bind(addr, render)
+                    .map_err(|e| ConfigError(format!("metrics endpoint {addr}: {e}")))?;
+                Some(server)
+            }
+            None => None,
+        };
         let workers = (0..inner.config.workers)
             .map(|slot| {
                 let inner = Arc::clone(&inner);
@@ -105,9 +114,9 @@ where
             })
             .collect();
         Ok(Self {
+            obs,
             inner,
             workers,
-            obs,
         })
     }
 }
@@ -169,6 +178,11 @@ impl<T> SortService<T> {
         self.inner.recovery.quarantined()
     }
 
+    /// This service's families, for a fleet's scrape.
+    pub(crate) fn families(&self) -> Families<'_> {
+        self.inner.families()
+    }
+
     /// Stops admissions, answers queued-but-unstarted jobs with
     /// [`JobError::Stopped`], and joins the workers (in-flight jobs run to
     /// completion first). Dropping the service does the same.
@@ -186,6 +200,19 @@ impl<T> SortService<T> {
     }
 }
 
+impl<T> Inner<T> {
+    fn families(&self) -> Families<'_> {
+        Families {
+            sink: &self.metrics,
+            queue_depth: self.queue.len(),
+            inflight: self.metrics.inflight(),
+            quarantined: self.recovery.quarantined().len(),
+            // One run id per attempt started.
+            attempts: Some(self.next_run.load(Ordering::Relaxed)),
+        }
+    }
+}
+
 impl<T> Drop for SortService<T> {
     fn drop(&mut self) {
         self.stop_and_join();
@@ -198,11 +225,10 @@ where
 {
     let batcher = Batcher::new(&inner.config);
     while let Some(batch) = batcher.next_batch(&inner.queue) {
-        inner.metrics.batch_flushed(batch.jobs.len(), batch.trigger);
-        let inflight = batch.jobs.len() as i64;
-        aoft_obs::global().inflight_jobs.add(inflight);
+        let jobs = batch.jobs.len();
+        inner.metrics.batch_flushed(jobs, batch.trigger);
         run_batch(&inner, slot, batcher.codec(), batch.jobs);
-        aoft_obs::global().inflight_jobs.add(-inflight);
+        inner.metrics.batch_done(jobs);
     }
 }
 
@@ -416,7 +442,6 @@ where
         ))));
     }
     let run_id = inner.next_run.fetch_add(1, Ordering::Relaxed) + 1;
-    aoft_obs::global().attempts.inc();
     aoft_obs::emit(
         aoft_obs::Event::new("attempt_started")
             .job(lead_id.0)
@@ -578,16 +603,12 @@ fn digest_failure<T>(
     avoid.extend(verdict.suspects.iter().copied());
     for label in verdict.newly_quarantined {
         inner.cache.purge_node(label);
-        aoft_obs::global().quarantine_events.inc();
         aoft_obs::emit(
             aoft_obs::Event::new("quarantine")
                 .node(label)
                 .detail("node struck out service-wide; cached links purged"),
         );
     }
-    aoft_obs::global()
-        .quarantined_nodes
-        .set(inner.recovery.quarantined().len() as i64);
 }
 
 fn panic_message(payload: Box<dyn Any + Send>) -> String {

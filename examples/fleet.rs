@@ -40,7 +40,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cube = SvcConfig::new(3)
         .max_attempts(1)
         .quarantine_after(1)
-        .recv_timeout(Duration::from_millis(800));
+        .recv_timeout(Duration::from_millis(800))
+        .metrics_addr("127.0.0.1:0".parse()?);
     let config = FleetConfig::new(cube, 2).spares(1);
 
     // Every cube gets its own mux transport; cube 1's is additionally
@@ -118,20 +119,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         metrics.jobs_routed
     );
 
-    // The fleet's whole story is on the process registry.
-    let text = aoft::obs::global().render_prometheus();
+    // The fleet's whole story is on its one endpoint: the fleet's own
+    // families, each cube's job families by `cube` label, and the process
+    // registry's transport families.
+    let endpoint = router.metrics_addr().expect("metrics endpoint enabled");
+    let text = aoft::obs::scrape(endpoint)?;
     for family in [
         "aoft_fleet_cubes",
         "aoft_fleet_jobs_routed_total",
         "aoft_fleet_cube_health",
         "aoft_fleet_failovers_total",
         "aoft_fleet_spares_promoted_total",
+        "aoft_jobs_completed_total{cube=\"2\"}",
         "aoft_mux_sessions",
         "aoft_mux_bytes_sent_total",
     ] {
         assert!(text.contains(family), "missing {family} in scrape");
     }
-    println!("\nfleet + mux families present on the metrics scrape ✓");
+    println!("\nfleet, cube and mux families present on http://{endpoint}/metrics ✓");
 
     router.shutdown();
     println!("fleet survived a mid-stream cube fault: failover, quarantine, spare promotion — zero silent corruption");

@@ -18,8 +18,9 @@
 //! * [`svc`] — a resident sorting service: bounded job queue with admission
 //!   control, a worker pool multiplexing the cube over any transport, and a
 //!   diagnosis-driven recovery loop (quarantine + degraded-mode retry).
-//! * [`obs`] — unified observability: a process-global metric registry with
-//!   a Prometheus text endpoint, fixed-bucket latency histograms, and a
+//! * [`obs`] — unified observability: Prometheus text endpoints (a
+//!   service's or fleet's own numbers, then a process registry of the
+//!   families nobody else owns), fixed-bucket latency histograms, and a
 //!   JSONL event journal for fail-stop postmortems.
 //! * [`models`] — analytic cost models and the experiment harness that
 //!   regenerates every table and figure of the paper.

@@ -30,6 +30,31 @@ fn cube_config() -> SvcConfig {
         .recv_timeout(Duration::from_millis(300))
 }
 
+/// A fleet binds its cubes' metrics address once: one scrape carries every
+/// cube's service families, labeled by cube.
+#[test]
+fn a_fleet_serves_every_cube_on_one_metrics_endpoint() {
+    let free = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = free.local_addr().expect("bound address");
+    drop(free);
+    let config = FleetConfig::new(cube_config().metrics_addr(addr), 2).spares(1);
+    let router = FleetRouter::start(config, |_| Ok(InProc::new()))
+        .expect("a fleet with a metrics address starts");
+    assert_eq!(router.metrics_addr(), Some(addr));
+    for index in 0..4i64 {
+        let handle = router.submit(JobSpec::new(job_keys(index))).expect("admit");
+        handle.wait().expect("clean job completes");
+    }
+    let text = aoft::obs::scrape(addr).expect("fleet endpoint answers");
+    for cube in 0..3 {
+        let sample = format!("aoft_jobs_submitted_total{{cube=\"{cube}\"}} ");
+        assert!(text.contains(&sample), "missing {sample} in:\n{text}");
+    }
+    let headers = text.matches("# TYPE aoft_jobs_submitted_total ").count();
+    assert_eq!(headers, 1, "one header per family");
+    router.shutdown();
+}
+
 /// A clean stream round-robins across every healthy active cube.
 #[test]
 fn router_spreads_a_clean_stream_across_cubes() {
@@ -198,7 +223,8 @@ fn backpressure_aggregates_across_every_cube() {
 /// so nightly soaks the multiplexed transport under the same faulted
 /// stream. With `AOFT_SOAK_JOURNAL=<path>` the run also writes the
 /// observability event journal there, and with `AOFT_FLEET_SCRAPE=<path>`
-/// the final metrics scrape; nightly archives both as artifacts.
+/// the final scrape of the fleet's endpoint (fleet, per-cube and process
+/// families); nightly archives both as artifacts.
 #[test]
 #[ignore = "long-running fleet soak; nightly runs it via -- --ignored"]
 fn fleet_soak_streams_ten_thousand_jobs() {
@@ -238,7 +264,8 @@ where
         .backoff(Duration::from_millis(1), Duration::from_millis(10))
         .recv_timeout(Duration::from_millis(300))
         .batch_max(batch_max)
-        .batch_flush(Duration::from_millis(1));
+        .batch_flush(Duration::from_millis(1))
+        .metrics_addr("127.0.0.1:0".parse().unwrap());
     let router = FleetRouter::start(FleetConfig::new(cube, 2).spares(1), make_transport)
         .expect("fleet starts");
 
@@ -294,7 +321,10 @@ where
         metrics.jobs_routed,
         metrics.failovers,
     );
-    let scrape = aoft::obs::global().render_prometheus();
+    // The fleet's endpoint: its own families, every cube's by `cube`
+    // label, and the process registry.
+    let endpoint = router.metrics_addr().expect("the fleet serves metrics");
+    let scrape = aoft::obs::scrape(endpoint).expect("fleet endpoint answers");
     if let Ok(path) = std::env::var("AOFT_FLEET_SCRAPE") {
         std::fs::write(&path, &scrape).expect("scrape path is writable");
     }

@@ -173,9 +173,11 @@ fn metrics_endpoint_serves_prometheus_exposition() {
         .collect();
     let live = aoft::obs::scrape(addr).expect("endpoint answers mid-stream");
     aoft::obs::prom::parse_samples(&live).expect("mid-stream exposition parses");
+    let mut attempts = 0;
     for (keys, handle) in handles {
         let report = handle.wait().expect("faulted stream still completes");
         assert_eq!(report.output, common::sorted(&keys));
+        attempts += report.attempts;
     }
 
     let text = aoft::obs::scrape(addr).expect("endpoint answers at end of run");
@@ -218,10 +220,10 @@ fn metrics_endpoint_serves_prometheus_exposition() {
         assert!(families.contains(required), "missing family {required}");
     }
 
-    // The registry is process-global, so assert activity (≥), not totals.
     let samples = aoft::obs::prom::parse_samples(&text).expect("exposition parses");
-    assert!(samples["aoft_jobs_completed_total"] >= 8.0);
-    assert!(samples["aoft_attempts_total"] >= 8.0);
+    assert_eq!(samples["aoft_jobs_completed_total"], 8.0);
+    // Batching is off, so every attempt carried one job.
+    assert_eq!(samples["aoft_attempts_total"], attempts as f64);
     assert!(samples["aoft_predicate_checks_total"] > 0.0);
     assert!(
         samples["aoft_mux_bytes_sent_total"] > 0.0
@@ -261,7 +263,6 @@ fn mux_metrics_account_sessions_and_bytes() {
     }
     let text = aoft::obs::scrape(endpoint).expect("endpoint answers");
     let samples = aoft::obs::prom::parse_samples(&text).expect("exposition parses");
-    // The registry is process-global, so assert activity (≥), not totals.
     assert!(
         samples["aoft_mux_bytes_sent_total"] > 0.0,
         "mux sessions must account their tx bytes per session"
