@@ -59,15 +59,11 @@ pub struct SvcConfig {
     /// ([`FleetRouter::metrics_addr`](crate::FleetRouter::metrics_addr)).
     pub metrics_addr: Option<SocketAddr>,
     /// Most jobs one cube attempt may coalesce into a single composite-key
-    /// sort. `1` (the default) disables batching: every job flushes at
-    /// once as a batch of one, never waiting for company and never
-    /// coalesced. Capped at 1024 — ten sequence bits still leave a ±2^20
-    /// key range.
+    /// sort. `1` (the default) disables batching: every job runs as a batch
+    /// of one, never coalesced. A batch never waits for company: it takes
+    /// what is queued when a worker claims it. Capped at 1024 — ten
+    /// sequence bits still leave a ±2^20 key range.
     pub batch_max: usize,
-    /// How long the first job of a forming batch may wait for company
-    /// before the batch is flushed anyway (the deadline trigger). Ignored
-    /// when `batch_max` is 1.
-    pub batch_flush: Duration,
 }
 
 impl SvcConfig {
@@ -90,20 +86,13 @@ impl SvcConfig {
             algorithm: Algorithm::FaultTolerant,
             metrics_addr: None,
             batch_max: 1,
-            batch_flush: Duration::from_millis(1),
         }
     }
 
-    /// Sets the batching window: coalesce up to `max` compatible jobs per
-    /// cube attempt (`1` disables batching).
+    /// Coalesces up to `max` compatible queued jobs per cube attempt (`1`
+    /// disables batching).
     pub fn batch_max(mut self, max: usize) -> Self {
         self.batch_max = max;
-        self
-    }
-
-    /// Sets how long a forming batch waits for more jobs before flushing.
-    pub fn batch_flush(mut self, window: Duration) -> Self {
-        self.batch_flush = window;
         self
     }
 
@@ -255,11 +244,8 @@ mod tests {
     fn batching_defaults_off() {
         let config = SvcConfig::new(3);
         assert_eq!(config.batch_max, 1, "batching is opt-in");
-        let batched = SvcConfig::new(3)
-            .batch_max(16)
-            .batch_flush(Duration::from_millis(2));
+        let batched = SvcConfig::new(3).batch_max(16);
         assert_eq!(batched.batch_max, 16);
-        assert_eq!(batched.batch_flush, Duration::from_millis(2));
         assert!(batched.validate().is_ok());
     }
 

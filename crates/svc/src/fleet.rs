@@ -98,12 +98,21 @@ impl<T> Backend<T> {
         }
     }
 
+    /// Admits a group: a local service queues it whole; a cube-host child
+    /// takes it job by job over its control session.
+    fn submit_batch(&self, specs: Vec<JobSpec>) -> Vec<Result<JobHandle, SubmitError>> {
+        match self {
+            Backend::Local(service) => service.submit_batch(specs),
+            Backend::Remote(child) => specs.into_iter().map(|spec| child.submit(spec)).collect(),
+        }
+    }
+
     /// Degraded cubes are routed last: a service that has quarantined any
     /// node (its largest clean cube is smaller than configured), or a
     /// child that has either done so or left the rotation.
     fn degraded(&self) -> bool {
         match self {
-            Backend::Local(service) => !service.quarantined().is_empty(),
+            Backend::Local(service) => service.degraded(),
             Backend::Remote(child) => child.degraded(),
         }
     }
@@ -231,47 +240,32 @@ impl<T> FleetRouter<T> {
     /// * [`SubmitError::Stopped`] — no cube accepted the job.
     pub fn submit(&self, spec: JobSpec) -> Result<FleetHandle<'_, T>, SubmitError> {
         self.refresh_health();
-        self.submit_excluding(spec, None)
+        let mut answers = self.route(vec![spec], None);
+        answers.pop().expect("one answer per spec")
     }
 
-    /// Routes a whole batch, striping *contiguous chunks* across the
-    /// routing order. When the cube config enables batching
-    /// ([`SvcConfig::batch_max`](crate::SvcConfig) > 1), chunks of up to
-    /// `batch_max` consecutive specs land on the same cube so its
-    /// micro-batcher can coalesce them into one composite-key attempt;
-    /// with batching off the chunk size is 1 and this is plain round-robin.
-    /// Each entry resolves independently: a backpressured tail does not
-    /// undo an admitted head.
+    /// Routes a whole batch in chunks of
+    /// [`SvcConfig::batch_max`](crate::SvcConfig) consecutive specs. Each
+    /// chunk is routed once, like one job, and admitted whole by its cube
+    /// ([`SortService::submit_batch`]), so an idle cube's batcher coalesces
+    /// it into one composite-key attempt; with batching off the chunk size
+    /// is 1 and this is plain round-robin. What a cube refuses moves on to
+    /// the next cube in the chunk's routing order. Each entry resolves
+    /// independently: a backpressured tail does not undo an admitted head.
     pub fn submit_batch(
         &self,
         specs: Vec<JobSpec>,
     ) -> Vec<Result<FleetHandle<'_, T>, SubmitError>> {
         self.refresh_health();
-        let chunk = self.config.cube.batch_max.max(1);
-        let mut results = Vec::with_capacity(specs.len());
-        let mut pinned_cube: Option<usize> = None;
-        for (i, spec) in specs.into_iter().enumerate() {
-            if i % chunk == 0 {
-                pinned_cube = None;
+        let mut answers = Vec::with_capacity(specs.len());
+        let mut specs = specs.into_iter();
+        loop {
+            let chunk: Vec<JobSpec> = specs.by_ref().take(self.config.cube.batch_max).collect();
+            if chunk.is_empty() {
+                return answers;
             }
-            let result = match pinned_cube {
-                // Keep the chunk together: same cube as its first member.
-                // A pinned submit that is refused (backpressure) falls
-                // through to normal routing rather than failing the spec.
-                Some(cube) => self
-                    .submit_to(cube, spec.clone())
-                    .or_else(|_| self.submit_excluding(spec, None)),
-                None => {
-                    let result = self.submit_excluding(spec, None);
-                    if let Ok(handle) = &result {
-                        pinned_cube = Some(handle.cube);
-                    }
-                    result
-                }
-            };
-            results.push(result);
+            answers.extend(self.route(chunk, None));
         }
-        results
     }
 
     /// Pins a job to cube `index`, bypassing routing — an operational and
@@ -379,39 +373,58 @@ impl<T> FleetRouter<T> {
         healthy_active
     }
 
-    fn submit_excluding(
+    /// Routes `specs` as one group over one routing order that skips cube
+    /// `exclude`: the first cube in it is handed the whole group in one
+    /// admission, the next cube what the first refused, and so on. A spec
+    /// that every cube refuses gets one aggregated fleet-wide backpressure
+    /// signal.
+    fn route(
         &self,
-        spec: JobSpec,
+        specs: Vec<JobSpec>,
         exclude: Option<usize>,
-    ) -> Result<FleetHandle<'_, T>, SubmitError> {
+    ) -> Vec<Result<FleetHandle<'_, T>, SubmitError>> {
         let order = self.routing_order(exclude);
-        if order.is_empty() {
-            return Err(SubmitError::Stopped);
-        }
-        for index in order {
-            let cube = &self.cubes[index];
-            match cube.backend.submit(spec.clone()) {
-                Ok(handle) => {
-                    // Routing reached a spare: everything ahead of it was
-                    // full or degraded, so it joins the actives.
-                    cube.spare.store(false, Ordering::Release);
-                    return Ok(FleetHandle {
-                        router: self,
-                        spec,
-                        handle,
-                        cube: index,
-                        reroutes: 0,
-                    });
-                }
-                Err(SubmitError::Backpressure { .. }) | Err(SubmitError::Stopped) => continue,
-                // Shape mismatch is identical on every cube; fail fast.
-                Err(err @ SubmitError::Invalid(_)) => return Err(err),
+        let refusal = if order.is_empty() {
+            SubmitError::Stopped
+        } else {
+            SubmitError::Backpressure {
+                depth: self.cubes.len() * self.config.cube.queue_depth,
             }
+        };
+        let mut answers: Vec<_> = specs.iter().map(|_| Err(refusal.clone())).collect();
+        let mut waiting: Vec<(usize, JobSpec)> = specs.into_iter().enumerate().collect();
+        for index in order {
+            if waiting.is_empty() {
+                break;
+            }
+            let cube = &self.cubes[index];
+            let group = waiting.iter().map(|(_, spec)| spec.clone()).collect();
+            let admitted = cube.backend.submit_batch(group);
+            let mut refused = Vec::new();
+            for ((i, spec), answer) in waiting.into_iter().zip(admitted) {
+                match answer {
+                    Ok(handle) => {
+                        // Routing reached a spare: everything ahead of it
+                        // was full or degraded, so it joins the actives.
+                        cube.spare.store(false, Ordering::Release);
+                        answers[i] = Ok(FleetHandle {
+                            router: self,
+                            spec,
+                            handle,
+                            cube: index,
+                            reroutes: 0,
+                        });
+                    }
+                    Err(SubmitError::Backpressure { .. } | SubmitError::Stopped) => {
+                        refused.push((i, spec))
+                    }
+                    // A shape mismatch is identical on every cube.
+                    Err(err @ SubmitError::Invalid(_)) => answers[i] = Err(err),
+                }
+            }
+            waiting = refused;
         }
-        // Every cube refused: one aggregated fleet backpressure signal.
-        Err(SubmitError::Backpressure {
-            depth: self.cubes.len() * self.config.cube.queue_depth,
-        })
+        answers
     }
 }
 
@@ -540,10 +553,10 @@ impl<T> FleetHandle<'_, T> {
                     }
                     let failed_cube = self.cube;
                     self.router.refresh_health();
-                    match self
+                    let mut rerouted = self
                         .router
-                        .submit_excluding(self.spec.clone(), Some(failed_cube))
-                    {
+                        .route(vec![self.spec.clone()], Some(failed_cube));
+                    match rerouted.pop().expect("one answer per spec") {
                         Ok(rerouted) => {
                             self.router.failovers.inc();
                             aoft_obs::emit(aoft_obs::Event::new("fleet_failover").detail(format!(

@@ -39,8 +39,8 @@ pub(crate) struct MetricsSink {
 }
 
 impl MetricsSink {
-    pub(crate) fn job_submitted(&self) {
-        self.submitted.inc();
+    pub(crate) fn jobs_submitted(&self, jobs: u64) {
+        self.submitted.add(jobs);
     }
 
     pub(crate) fn job_rejected(&self) {
@@ -68,7 +68,7 @@ impl MetricsSink {
     }
 
     /// Records a batch leaving the admission door: `jobs` riders flushed by
-    /// `trigger` (`solo`, `size`, `deadline`, `boundary`), in flight until
+    /// `trigger` (one of [`TRIGGERS`]), in flight until
     /// [`batch_done`](Self::batch_done). Jobs only count as coalesced when
     /// they actually shared the attempt with another job.
     pub(crate) fn batch_flushed(&self, jobs: usize, trigger: &'static str) {
@@ -237,7 +237,7 @@ pub(crate) fn render(out: &mut Exposition, services: &[Families<'_>], by_cube: b
     out.family(
         name,
         "counter",
-        "Batch flushes by trigger (solo, size, deadline, boundary).",
+        "Batch flushes by trigger (solo, size, drained, boundary).",
     );
     for (i, families) in services.iter().enumerate() {
         for (trigger, count) in TRIGGERS.iter().zip(&families.sink.flushes) {
@@ -341,8 +341,7 @@ mod tests {
     #[test]
     fn counters_roll_up() {
         let sink = MetricsSink::default();
-        sink.job_submitted();
-        sink.job_submitted();
+        sink.jobs_submitted(2);
         sink.job_rejected();
         let sim = NodeMetrics {
             msgs_sent: 3,

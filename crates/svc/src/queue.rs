@@ -6,6 +6,7 @@ use std::time::Instant;
 use crossbeam_channel::Sender;
 use parking_lot::{Condvar, Mutex};
 
+use crate::batch::Batch;
 use crate::job::{JobError, JobId, JobReport, JobSpec};
 
 /// A job admitted into the queue, with everything a worker needs to run and
@@ -42,66 +43,70 @@ impl JobQueue {
         }
     }
 
-    /// Admits `job`, or hands it back when the queue is at depth or the
-    /// service has stopped (the caller turns either into the right
-    /// [`SubmitError`](crate::SubmitError)).
-    pub(crate) fn push(&self, job: QueuedJob) -> Result<(), PushRefused> {
+    /// Admits `jobs` in order under one lock, with one wake-up, until the
+    /// queue is at depth or stopped: a group is queued whole where it fits,
+    /// and no worker sees half of it. Each job gets the answer it would get
+    /// pushed alone in a loop. Returns how many were admitted, and why the
+    /// rest were refused (the caller turns it into the right
+    /// [`SubmitError`](crate::SubmitError); a refused job's reply channel
+    /// closes with it).
+    pub(crate) fn push_many(&self, jobs: Vec<QueuedJob>) -> (usize, Option<PushRefused>) {
         let mut state = self.state.lock();
         if state.stopped {
-            return Err(PushRefused::Stopped);
+            return (0, Some(PushRefused::Stopped));
         }
-        if state.jobs.len() >= self.depth {
-            return Err(PushRefused::Full);
-        }
-        state.jobs.push_back(job);
+        let (total, room) = (jobs.len(), self.depth.saturating_sub(state.jobs.len()));
+        state.jobs.extend(jobs.into_iter().take(room));
         drop(state);
-        self.available.notify_one();
-        Ok(())
+        let admitted = total.min(room);
+        if admitted > 0 {
+            self.available.notify_one();
+        }
+        (admitted, (admitted < total).then_some(PushRefused::Full))
     }
 
-    /// Blocks until a job is available; `None` once the queue is stopped
-    /// *and* drained.
-    pub(crate) fn pop(&self) -> Option<QueuedJob> {
+    /// Blocks for the next job, then claims under the same lock the jobs
+    /// behind it that `fits` accepts, `max` in all, and flushes at once:
+    /// a batch never waits for company that is not already queued. The
+    /// trigger is `solo` when batching is off (`max` 1) or the first job
+    /// does not fit, else `size` at `max` jobs, `boundary` at a queued job
+    /// that does not fit (it stays queued: FIFO order is never reordered
+    /// around), `drained` when nothing is left. `None` once the queue is
+    /// stopped *and* drained.
+    pub(crate) fn pop_batch(&self, max: usize, fits: impl Fn(&JobSpec) -> bool) -> Option<Batch> {
         let mut state = self.state.lock();
-        loop {
+        let first = loop {
             if let Some(job) = state.jobs.pop_front() {
-                return Some(job);
+                break job;
             }
             if state.stopped {
                 return None;
             }
             self.available.wait(&mut state);
-        }
-    }
-
-    /// Pops the front job if `pred` accepts it, waiting until `deadline`
-    /// for one to arrive. Used by the batcher to gather companions for a
-    /// forming batch: an incompatible job at the front ends the batch at a
-    /// [`PopMore::Boundary`] (FIFO order is never reordered around), an
-    /// empty queue at the deadline ends it at [`PopMore::TimedOut`].
-    pub(crate) fn pop_compatible(
-        &self,
-        deadline: Instant,
-        pred: impl Fn(&QueuedJob) -> bool,
-    ) -> PopMore {
-        let mut state = self.state.lock();
-        loop {
-            if let Some(front) = state.jobs.front() {
-                if !pred(front) {
-                    return PopMore::Boundary;
+        };
+        let mut jobs = vec![first];
+        let trigger = if max <= 1 || !fits(&jobs[0].spec) {
+            "solo"
+        } else {
+            loop {
+                if jobs.len() >= max {
+                    break "size";
                 }
-                let job = state.jobs.pop_front().expect("front exists");
-                return PopMore::Job(job);
+                match state.jobs.front() {
+                    None => break "drained",
+                    Some(next) if !fits(&next.spec) => break "boundary",
+                    Some(_) => jobs.extend(state.jobs.pop_front()),
+                }
             }
-            if state.stopped {
-                return PopMore::Stopped;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return PopMore::TimedOut;
-            }
-            self.available.wait_for(&mut state, deadline - now);
+        };
+        let more = !state.jobs.is_empty();
+        drop(state);
+        if more {
+            // One wake-up may have admitted several batches' worth
+            // (`push_many`): pass it on to the next idle worker.
+            self.available.notify_one();
         }
+        Some(Batch { jobs, trigger })
     }
 
     /// Jobs currently waiting (excludes jobs already claimed by workers).
@@ -122,24 +127,10 @@ impl JobQueue {
     }
 }
 
-/// Why [`JobQueue::push`] refused (the dropped job's reply channel closes,
-/// which its handle reads as `Stopped`).
+/// Why [`JobQueue::push_many`] refused the rest of a group.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum PushRefused {
     Full,
-    Stopped,
-}
-
-/// Outcome of [`JobQueue::pop_compatible`].
-pub(crate) enum PopMore {
-    /// The front job matched the predicate and was claimed.
-    Job(QueuedJob),
-    /// The front job is incompatible with the forming batch; it stays
-    /// queued for the next batch.
-    Boundary,
-    /// The flush deadline passed with the queue empty.
-    TimedOut,
-    /// The queue stopped while waiting.
     Stopped,
 }
 
@@ -147,6 +138,15 @@ pub(crate) enum PopMore {
 mod tests {
     use super::*;
     use crossbeam_channel::unbounded;
+
+    fn pop(queue: &JobQueue) -> Option<QueuedJob> {
+        let batch = queue.pop_batch(1, |_| true)?;
+        batch.jobs.into_iter().next()
+    }
+
+    fn push(queue: &JobQueue, job: QueuedJob) {
+        assert_eq!(queue.push_many(vec![job]), (1, None));
+    }
 
     fn job(id: u64) -> QueuedJob {
         let (reply, _rx) = unbounded();
@@ -161,23 +161,23 @@ mod tests {
     #[test]
     fn fifo_until_full() {
         let queue = JobQueue::new(2);
-        queue.push(job(1)).ok().unwrap();
-        queue.push(job(2)).ok().unwrap();
-        assert_eq!(queue.push(job(3)).err(), Some(PushRefused::Full));
+        push(&queue, job(1));
+        push(&queue, job(2));
+        assert_eq!(queue.push_many(vec![job(3)]), (0, Some(PushRefused::Full)));
         assert_eq!(queue.len(), 2);
-        assert_eq!(queue.pop().unwrap().id, JobId(1));
-        assert_eq!(queue.pop().unwrap().id, JobId(2));
+        assert_eq!(pop(&queue).unwrap().id, JobId(1));
+        assert_eq!(pop(&queue).unwrap().id, JobId(2));
     }
 
     #[test]
     fn stop_wakes_blocked_workers_and_drains() {
         let queue = JobQueue::new(4);
-        queue.push(job(1)).ok().unwrap();
+        push(&queue, job(1));
         std::thread::scope(|scope| {
             let waiter = scope.spawn(|| {
                 // First pop gets the queued job; second blocks until stop.
-                let first = queue.pop();
-                let second = queue.pop();
+                let first = pop(&queue);
+                let second = pop(&queue);
                 (first, second)
             });
             std::thread::sleep(std::time::Duration::from_millis(30));
@@ -187,49 +187,158 @@ mod tests {
             assert_eq!(first.unwrap().id, JobId(1));
             assert!(second.is_none());
         });
-        assert_eq!(queue.push(job(9)).err(), Some(PushRefused::Stopped));
+        assert_eq!(
+            queue.push_many(vec![job(9)]),
+            (0, Some(PushRefused::Stopped))
+        );
+    }
+
+    /// A job whose one key says whether it fits: the tests' `fits` takes
+    /// non-negative keys only.
+    fn keyed(id: u64, key: i32) -> QueuedJob {
+        let (reply, _rx) = unbounded();
+        QueuedJob {
+            id: JobId(id),
+            spec: JobSpec::new(vec![key]),
+            submitted_at: Instant::now(),
+            reply,
+        }
+    }
+
+    fn fits(spec: &JobSpec) -> bool {
+        spec.keys[0] >= 0
+    }
+
+    fn ids(batch: &Batch) -> Vec<u64> {
+        batch.jobs.iter().map(|job| job.id.0).collect()
     }
 
     #[test]
-    fn pop_compatible_respects_boundary_deadline_and_stop() {
-        let queue = JobQueue::new(4);
-        queue.push(job(1)).ok().unwrap();
-        queue.push(job(2)).ok().unwrap();
-        let soon = Instant::now() + std::time::Duration::from_millis(50);
-        // Front accepted → claimed in FIFO order.
-        match queue.pop_compatible(soon, |j| j.id == JobId(1)) {
-            PopMore::Job(j) => assert_eq!(j.id, JobId(1)),
-            _ => panic!("front job matches"),
+    fn pop_batch_flushes_at_size_and_leaves_the_rest_queued() {
+        let queue = JobQueue::new(16);
+        for id in 0..5 {
+            push(&queue, job(id));
         }
-        // Front rejected → boundary, job stays queued.
-        assert!(matches!(
-            queue.pop_compatible(soon, |j| j.id != JobId(2)),
-            PopMore::Boundary
-        ));
+        let batch = queue.pop_batch(3, fits).unwrap();
+        assert_eq!((batch.trigger, ids(&batch)), ("size", vec![0, 1, 2]));
+        assert_eq!(queue.len(), 2);
+    }
+
+    #[test]
+    fn pop_batch_flushes_drained_without_waiting() {
+        let queue = JobQueue::new(16);
+        push(&queue, job(1));
+        push(&queue, job(2));
+        let batch = queue.pop_batch(4, fits).unwrap();
+        assert_eq!((batch.trigger, ids(&batch)), ("drained", vec![1, 2]));
+        // A lone job is a drained batch of one.
+        push(&queue, job(3));
+        let batch = queue.pop_batch(4, fits).unwrap();
+        assert_eq!((batch.trigger, ids(&batch)), ("drained", vec![3]));
+    }
+
+    #[test]
+    fn pop_batch_stops_at_a_boundary_that_stays_queued() {
+        let queue = JobQueue::new(16);
+        push(&queue, keyed(1, 1));
+        push(&queue, keyed(2, 2));
+        push(&queue, keyed(3, -1));
+        push(&queue, keyed(4, 4));
+        let batch = queue.pop_batch(4, fits).unwrap();
+        assert_eq!((batch.trigger, ids(&batch)), ("boundary", vec![1, 2]));
+        // The misfit is next in line and runs alone; the job behind it is
+        // not reordered around it.
+        let batch = queue.pop_batch(4, fits).unwrap();
+        assert_eq!((batch.trigger, ids(&batch)), ("solo", vec![3]));
+        let batch = queue.pop_batch(4, fits).unwrap();
+        assert_eq!((batch.trigger, ids(&batch)), ("drained", vec![4]));
+    }
+
+    #[test]
+    fn pop_batch_runs_misfits_and_batch_max_one_solo() {
+        let queue = JobQueue::new(16);
+        push(&queue, keyed(1, -1));
+        push(&queue, keyed(2, 2));
+        let batch = queue.pop_batch(4, fits).unwrap();
+        assert_eq!((batch.trigger, ids(&batch)), ("solo", vec![1]));
+        push(&queue, keyed(3, 3));
+        let batch = queue.pop_batch(1, fits).unwrap();
+        assert_eq!((batch.trigger, ids(&batch)), ("solo", vec![2]));
         assert_eq!(queue.len(), 1);
-        queue.pop().unwrap();
-        // Empty queue → times out at the deadline.
-        let deadline = Instant::now() + std::time::Duration::from_millis(20);
-        assert!(matches!(
-            queue.pop_compatible(deadline, |_| true),
-            PopMore::TimedOut
-        ));
-        assert!(Instant::now() >= deadline, "waited out the deadline");
-        // Stopped queue → reports stop, not timeout.
+    }
+
+    #[test]
+    fn stop_after_a_gather_leaves_the_claimed_batch_answerable() {
+        let queue = JobQueue::new(16);
+        let (reply, answers) = unbounded();
+        for id in 0..3 {
+            let job = QueuedJob {
+                reply: reply.clone(),
+                ..job(id)
+            };
+            push(&queue, job);
+        }
+        let batch = queue.pop_batch(2, fits).unwrap();
+        assert_eq!((batch.trigger, ids(&batch)), ("size", vec![0, 1]));
+        // Shutdown takes only the unclaimed job; the gathered batch is the
+        // worker's and still answers.
+        let drained = queue.stop();
+        assert_eq!(drained.iter().map(|j| j.id.0).collect::<Vec<_>>(), [2]);
+        for job in batch.jobs {
+            job.reply.send(Err(JobError::Stopped)).unwrap();
+        }
+        assert_eq!(answers.try_iter().count(), 2);
+        assert!(queue.pop_batch(2, fits).is_none());
+    }
+
+    #[test]
+    fn push_many_admits_in_order_up_to_depth() {
+        let queue = JobQueue::new(4);
+        push(&queue, job(0));
+        let (admitted, refused) = queue.push_many((1..6).map(job).collect());
+        assert_eq!((admitted, refused), (3, Some(PushRefused::Full)));
+        let batch = queue.pop_batch(8, fits).unwrap();
+        assert_eq!(ids(&batch), [0, 1, 2, 3], "the head of the group, in order");
+        assert_eq!(queue.push_many(vec![job(6)]), (1, None));
         queue.stop();
-        assert!(matches!(
-            queue.pop_compatible(Instant::now() + std::time::Duration::from_secs(5), |_| true),
-            PopMore::Stopped
-        ));
+        assert_eq!(
+            queue.push_many(vec![job(7)]),
+            (0, Some(PushRefused::Stopped))
+        );
+    }
+
+    #[test]
+    fn one_group_wakes_every_worker_it_has_work_for() {
+        let queue = JobQueue::new(16);
+        let (done, batches) = unbounded();
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                let done = done.clone();
+                let queue = &queue;
+                scope.spawn(move || {
+                    if let Some(batch) = queue.pop_batch(2, fits) {
+                        done.send(batch.jobs.len()).unwrap();
+                    }
+                });
+            }
+            std::thread::sleep(std::time::Duration::from_millis(30));
+            assert_eq!(queue.push_many((0..4).map(job).collect()), (4, None));
+            let timeout = std::time::Duration::from_secs(5);
+            let got: Vec<_> = (0..2)
+                .filter_map(|_| batches.recv_timeout(timeout).ok())
+                .collect();
+            queue.stop();
+            assert_eq!(got, [2, 2], "both workers took a full batch");
+        });
     }
 
     #[test]
     fn stop_returns_unclaimed_jobs() {
         let queue = JobQueue::new(4);
-        queue.push(job(1)).ok().unwrap();
-        queue.push(job(2)).ok().unwrap();
+        push(&queue, job(1));
+        push(&queue, job(2));
         let drained = queue.stop();
         assert_eq!(drained.len(), 2);
-        assert!(queue.pop().is_none());
+        assert!(pop(&queue).is_none());
     }
 }

@@ -274,6 +274,11 @@ impl Recovery {
     pub(crate) fn quarantined(&self) -> Vec<u32> {
         self.state.lock().quarantined.iter().copied().collect()
     }
+
+    /// How many nodes are quarantined, without copying the set.
+    pub(crate) fn quarantined_count(&self) -> usize {
+        self.state.lock().quarantined.len()
+    }
 }
 
 /// The violation code of a missing message (receive timeout, closed link,

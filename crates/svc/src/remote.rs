@@ -307,7 +307,7 @@ impl RemoteCube {
         let (reply, rx) = crossbeam_channel::unbounded();
         pending.jobs.insert(seq, (Instant::now(), reply));
         drop(pending);
-        state.metrics.job_submitted();
+        state.metrics.jobs_submitted(1);
         if self.jobs.lock().send(Job { seq, spec }).is_err() {
             // The session is dead: this job and every other fail now.
             state.retire(JobError::Stopped);

@@ -15,7 +15,7 @@ use aoft_sim::{ErrorReport, NodeMetrics, Packet, Trace};
 use aoft_sort::composite::{demux, mux, CompositeCodec};
 use aoft_sort::{Key, Msg, SortBuilder, SortError, SortReport};
 
-use crate::batch::Batcher;
+use crate::batch;
 use crate::config::{ConfigError, SvcConfig};
 use crate::job::{JobError, JobHandle, JobId, JobReport, JobSpec, SubmitError};
 use crate::metrics::{self, Families, MetricsSink, SvcMetrics};
@@ -139,31 +139,55 @@ impl<T> SortService<T> {
     ///   subcube is a smaller power of two and divides too).
     /// * [`SubmitError::Stopped`] — the service has shut down.
     pub fn submit(&self, spec: JobSpec) -> Result<JobHandle, SubmitError> {
-        if let Err(err) = spec.servable_on(self.inner.config.dim) {
-            self.inner.metrics.job_rejected();
-            return Err(err);
-        }
-        let id = JobId(self.inner.next_job.fetch_add(1, Ordering::Relaxed) + 1);
-        let (reply, rx) = crossbeam_channel::unbounded();
-        let job = QueuedJob {
-            id,
-            spec,
-            submitted_at: Instant::now(),
-            reply,
-        };
-        match self.inner.queue.push(job) {
-            Ok(()) => {
-                self.inner.metrics.job_submitted();
+        let mut answers = self.submit_batch(vec![spec]);
+        answers.pop().expect("one answer per spec")
+    }
+
+    /// Submits a group of jobs whole: the servable ones enter the queue
+    /// under one lock with one wake-up, so a worker finds the group queued
+    /// together and coalesces it into full batches
+    /// ([`SvcConfig::batch_max`]) instead of racing the submitter. Each
+    /// entry is what [`submit`](Self::submit) would answer for its spec in
+    /// a loop: the group is admitted in order up to the queue's depth and
+    /// the rest is refused with [`SubmitError::Backpressure`] (or
+    /// [`SubmitError::Stopped`] once the service has shut down).
+    pub fn submit_batch(&self, specs: Vec<JobSpec>) -> Vec<Result<JobHandle, SubmitError>> {
+        let inner = &self.inner;
+        let mut jobs = Vec::with_capacity(specs.len());
+        let mut answers: Vec<_> = specs
+            .into_iter()
+            .map(|spec| {
+                if let Err(err) = spec.servable_on(inner.config.dim) {
+                    inner.metrics.job_rejected();
+                    return Err(err);
+                }
+                let id = JobId(inner.next_job.fetch_add(1, Ordering::Relaxed) + 1);
+                let (reply, rx) = crossbeam_channel::unbounded();
+                jobs.push(QueuedJob {
+                    id,
+                    spec,
+                    submitted_at: Instant::now(),
+                    reply,
+                });
                 Ok(JobHandle { id, reply: rx })
-            }
-            Err(PushRefused::Full) => {
-                self.inner.metrics.job_rejected();
-                Err(SubmitError::Backpressure {
-                    depth: self.inner.config.queue_depth,
-                })
-            }
-            Err(PushRefused::Stopped) => Err(SubmitError::Stopped),
+            })
+            .collect();
+        let (admitted, refused) = inner.queue.push_many(jobs);
+        inner.metrics.jobs_submitted(admitted as u64);
+        let queued = answers.iter_mut().filter(|answer| answer.is_ok());
+        for answer in queued.skip(admitted) {
+            // Refused by the queue: the job (and its reply channel) is gone.
+            *answer = Err(match refused {
+                Some(PushRefused::Full) => {
+                    inner.metrics.job_rejected();
+                    SubmitError::Backpressure {
+                        depth: inner.config.queue_depth,
+                    }
+                }
+                _ => SubmitError::Stopped,
+            });
         }
+        answers
     }
 
     /// A point-in-time metrics snapshot.
@@ -176,6 +200,12 @@ impl<T> SortService<T> {
     /// Physical node labels currently quarantined, ascending.
     pub fn quarantined(&self) -> Vec<u32> {
         self.inner.recovery.quarantined()
+    }
+
+    /// `true` once any node is quarantined: the largest clean cube is
+    /// smaller than configured.
+    pub(crate) fn degraded(&self) -> bool {
+        self.inner.recovery.quarantined_count() > 0
     }
 
     /// This service's families, for a fleet's scrape.
@@ -206,7 +236,7 @@ impl<T> Inner<T> {
             sink: &self.metrics,
             queue_depth: self.queue.len(),
             inflight: self.metrics.inflight(),
-            quarantined: self.recovery.quarantined().len(),
+            quarantined: self.recovery.quarantined_count(),
             // One run id per attempt started.
             attempts: Some(self.next_run.load(Ordering::Relaxed)),
         }
@@ -223,11 +253,12 @@ fn worker_loop<T>(inner: Arc<Inner<T>>, slot: usize)
 where
     T: Transport<Packet<Msg>> + Send + Sync + 'static,
 {
-    let batcher = Batcher::new(&inner.config);
-    while let Some(batch) = batcher.next_batch(&inner.queue) {
+    let codec = CompositeCodec::for_batch_max(inner.config.batch_max);
+    let fits = |spec: &JobSpec| batch::compatible(codec, spec);
+    while let Some(batch) = inner.queue.pop_batch(inner.config.batch_max, fits) {
         let jobs = batch.jobs.len();
         inner.metrics.batch_flushed(jobs, batch.trigger);
-        run_batch(&inner, slot, batcher.codec(), batch.jobs);
+        run_batch(&inner, slot, codec, batch.jobs);
         inner.metrics.batch_done(jobs);
     }
 }
@@ -398,7 +429,7 @@ where
     let config = &inner.config;
     // The lead rider names the ride in events, and its spec sets the
     // per-job options: jobs that share an attempt all carry the defaults
-    // (`Batcher::compatible`).
+    // (`batch::compatible`).
     let lead = &ride.riders[0].job;
     let (lead_id, attempt) = (lead.id, ride.attempts);
     let failed = ride

@@ -18,31 +18,29 @@ use aoft::sort::{Msg, Violation};
 use aoft::svc::{JobReport, JobSpec, SortService, SvcConfig};
 use proptest::prelude::*;
 
-/// One worker so queued jobs actually meet in its batcher; a short flush
-/// window keeps lonely jobs fast.
+/// One worker, so a whole burst meets in its batcher.
 fn batched_config(batch_max: usize) -> SvcConfig {
     SvcConfig::new(3)
         .workers(1)
         .batch_max(batch_max)
-        .batch_flush(Duration::from_millis(5))
         .recv_timeout(Duration::from_millis(300))
 }
 
-/// Burst-submits every spec, then waits in order. Panics on any loud
-/// failure: these tests only run plans the service is expected to survive.
+/// Submits every spec as one burst (`submit_batch`: queued whole, so the
+/// idle worker coalesces it into full batches in admission order), then
+/// waits in order. Panics on any loud failure: these tests only run plans
+/// the service is expected to survive.
 fn run_reports<T>(service: &SortService<T>, specs: &[JobSpec]) -> Vec<JobReport>
 where
     T: Transport<Packet<Msg>> + Send + Sync + 'static,
 {
-    let handles: Vec<_> = specs
-        .iter()
-        .map(|spec| service.submit(spec.clone()).expect("admit"))
-        .collect();
+    let handles = service.submit_batch(specs.to_vec());
     handles
         .into_iter()
         .enumerate()
         .map(|(i, handle)| {
             handle
+                .expect("admit")
                 .wait()
                 .unwrap_or_else(|err| panic!("job {i} failed loudly: {err}"))
         })
@@ -114,8 +112,8 @@ proptest! {
     }
 }
 
-/// A burst into one worker must actually coalesce — and the demuxed answers
-/// must still be per-job exact.
+/// A burst into one worker coalesces into full batches, every time — and
+/// the demuxed answers are still per-job exact.
 #[test]
 fn burst_coalesces_into_multi_job_attempts() {
     let service = SortService::start(batched_config(8), InProc::new()).expect("start");
@@ -126,14 +124,8 @@ fn burst_coalesces_into_multi_job_attempts() {
     }
     let metrics = service.metrics();
     assert_eq!(metrics.jobs_completed, 32);
-    assert!(
-        metrics.jobs_coalesced > 0,
-        "a 32-job burst into one worker must share at least one attempt"
-    );
-    assert!(
-        metrics.batches_flushed < 32,
-        "coalescing must need fewer attempts than jobs"
-    );
+    assert_eq!(metrics.batches_flushed, 4, "32 jobs in batches of 8");
+    assert_eq!(metrics.jobs_coalesced, 32, "every job shared its attempt");
     service.shutdown();
 }
 
@@ -162,6 +154,10 @@ fn mid_batch_node_death_quarantines_and_completes_every_rider() {
     }
 
     let metrics = service.metrics();
+    assert_eq!(
+        metrics.batches_flushed, 1,
+        "the eight jobs left as one batch"
+    );
     assert_eq!(metrics.jobs_completed, 8, "every rider must complete");
     assert_eq!(metrics.jobs_failed, 0);
     assert_eq!(

@@ -37,3 +37,17 @@ pub fn crash(node: u32, from_send: u64, seed: u64) -> FaultPlan {
         seed,
     )
 }
+
+/// Batch flushes by `trigger` on a Prometheus scrape, summed over every
+/// `cube` label (a lone service's samples carry none).
+pub fn flushes(scrape: &str, trigger: &str) -> u64 {
+    let label = format!("trigger=\"{trigger}\"}}");
+    scrape
+        .lines()
+        .filter(|line| line.starts_with("aoft_batch_flushes_total{") && line.contains(&label))
+        .map(|line| {
+            let (_, value) = line.rsplit_once(' ').expect("a sample line");
+            value.parse::<u64>().expect("a counter value")
+        })
+        .sum()
+}

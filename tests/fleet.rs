@@ -55,6 +55,50 @@ fn a_fleet_serves_every_cube_on_one_metrics_endpoint() {
     router.shutdown();
 }
 
+/// A burst is admitted whole, chunk by chunk, so an idle fleet coalesces
+/// it into full batches every time; a lone job then flushes at once,
+/// `drained`, without waiting for company.
+#[test]
+fn an_idle_fleet_batches_a_burst_whole_and_a_lone_job_at_once() {
+    let cube = cube_config()
+        .workers(2)
+        .batch_max(16)
+        .metrics_addr("127.0.0.1:0".parse().unwrap());
+    let router =
+        FleetRouter::start(FleetConfig::new(cube, 2), |_| Ok(InProc::new())).expect("fleet starts");
+    let endpoint = router.metrics_addr().expect("endpoint bound");
+    let flushes = |trigger| {
+        let scrape = aoft::obs::scrape(endpoint).expect("fleet endpoint answers");
+        common::flushes(&scrape, trigger)
+    };
+
+    let specs: Vec<JobSpec> = (0..64).map(|i| JobSpec::new(job_keys(i))).collect();
+    let handles = router.submit_batch(specs.clone());
+    for (spec, handle) in specs.iter().zip(handles) {
+        let report = handle.expect("admit").wait().expect("clean job completes");
+        assert_eq!(report.report.output, common::sorted(&spec.keys));
+    }
+    let metrics = router.metrics();
+    assert_eq!(metrics.jobs_routed, [32, 32], "chunks alternate cubes");
+    let per_cube = |read: fn(&aoft::svc::SvcMetrics) -> u64| -> u64 {
+        metrics.per_cube.iter().map(read).sum()
+    };
+    assert_eq!(per_cube(|m| m.batches_flushed), 4);
+    assert_eq!(per_cube(|m| m.jobs_coalesced), 64, "every job shared");
+    assert_eq!(flushes("size"), 4, "four full batches of 16");
+
+    let lone = JobSpec::new(job_keys(64));
+    let report = router.submit(lone.clone()).expect("admit").wait();
+    assert_eq!(
+        report.expect("completes").report.output,
+        common::sorted(&lone.keys)
+    );
+    assert_eq!(flushes("drained"), 1, "the lone job flushed at once");
+    assert_eq!(flushes("size"), 4);
+    assert_eq!(flushes("solo") + flushes("boundary"), 0);
+    router.shutdown();
+}
+
 /// A clean stream round-robins across every healthy active cube.
 #[test]
 fn router_spreads_a_clean_stream_across_cubes() {
@@ -264,7 +308,6 @@ where
         .backoff(Duration::from_millis(1), Duration::from_millis(10))
         .recv_timeout(Duration::from_millis(300))
         .batch_max(batch_max)
-        .batch_flush(Duration::from_millis(1))
         .metrics_addr("127.0.0.1:0".parse().unwrap());
     let router = FleetRouter::start(FleetConfig::new(cube, 2).spares(1), make_transport)
         .expect("fleet starts");
@@ -274,7 +317,7 @@ where
     let mut faulted = 0usize;
     while submitted < jobs {
         let wave = (jobs - submitted).min(64);
-        let mut handles = Vec::with_capacity(wave);
+        let mut inputs = Vec::with_capacity(wave);
         for offset in 0..wave {
             let index = (submitted + offset) as i64;
             let keys = job_keys(index);
@@ -289,10 +332,13 @@ where
                     index as u64,
                 ));
             }
-            handles.push((keys, router.submit(spec).expect("waves fit the queues")));
+            inputs.push((keys, spec));
         }
-        for (keys, handle) in handles {
+        // Each wave is admitted whole, so its clean runs coalesce.
+        let (keys, specs): (Vec<_>, Vec<_>) = inputs.into_iter().unzip();
+        for (keys, handle) in keys.into_iter().zip(router.submit_batch(specs)) {
             let report = handle
+                .expect("waves fit the queues")
                 .wait()
                 .unwrap_or_else(|err| panic!("soak job must complete loudly or not at all: {err}"));
             assert_eq!(

@@ -306,10 +306,10 @@ fn shutdown_is_loud() {
 
 /// Every per-job option survives the one attempt loop, whether batching is
 /// off or the job is a lone rider that could not share: it runs as its
-/// plain keys, flushed alone without waiting out the window.
+/// plain keys. No job waits for company: a lone job that could share
+/// flushes `drained` (nothing else was queued), any other `solo`.
 #[test]
 fn a_lone_rider_keeps_every_per_job_feature() {
-    let window = Duration::from_secs(1);
     let keys = job_keys(41);
     let descending: Vec<i32> = common::sorted(&keys).into_iter().rev().collect();
     let extremes = vec![i32::MAX, 7, i32::MIN, -7, 0, i32::MAX, i32::MIN, 1];
@@ -365,10 +365,10 @@ fn a_lone_rider_keeps_every_per_job_feature() {
     for batch_max in [1, 16] {
         let config = SvcConfig::new(3)
             .batch_max(batch_max)
-            .batch_flush(window)
-            .recv_timeout(Duration::from_millis(800));
+            .recv_timeout(Duration::from_millis(800))
+            .metrics_addr("127.0.0.1:0".parse().unwrap());
         let service = SortService::start(config, InProc::new()).expect("service starts");
-        for (what, spec, expected, attempts, traced, shares) in &table {
+        for (what, spec, expected, attempts, traced, _) in &table {
             let what = format!("{what}, batch_max {batch_max}");
             let report = service
                 .submit(spec.clone())
@@ -383,12 +383,15 @@ fn a_lone_rider_keeps_every_per_job_feature() {
                 "{what}: the fault hits the first attempt only"
             );
             assert_eq!(!report.trace.is_empty(), *traced, "{what}");
-            // A job that cannot share (or a service that never batches)
-            // flushes `solo`: at once. Only a job that could have had
-            // company waits for it.
-            let waited = report.latency >= window;
-            assert_eq!(waited, *shares && batch_max > 1, "{what}: {report:?}");
         }
+        let endpoint = service.metrics_addr().expect("endpoint bound");
+        let scrape = aoft::obs::scrape(endpoint).expect("endpoint answers");
+        let shareable = table.iter().filter(|row| row.5).count() as u64;
+        let drained = if batch_max > 1 { shareable } else { 0 };
+        let flushes = |trigger| common::flushes(&scrape, trigger);
+        assert_eq!(flushes("drained"), drained, "batch_max {batch_max}");
+        assert_eq!(flushes("solo"), table.len() as u64 - drained);
+        assert_eq!(flushes("size") + flushes("boundary"), 0);
         let metrics = service.metrics();
         assert_eq!(metrics.jobs_completed, table.len() as u64);
         assert_eq!(metrics.batches_flushed, table.len() as u64);
@@ -412,14 +415,12 @@ fn a_permanent_fault_exhausts_the_budget_solo_and_batched() {
             .max_attempts(3)
             .backoff(Duration::ZERO, Duration::ZERO)
             .batch_max(batch_max)
-            .batch_flush(Duration::from_millis(50))
             .recv_timeout(Duration::from_millis(200));
         let service = SortService::start(config, transport).expect("service starts");
-        let handles: Vec<_> = (0..jobs)
-            .map(|i| service.submit(JobSpec::new(job_keys(i))).expect("admit"))
-            .collect();
-        for handle in handles {
-            match handle.wait() {
+        // Submitted whole, so the batched case is one four-job batch.
+        let specs = (0..jobs).map(|i| JobSpec::new(job_keys(i))).collect();
+        for handle in service.submit_batch(specs) {
+            match handle.expect("admit").wait() {
                 Err(JobError::Exhausted {
                     attempts,
                     detections,
